@@ -5,15 +5,8 @@ Drives ≥1M keyed records spread over ≥10k keys through
 path (stable-hash routing + per-key Θ(k) sampler updates) and reporting the
 fleet's aggregate word-RAM footprint.  Also times the two auxiliary paths a
 production deployment exercises continuously: cross-key aggregation and
-checkpoint serialisation — and, since PR 2, the two scaling layers:
+checkpoint serialisation — and the scaling layers:
 
-* a **workers sweep** over :class:`repro.engine.ParallelEngine` (1/2/4
-  worker threads over the same shard fleet).  Caveat for reading the
-  numbers: on a GIL CPython build the per-record sampler updates serialise,
-  so thread workers buy producer/consumer pipelining rather than CPU
-  parallelism — run on a free-threaded build (or enough cores) to see the
-  ingest path scale; the sweep exists to keep the dispatch overhead honest
-  and the architecture measured.
 * a **process-workers sweep** over :class:`repro.engine.ProcessEngine`
   (1/2/4 worker processes).  Process workers *do* clear the GIL — sampler
   updates run on real cores — but only when cores exist: on a single-core
@@ -40,7 +33,6 @@ import os
 import pytest
 
 from repro.engine import (
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -155,36 +147,12 @@ def test_e11_engine_checkpoint_round_trip(benchmark, loaded_engine, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_e11_parallel_ingest_workers_sweep(benchmark, records, workers):
-    """The same 1M-record fleet through 1/2/4 shard-worker threads."""
-
-    def ingest():
-        with ParallelEngine(_spec(), shards=SHARDS, seed=3, workers=workers) as engine:
-            engine.ingest(records)
-            engine.flush()
-            return engine.total_arrivals
-
-    arrivals = benchmark.pedantic(ingest, rounds=1, iterations=1, warmup_rounds=0)
-    assert arrivals >= 1_000_000
-    benchmark.extra_info["workers"] = workers
-
-
-def test_e11_parallel_matches_serial_fleet(records):
-    """Safety net under the sweep: the parallel fleet is bit-identical."""
-    serial = ShardedEngine(_spec(), shards=SHARDS, seed=3)
-    serial.ingest(records[:100_000])
-    with ParallelEngine(_spec(), shards=SHARDS, seed=3, workers=4) as parallel:
-        parallel.ingest(records[:100_000])
-        assert parallel.state_dict() == serial.state_dict()
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_e11_process_ingest_workers_sweep(benchmark, records, workers):
     """The same 1M-record fleet through 1/2/4 shard-worker *processes*.
 
-    Unlike threads, process workers run sampler updates on real cores — but
-    the speed-up is bounded by the cores actually present, and every record
-    pays pickling freight across the queue.  The caveat is printed with the
+    Process workers run sampler updates on real cores — but the speed-up is
+    bounded by the cores actually present, and every record pays transport
+    freight across the queue.  The caveat is printed with the
     number so a flat sweep on a 1-core container reads as what it is.
     """
 

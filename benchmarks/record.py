@@ -577,7 +577,6 @@ def bench_e11_process(
         "cores": os.cpu_count() or 1,
         "fast": fast,
         "kernel": report["kernel"],
-        "cascade_compiled": report["cascade_compiled"],
         "krps": round(len(subset) / elapsed / 1e3, 1),
         "encoded_bytes_per_record": round(report["encoded_bytes"] / report["records"], 3),
         "stage_seconds": stages,
@@ -608,7 +607,6 @@ def bench_e11_kernel_apply(records: List[Any], quick: bool) -> Dict[str, Any]:
         "python_fast": {"krps": before["krps"], "apply_seconds": apply_before},
         "numpy_fast": {"krps": after["krps"], "apply_seconds": apply_after},
         "apply_speedup_numpy": round(apply_before / apply_after, 3) if apply_after else None,
-        "cascade_compiled": after["cascade_compiled"],
     }
     print(
         f"[E11] kernel apply split: python-fast {apply_before}s"

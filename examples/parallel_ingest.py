@@ -1,35 +1,30 @@
 #!/usr/bin/env python3
-"""Worker-backed shard executors + incremental checkpoints, end to end.
+"""Worker-process shard executor + incremental checkpoints, end to end.
 
 A day in the life of a production fleet:
 
-1. stream a JSONL click feed through a worker-backed engine — worker
-   *threads* (:class:`repro.engine.ParallelEngine`) by default, or worker
-   *processes* (:class:`repro.engine.ProcessEngine`, shards resident in the
-   workers, GIL cleared) with ``--executor process``;
-2. prove the worker-backed fleet is *bit-identical* to a serial one —
-   workers (and the executor flavour) are a throughput knob, never a
-   correctness knob;
-3. take an incremental checkpoint, absorb a hot-tenant burst that touches a
-   few shards, checkpoint again and watch only the dirty segments rewrite
-   (under ``--executor process`` each worker process writes its own
-   segments);
-4. restore under a different worker count and the *other* executor flavour
-   (both are orthogonal to the manifest) and keep ingesting.
+1. stream a JSONL click feed through a :class:`repro.engine.ProcessEngine`
+   — shards resident in worker processes, so sampler updates run on as many
+   cores as there are workers;
+2. prove the process fleet is *bit-identical* to a serial one — workers are
+   a throughput knob, never a correctness knob;
+3. take an incremental checkpoint (each worker process writes its own
+   segments), absorb a hot-tenant burst that touches a few shards,
+   checkpoint again and watch only the dirty segments rewrite;
+4. restore the checkpoint into a serial engine (worker count and engine
+   are both orthogonal to the manifest) and keep ingesting.
 
-Run:  python examples/parallel_ingest.py [--executor thread|process]
+Run:  python examples/parallel_ingest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import tempfile
 
 from repro.engine import (
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -44,8 +39,6 @@ PAGES = ["/home", "/search", "/cart", "/checkout", "/help", "/deals"]
 SHARDS = 32
 SPEC = SamplerSpec(window="sequence", n=128, k=6, replacement=True)
 
-EXECUTORS = {"thread": ParallelEngine, "process": ProcessEngine}
-
 
 def jsonl_feed(length: int, seed: int):
     """The wire form a real feed arrives in: one JSON document per line."""
@@ -58,43 +51,28 @@ def jsonl_feed(length: int, seed: int):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default="thread",
-        help="worker flavour driving the shards (default: thread)",
-    )
-    args = parser.parse_args()
-    engine_class = EXECUTORS[args.executor]
-    other = "process" if args.executor == "thread" else "thread"
-
     print("=" * 72)
-    print(f"{args.executor.capitalize()}-worker shard executors + incremental checkpoints")
+    print("Process-worker shard executor + incremental checkpoints")
     print("=" * 72)
 
-    with engine_class(SPEC, shards=SHARDS, workers=4, seed=42) as fleet:
+    with ProcessEngine(SPEC, shards=SHARDS, workers=4, seed=42) as fleet:
         ingested = ingest_jsonl(fleet, jsonl_feed(CLICKS, seed=7), batch_size=4096)
         fleet.flush()
         print(f"streamed      : {ingested:,} JSONL clicks over {fleet.key_count:,} users")
-        print(f"topology      : {fleet.shards} shards / {fleet.workers} {args.executor} workers")
+        print(f"topology      : {fleet.shards} shards / {fleet.workers} process workers")
 
         serial = ShardedEngine(SPEC, shards=SHARDS, seed=42)
         serial.ingest(_tuples(jsonl_feed(CLICKS, seed=7)))
         identical = fleet.state_dict() == serial.state_dict()
-        print(f"determinism   : {args.executor} fleet bit-identical to serial fleet: {identical}")
+        print(f"determinism   : process fleet bit-identical to serial fleet: {identical}")
         assert identical
 
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "fleet.ckpt")
             first = write_checkpoint(fleet, path)
-            writer = (
-                "each worker process wrote its own shards"
-                if args.executor == "process"
-                else "written from the coordinator's pools"
-            )
             print(f"checkpoint #1 : {first.segments_written} segments "
-                  f"({first.bytes_written // 1024} KiB; {writer})")
+                  f"({first.bytes_written // 1024} KiB; each worker process "
+                  f"wrote its own shards)")
 
             # A hot tenant bursts: every record lands on one user, one shard.
             fleet.ingest([("user-0", "/deals")] * 500)
@@ -103,23 +81,20 @@ def main() -> None:
                   f"{second.segments_reused} reused after a 1-user burst")
             assert second.segments_written == 1
 
-            # Different worker count AND the other executor flavour: both
-            # are orthogonal to the manifest.
-            resumed = load_checkpoint(path, workers=2, executor=other)
-            try:
-                match = resumed.sample("user-0") == fleet.sample("user-0")
-                print(f"restore       : 2 {other}-worker fleet from a 4 "
-                      f"{args.executor}-worker manifest, hot user's sample identical: {match}")
-                assert match
-                resumed.ingest([("user-1", "/home")] * 100)
-                print(f"resume        : restored fleet keeps ingesting "
-                      f"({resumed.total_arrivals:,} total arrivals)")
-            finally:
-                resumed.close()
+            # A serial engine restores the 4-worker manifest: workers own
+            # no state, so the checkpoint does not record them.
+            resumed = load_checkpoint(path)
+            match = resumed.sample("user-0") == fleet.sample("user-0")
+            print(f"restore       : serial fleet from a 4 process-worker manifest, "
+                  f"hot user's sample identical: {match}")
+            assert match
+            resumed.ingest([("user-1", "/home")] * 100)
+            print(f"resume        : restored fleet keeps ingesting "
+                  f"({resumed.total_arrivals:,} total arrivals)")
 
     print()
     print("Workers change wall-clock, never samples; checkpoints pay only for")
-    print("the shards that changed — whichever executor wrote them.")
+    print("the shards that changed, and any engine restores them.")
 
 
 def _tuples(lines):

@@ -45,40 +45,34 @@ and identical future randomness.
 
 Scaling & persistence
 ---------------------
-Three layers take the engine from one thread and one pickle to fleet scale:
+Two layers take the engine from one process and one pickle to fleet scale:
 
-* **Parallel shard executors.**  :class:`~repro.engine.ParallelEngine` drives
-  the same shards from ``workers`` threads behind bounded per-shard queues
-  with producer backpressure.  Because each shard is owned by exactly one
-  worker and per-key sampler seeds are key-derived, parallel ingest is
-  *bit-identical* to serial ingest — ``workers`` changes throughput, never
-  samples.  Queries (``sample``, aggregates, ``state_dict``) flush through a
-  drain barrier first, so readers always observe a consistent fleet, and the
-  public surface is thread-safe for concurrent producers and readers.
-  Streaming feeds plug in via :func:`~repro.engine.ingest_jsonl` (JSONL from
-  a file, pipe or stdin, in bounded batches — ``swsample engine --input``).
-
-* **Process shard workers.**  :class:`~repro.engine.ProcessEngine` runs the
-  identical dataflow on worker *processes* — shards are resident in the
-  workers (built there from the engine recipe), records arrive over bounded
-  multiprocessing queues, queries are answered worker-side through a
-  request/reply protocol, and each worker writes its own checkpoint
-  segments.  This is the executor that clears the GIL ceiling: CPU-bound
-  sampler updates scale across cores, and ingest stays bit-identical to the
-  serial and thread engines (``swsample engine --workers N --executor
-  process``).  A worker process that dies raises a sticky
-  :class:`~repro.exceptions.WorkerFailure` instead of serving from a fleet
-  that may have lost arrivals.
+* **Process shard workers.**  :class:`~repro.engine.ProcessEngine` drives
+  the same shards from ``workers`` worker *processes* — shards are resident
+  in the workers (built there from the engine recipe), records arrive over
+  bounded multiprocessing queues with producer backpressure, queries are
+  answered worker-side through a request/reply protocol, and each worker
+  writes its own checkpoint segments.  CPU-bound sampler updates scale
+  across cores.  Because each shard is owned by exactly one worker and
+  per-key sampler seeds are key-derived, process ingest is *bit-identical*
+  to serial ingest — ``workers`` changes throughput, never samples
+  (``swsample engine --workers N``).  Queries (``sample``, aggregates,
+  ``state_dict``) flush through a drain barrier first, so readers always
+  observe a consistent fleet, and the public surface is thread-safe for
+  concurrent producers and readers.  A worker process that dies raises a
+  sticky :class:`~repro.exceptions.WorkerFailure` instead of serving from a
+  fleet that may have lost arrivals.  Streaming feeds plug in via
+  :func:`~repro.engine.ingest_jsonl` (JSONL from a file, pipe or stdin, in
+  bounded batches — ``swsample engine --input``).
 
 * **Incremental checkpoints.**  :func:`~repro.engine.save_checkpoint` writes
   a checkpoint *directory*: one digest-verified segment file per shard plus
   a JSON manifest (format documented in :mod:`repro.engine.checkpoint`).
   Repeat saves rewrite only the shards whose state changed; a damaged or
-  missing segment fails loudly on load; and worker count *and executor
-  flavour* are orthogonal to the manifest, so a fleet saved by 4 process
-  workers restores serially, or under 16 threads — with identical samples
-  and identical future randomness
-  (``load_checkpoint(path, workers=N, executor="thread"|"process")``).
+  missing segment fails loudly on load; and the worker count is orthogonal
+  to the manifest, so a fleet saved by 4 process workers restores serially,
+  or under 2 workers — with identical samples and identical future
+  randomness (``load_checkpoint(path, workers=N)``).
 
 Fault tolerance
 ---------------
@@ -100,9 +94,9 @@ Only an exhausted restart budget degrades to the sticky
 :class:`~repro.exceptions.WorkerFailure`.  The failure windows themselves
 are testable via the deterministic injectors in :mod:`repro.engine.chaos`.
 
->>> from repro import ParallelEngine
->>> with ParallelEngine(SamplerSpec(window="sequence", n=500, k=4),
-...                     shards=8, workers=4, seed=7) as fleet:
+>>> from repro import ProcessEngine
+>>> with ProcessEngine(SamplerSpec(window="sequence", n=500, k=4),
+...                    shards=8, workers=2, seed=7) as fleet:
 ...     fleet.ingest([("alice", 1), ("bob", 2), ("alice", 3)])
 ...     fleet.sample_values("alice")  # doctest: +SKIP
 3
@@ -134,8 +128,8 @@ kept only as the reference semantics:
 * **Engines** group each ingest batch per key in a single pass (hashing
   each distinct key once per chunk) and feed every key's run through its
   sampler's batched path; engines with an eviction policy fall back to
-  per-record routing so LRU/TTL decisions never change.  Worker-backed
-  engines apply the same grouping inside each shard worker.
+  per-record routing so LRU/TTL decisions never change.  The process
+  engine applies the same grouping inside each shard worker.
 * **Vectorized kernels (optional).**  ``pip install 'swsample[fast]'``
   pulls in numpy and unlocks :mod:`repro.engine.kernels`: constructing a
   sampler or :class:`~repro.engine.SamplerSpec` with ``kernel="numpy"``
@@ -143,18 +137,13 @@ kept only as the reference semantics:
   --kernel``) vectorizes the ``fast=True`` draws across whole lanes —
   closed-form reservoir-transition draws for seq-WR, hypergeometric
   splits for WOR, width-weighted canonical rebuilds plus searchsorted
-  run-splitting for the timestamp automata — and decodes columnar
-  transport payloads straight into numpy arrays
-  (:func:`~repro.engine.kernels.decode_batch_arrays`, zero-copy over the
-  shm ring).  The default ``kernel="python"`` is the bit-identity
-  reference and the only path tier-1 CI needs; numpy results are
-  distributionally exact (the same χ²+KS gates as ``fast=True``) but
-  draw different randomness, and ``kernel="numpy"`` without numpy fails
-  loudly at construction.  Engines report the active kernel in
-  ``stats()`` / ``transport_report()`` and as the ``engine.kernel.numpy``
-  gauge.  Independently, the timestamp bucket cascade lives in
-  :mod:`repro.core._cascade`, a mypyc-compatible module that can be
-  compiled ahead of time without touching randomness or results.
+  run-splitting for the timestamp automata.  The default
+  ``kernel="python"`` is the bit-identity reference and the only path
+  tier-1 CI needs; numpy results are distributionally exact (the same
+  χ²+KS gates as ``fast=True``) but draw different randomness, and
+  ``kernel="numpy"`` without numpy fails loudly at construction.  Engines
+  report the active kernel in ``stats()`` / ``transport_report()`` and as
+  the ``engine.kernel.numpy`` gauge.
 * **Process transport** packs each dispatched sub-batch into one columnar
   struct-packed buffer (:mod:`repro.engine.transport`) instead of pickling
   tuple lists — roughly half the bytes per record on typical int-keyed
@@ -250,8 +239,8 @@ Reads have a fleet-wide path of their own, layered like ingest:
   a final ``{"event": "end"}`` line.
 
 Because ranked reports break count ties on a stable byte encoding of the
-key, batched, cached and scalar reads are bit-identical across the serial,
-thread and process executors.
+key, batched, cached and scalar reads are bit-identical across the serial
+and process engines.
 
 Quickstart
 ----------
@@ -280,7 +269,6 @@ from .core import (
 )
 from .engine import (
     KeyedSamplerPool,
-    ParallelEngine,
     ProcessEngine,
     QueryCache,
     RestartPolicy,
@@ -312,7 +300,6 @@ __all__ = [
     "SamplerSpec",
     "KeyedSamplerPool",
     "ShardedEngine",
-    "ParallelEngine",
     "ProcessEngine",
     "QueryCache",
     "RestartPolicy",

@@ -7,8 +7,8 @@ Installed as the ``swsample`` console script.  Five sub-commands:
   and memory footprint (a quick way to eyeball behaviour);
 * ``swsample engine`` — drive a keyed workload (or a JSONL stream from a file
   or stdin via ``--input``) through the sharded multi-stream engine, serially
-  or on workers (``--workers N --executor thread|process``; process workers
-  own their shards outright and scale across cores), print fleet statistics,
+  or on worker processes (``--workers N``; each worker owns its shards
+  outright, so ingest scales across cores), print fleet statistics,
   resolve a batch of queries in one fleet pass (``--query-file`` with JSONL
   op documents, the same wire shapes as serve's ``POST /v1/<t>/query``),
   and optionally checkpoint/resume it (incremental checkpoint directories).
@@ -62,12 +62,13 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=4, help="hash partitions")
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="drive shards from N workers (default: serial engine)",
+        help="drive shards from N worker processes, each holding its shards"
+        " resident (default: serial engine)",
     )
     parser.add_argument(
-        "--executor", choices=["thread", "process"], default=None,
-        help="worker flavour for --workers: 'thread' (pipelining; the default)"
-        " or 'process' (shards resident in worker processes — scales across cores)",
+        "--executor", choices=["process"], default=None,
+        help="worker flavour for --workers: 'process' (the only one, and the"
+        " default)",
     )
     parser.add_argument(
         "--max-batch", type=int, default=None, metavar="N",
@@ -93,8 +94,8 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wal-dir", metavar="DIR", default=None,
         help="journal every dispatched sub-batch to a per-shard write-ahead"
-        " log under DIR before the worker applies it (requires --executor"
-        " process with --workers; a committed checkpoint truncates it)",
+        " log under DIR before the worker applies it (requires --workers; a"
+        " committed checkpoint truncates it)",
     )
     parser.add_argument(
         "--wal-fsync", choices=["off", "batch", "always"], default=None,
@@ -361,15 +362,12 @@ def _run_query_file(engine: "object", path: str, *, stdin_taken: bool) -> int:
     return 0
 
 
-def _validate_durability_flags(args: argparse.Namespace, workers, executor) -> Optional[str]:
+def _validate_durability_flags(args: argparse.Namespace, workers) -> Optional[str]:
     """Cross-flag validation for --wal-dir / --wal-fsync / --supervise /
     --max-restarts (shared by ``engine`` and ``serve``); returns the error
     message for the rc-2 path, or None when the combination is coherent."""
-    if args.wal_dir is not None and (workers is None or executor != "process"):
-        return (
-            "--wal-dir requires --executor process with --workers N"
-            " (the journal guards worker processes)"
-        )
+    if args.wal_dir is not None and workers is None:
+        return "--wal-dir requires --workers N (the journal guards worker processes)"
     if args.wal_fsync is not None and args.wal_dir is None:
         return "--wal-fsync requires --wal-dir DIR"
     if args.supervise and args.wal_dir is None:
@@ -392,7 +390,6 @@ def _restart_policy_from_args(args: argparse.Namespace):
 
 def _command_engine(args: argparse.Namespace) -> int:
     from .engine import (
-        ParallelEngine,
         ProcessEngine,
         SamplerSpec,
         ShardedEngine,
@@ -434,8 +431,7 @@ def _command_engine(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    executor = args.executor or "thread"
-    durability_problem = _validate_durability_flags(args, workers, executor)
+    durability_problem = _validate_durability_flags(args, workers)
     if durability_problem is not None:
         print(f"error: {durability_problem}", file=sys.stderr)
         return 2
@@ -471,8 +467,7 @@ def _command_engine(args: argparse.Namespace) -> int:
         return 2
     if args.resume:
         # Validate the worker count against the manifest before paying for
-        # the restore; legacy single-file checkpoints (shard count unknown
-        # without unpickling) fall back to the post-load check below.
+        # the restore.
         if workers is not None:
             known_shards = checkpoint_shards(args.resume)
             if known_shards is not None and workers > known_shards:
@@ -486,7 +481,6 @@ def _command_engine(args: argparse.Namespace) -> int:
             engine = load_checkpoint(
                 args.resume,
                 workers=workers,
-                executor=executor,
                 max_batch=args.max_batch,
                 registry=registry,
                 **durability,
@@ -497,14 +491,6 @@ def _command_engine(args: argparse.Namespace) -> int:
         replayed = engine.replay_wal()
         if replayed:
             print(f"wal replay      : {replayed} journaled records re-applied")
-        if workers is not None and workers > engine.shards:
-            message = (
-                f"error: --workers {workers} exceeds the checkpoint's"
-                f" {engine.shards} shards (each worker owns at least one shard)"
-            )
-            engine.close()
-            print(message, file=sys.stderr)
-            return 2
         print(f"resumed         : {args.resume} ({engine.key_count} keys, {engine.total_arrivals} records)")
     else:
         if workers is not None and workers > args.shards:
@@ -537,12 +523,10 @@ def _command_engine(args: argparse.Namespace) -> int:
             registry=registry,
         )
         if workers is not None:
-            engine_class = ProcessEngine if executor == "process" else ParallelEngine
             if args.max_batch is not None:
                 config["max_batch"] = args.max_batch
-            if engine_class is ProcessEngine:
-                config.update(durability)
-            engine = engine_class(spec, workers=workers, **config)
+            config.update(durability)
+            engine = ProcessEngine(spec, workers=workers, **config)
             # A fresh (non-resuming) run over an old WAL directory: the stale
             # journal covers state this fleet never held — drop it loudly.
             engine.discard_wal()
@@ -588,7 +572,7 @@ def _command_engine(args: argparse.Namespace) -> int:
         print(f"spec            : {engine.spec.describe()}")
         print(f"workload        : {source} ({ingested} records over {key_space} keys)")
         print(f"shards          : {engine.shards}"
-              + (f" ({engine.workers} {executor} workers)" if workers is not None else ""))
+              + (f" ({engine.workers} process workers)" if workers is not None else ""))
         print(f"ingest          : {elapsed:.3f}s ({rate / 1000.0:.1f} krec/s)")
         evictions = engine.stats()["evictions"]
         print(
@@ -676,7 +660,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    durability_problem = _validate_durability_flags(args, workers, args.executor or "thread")
+    durability_problem = _validate_durability_flags(args, workers)
     if durability_problem is not None:
         print(f"error: {durability_problem}", file=sys.stderr)
         return 2
@@ -729,7 +713,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 idle_ttl=args.idle_ttl,
                 track_occurrences=args.track_occurrences,
                 workers=workers,
-                executor=args.executor or "thread",
                 max_batch=args.max_batch,
                 supervise=args.supervise,
                 wal_dir=args.wal_dir,

@@ -10,10 +10,8 @@ no dynamic attribute tricks, fully annotated signatures) so that
 
    $ python -m mypyc src/repro/core/_cascade.py
 
-produces a drop-in extension.  Nothing in the repository *requires* the
-compiled form: the interpreted module is the reference, and
-:data:`COMPILED` reports which one is active (surfaced by the engine's
-``transport_report()``).
+produces a drop-in extension.  Nothing in the repository builds or
+requires the compiled form: the interpreted module is the reference.
 
 Both entry points mutate the bucket list **in place** and consume randomness
 exactly as the historical inline loop did, preserving the batched path's
@@ -36,10 +34,7 @@ from typing import Callable, List
 
 from .bucket_structure import BucketStructure
 
-__all__ = ["COMPILED", "CoinSlab", "merge_cascade", "merge_cascade_fast"]
-
-#: True when this module is running as a compiled (mypyc) extension.
-COMPILED = not __file__.endswith((".py", ".pyc"))
+__all__ = ["CoinSlab", "merge_cascade", "merge_cascade_fast"]
 
 
 class CoinSlab:

@@ -19,24 +19,21 @@ budget:
   cross-key aggregates (hottest keys, merged frequent items, per-key AMS
   frequency moments), and checkpoints/restores the whole fleet of samplers
   bit-for-bit via the samplers' ``state_dict`` layer.
-* :class:`ParallelEngine` — the same engine with its shards driven by worker
-  threads behind bounded per-shard queues: batched ingest is validated and
-  clock-stamped by the producer, applied concurrently by shard owners, and
-  every query flushes through a drain barrier first, so parallel ingest is
-  bit-identical to serial ingest (``workers`` is a pure throughput knob).
-* :class:`ProcessEngine` — the same dataflow on worker *processes*: each
-  worker owns its shards' pools outright (built in-process from the engine
-  recipe), records travel over bounded multiprocessing queues, queries run
-  worker-side via a request/reply protocol, and checkpoints are written by
-  the workers themselves as per-shard segments.  Clears the GIL ceiling —
-  CPU-bound sampler updates scale across cores — while staying
-  bit-identical to the serial and thread engines.  A dead worker process
+* :class:`ProcessEngine` — the same engine with its shards driven by worker
+  *processes*, the one way to run shards in parallel: batched ingest is
+  validated and clock-stamped by the producer, each worker owns its shards'
+  pools outright (built in-process from the engine recipe), records travel
+  over bounded multiprocessing queues, queries run worker-side via a
+  request/reply protocol behind a drain barrier, and checkpoints are written
+  by the workers themselves as per-shard segments.  CPU-bound sampler
+  updates scale across cores while staying bit-identical to the serial
+  engine (``workers`` is a pure throughput knob).  A dead worker process
   surfaces as a sticky :class:`~repro.exceptions.WorkerFailure`.
 * :func:`save_checkpoint` / :func:`load_checkpoint` /
   :func:`write_checkpoint` — incremental per-shard checkpoint directories
   (JSON manifest + digest-verified segment files); repeat saves rewrite only
-  the shards that changed, and a manifest loads under any worker count and
-  any executor (serial / thread / process).
+  the shards that changed, and a manifest loads into a serial engine or a
+  process engine under any worker count.
 * :func:`jsonl_records` / :func:`batched` / :func:`ingest_jsonl` — streaming
   ingest sources: JSONL lines from a file, pipe or stdin, fed to an engine
   in bounded batches (the ``swsample engine --input`` path).
@@ -71,9 +68,7 @@ batching above, kept strictly additive to the bit-exact reference:
   import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` — or
   ``"auto"``, which resolves to numpy exactly when it is importable —
   switches the ``fast=True`` draws from per-run python loops to whole-lane
-  array math, and :func:`repro.engine.kernels.decode_batch_arrays` decodes
-  a columnar transport payload into column arrays without per-record tuple
-  building (zero-copy from the shm ring's memoryview).  numpy is the
+  array math.  numpy is the
   ``[fast]`` optional extra; requesting ``kernel="numpy"`` without it
   raises :class:`~repro.exceptions.ConfigurationError` at sampler/engine
   construction, never mid-stream.  ``"auto"`` travels unresolved inside
@@ -86,11 +81,8 @@ batching above, kept strictly additive to the bit-exact reference:
   exact, gated by the χ²+KS suites.  Baseline algorithms reject
   ``kernel="numpy"``.
 * The timestamp merge cascade (the Lemma 3.4 ``Incr`` step) is factored
-  into :mod:`repro.core._cascade`, a mypyc-compatible module: compiling it
-  (``python -m mypyc src/repro/core/_cascade.py``) changes neither
-  randomness nor results, and ``transport_report()`` reports whether the
-  compiled form is active (``cascade_compiled``) alongside the resolved
-  ``kernel``, which also appears in ``stats()`` and as the
+  into :mod:`repro.core._cascade`.  ``transport_report()`` reports the
+  resolved ``kernel``, which also appears in ``stats()`` and as the
   ``engine.kernel.numpy`` gauge.
 
 Querying
@@ -105,8 +97,8 @@ The query surface mirrors the ingest surface's batching discipline:
   batch costs **one request/reply round per worker**: per-key ops ship only
   to the worker owning their shard, aggregates are computed as per-worker
   partials and merged coordinator-side — the query-side analogue of how
-  ``extend_batch`` groups ingest.  Batched, scalar, serial, thread and
-  process results are all bit-identical, ties included (ranked reports
+  ``extend_batch`` groups ingest.  Batched, scalar, serial and process
+  results are all bit-identical, ties included (ranked reports
   break ties on a stable byte encoding of the key, never on dict order).
 * **Result caching.**  Pass ``query_cache=QueryCache(...)`` to any engine
   and the query surface consults it.  Entries are stamped with the
@@ -175,8 +167,8 @@ is a no-op until :func:`repro.obs.enable`):
 * pools split eviction counters into LRU and TTL
   (``pool.evictions.lru`` / ``pool.evictions.ttl``), also surfaced by
   :meth:`ShardedEngine.stats`;
-* worker loops and executors count applied batches, queue stalls and
-  request/reply round trips; :meth:`ProcessEngine.transport_report` breaks
+* worker loops and the process executor count applied batches, queue
+  stalls and request/reply round trips; :meth:`ProcessEngine.transport_report` breaks
   transport cost into per-worker encode/dispatch rows;
 * the checkpoint layer counts saves, segments written/reused and bytes, and
   times ``checkpoint.write.seconds`` / ``checkpoint.restore.seconds`` spans.
@@ -185,8 +177,8 @@ Worker processes build their own registry, and
 :meth:`ProcessEngine.metrics_snapshot` fetches each worker's snapshot over
 the request/reply protocol and merges the fleet into one dict (tolerating
 lost workers — a partial fleet yields a partial snapshot, never a hang).
-:meth:`ShardedEngine.metrics_snapshot` and the thread engine report from the
-single coordinator registry.  Render any snapshot with
+:meth:`ShardedEngine.metrics_snapshot` reports from the single coordinator
+registry.  Render any snapshot with
 :func:`repro.obs.to_prometheus_text`.
 """
 
@@ -199,7 +191,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .engine import ShardedEngine
-from .executor import ParallelEngine, ProcessEngine, RestartPolicy
+from .executor import ProcessEngine, RestartPolicy
 from .wal import WriteAheadLog
 from .hashing import stable_key_bytes, stable_key_hash
 from .pool import KeyedSamplerPool
@@ -212,7 +204,6 @@ __all__ = [
     "SamplerSpec",
     "KeyedSamplerPool",
     "ShardedEngine",
-    "ParallelEngine",
     "ProcessEngine",
     "RestartPolicy",
     "WriteAheadLog",

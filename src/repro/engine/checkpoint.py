@@ -1,8 +1,7 @@
 """Incremental per-shard engine checkpoints: manifest + segment files.
 
-A checkpoint is a **directory** (PR 1's single whole-fleet pickle is still
-readable, see *Legacy format* below) holding one segment file per shard plus
-a manifest:
+A checkpoint is a **directory** holding one segment file per shard plus a
+manifest:
 
 .. code-block:: text
 
@@ -46,14 +45,14 @@ checkpoints a process you trust wrote — pickle can execute code.
 Who writes the segments
 -----------------------
 Segments are written by whatever owns the shard's pool, via
-:func:`write_shard_segment`: the coordinator for serial
-:class:`~repro.engine.ShardedEngine` and thread-backed
-:class:`~repro.engine.ParallelEngine` fleets, and the **worker processes
+:func:`write_shard_segment`: the coordinator for a serial
+:class:`~repro.engine.ShardedEngine`, and the **worker processes
 themselves** for :class:`~repro.engine.ProcessEngine` — each worker pickles
 and atomically writes its resident shards (in parallel across workers) and
 ships back only the manifest entries, which the coordinator stitches into
 one ``MANIFEST.json``.  The format on disk is identical either way, which
-is why a checkpoint round-trips under any executor and any worker count.
+is why a checkpoint round-trips between the two engines and across any
+worker count.
 A worker that dies mid-save leaves the directory loadable (the manifest
 swap never happened) and the save fails loudly with
 :class:`~repro.exceptions.CheckpointError`.
@@ -83,10 +82,12 @@ manifest just before the swap; a reader racing two consecutive saves can
 still observe a missing segment, so serialise loads against saves if that
 window matters.
 
-Legacy format
--------------
-PR 1 wrote a single pickled file.  :func:`load_checkpoint` still reads those
-(version 1); :func:`save_checkpoint` always writes the directory layout.
+Single-file checkpoints
+-----------------------
+The first checkpoint layout was one pickled file (version 1).  It is no
+longer readable: :func:`load_checkpoint` raises
+:class:`~repro.exceptions.CheckpointError` for any path that is not a
+checkpoint directory.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ from ..core.serialization import STATE_FORMAT
 from ..exceptions import CheckpointError, ConfigurationError
 from ..obs import get_registry, span
 from .engine import ShardedEngine
-from .executor import ParallelEngine, ProcessEngine
+from .executor import ProcessEngine
 from .pool import KeyedSamplerPool
 from .spec import SamplerSpec
 
@@ -123,14 +124,9 @@ __all__ = [
     "MANIFEST_NAME",
 ]
 
-#: Worker-backed engine classes selectable by :func:`load_checkpoint`.
-_EXECUTORS = {"thread": ParallelEngine, "process": ProcessEngine}
-
 CHECKPOINT_MAGIC = "swsample-engine-checkpoint"
 SEGMENT_MAGIC = "swsample-engine-segment"
 CHECKPOINT_VERSION = 2
-#: The PR-1 single-file pickle layout (still loadable).
-LEGACY_CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 
 #: Per-engine, in-process record of the last save: directory plus, per shard,
@@ -257,8 +253,8 @@ def write_shard_segment(
     the on-disk file is verifiably the one this engine wrote (digest pinned
     in the previous manifest, size intact); anything less rewrites.
 
-    Runs wherever the pool lives: on the coordinator for serial and
-    thread-backed engines, **inside the owning worker process** for
+    Runs wherever the pool lives: on the coordinator for a serial engine,
+    **inside the owning worker process** for
     :class:`~repro.engine.ProcessEngine` — workers persist their own
     resident shards and ship back only the returned manifest entry.
     """
@@ -315,7 +311,7 @@ def write_checkpoint(engine: ShardedEngine, path: Union[str, os.PathLike]) -> Ch
         )
     os.makedirs(path, exist_ok=True)
     registry = getattr(engine, "_obs", None) or get_registry()
-    # The guard flushes (worker-backed engines) and keeps concurrent
+    # The guard flushes (process-backed engines) and keeps concurrent
     # producers out for the duration of the save, so the written pools and
     # the recorded generations describe one consistent fleet.
     with engine._checkpoint_guard():
@@ -351,8 +347,7 @@ def _write_checkpoint_locked(engine: ShardedEngine, path: str) -> CheckpointResu
             plan[index] = (saved_generation, saved_digest, entry)
 
     # Each shard's owner writes (or re-references) its segment: the local
-    # pools for serial/thread engines, the worker processes for
-    # ProcessEngine.
+    # pools for a serial engine, the worker processes for ProcessEngine.
     results = engine._checkpoint_segments(path, plan)
     if len(results) != engine.shards:
         raise CheckpointError(
@@ -472,23 +467,21 @@ def _load_segment(path: str, entry: Dict[str, Any], shards: int) -> Tuple[int, D
 def _engine_from_state(
     state: Dict[str, Any],
     workers: Optional[int],
-    executor: str,
     max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     engine_kwargs: Optional[Dict[str, Any]] = None,
 ) -> ShardedEngine:
-    """Build a serial, thread- or process-backed engine and load ``state``.
+    """Build a serial or process-backed engine and load ``state``.
 
-    Worker-backed engines are closed again on a failed load so a bad
-    checkpoint can never leak worker threads or processes.
+    A process-backed engine is closed again on a failed load so a bad
+    checkpoint can never leak worker processes.
     """
     if workers is None:
         return ShardedEngine.from_state_dict(state, registry=registry)
-    engine_class = _EXECUTORS[executor]
     extra = {} if max_batch is None else {"max_batch": max_batch}
     if engine_kwargs:
         extra.update(engine_kwargs)
-    engine = engine_class(
+    engine = ProcessEngine(
         SamplerSpec.from_dict(state["spec"]),
         workers=workers,
         **extra,
@@ -513,7 +506,6 @@ def _engine_from_state(
 def _load_directory_checkpoint(
     path: str,
     workers: Optional[int],
-    executor: str,
     max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     engine_kwargs: Optional[Dict[str, Any]] = None,
@@ -565,7 +557,7 @@ def _load_directory_checkpoint(
         "now": meta.get("now"),
         "pools": pool_states,
     }
-    engine = _engine_from_state(state, workers, executor, max_batch, registry, engine_kwargs)
+    engine = _engine_from_state(state, workers, max_batch, registry, engine_kwargs)
     # Seed the incremental-save memo: a just-restored engine's state *is*
     # the on-disk state, so its next save to this directory rewrites nothing
     # — unless someone else's save changes the digests in between.
@@ -581,34 +573,11 @@ def _load_directory_checkpoint(
     return engine
 
 
-def _load_legacy_checkpoint(
-    path: str,
-    workers: Optional[int],
-    executor: str,
-    max_batch: Optional[int] = None,
-    registry: Optional[Any] = None,
-    engine_kwargs: Optional[Dict[str, Any]] = None,
-) -> ShardedEngine:
-    with open(path, "rb") as handle:
-        envelope = pickle.load(handle)
-    if not isinstance(envelope, dict) or envelope.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path} is not a swsample engine checkpoint")
-    if envelope.get("version") != LEGACY_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {envelope.get('version')!r}"
-            f" (expected {LEGACY_CHECKPOINT_VERSION} for single-file checkpoints)"
-        )
-    # No _restored_from here: the legacy layout has no per-shard segments a
-    # supervisor could restore from, so the recovery baseline stays unset
-    # until the first directory-format save.
-    return _engine_from_state(envelope["engine"], workers, executor, max_batch, registry, engine_kwargs)
-
-
 def checkpoint_shards(path: Union[str, os.PathLike]) -> Optional[int]:
     """The shard count a checkpoint was written with, from the manifest
     alone — no segment is read, no engine is built.  Returns ``None`` when
-    it cannot be determined cheaply (legacy single-file checkpoints, or a
-    damaged manifest, which :func:`load_checkpoint` will diagnose loudly).
+    it cannot be determined cheaply (no checkpoint directory at ``path``, or
+    a damaged manifest, which :func:`load_checkpoint` will diagnose loudly).
 
     Lets callers validate topology-dependent choices (e.g. a worker count)
     before paying for a full restore.
@@ -632,7 +601,6 @@ def load_checkpoint(
     path: Union[str, os.PathLike],
     *,
     workers: Optional[int] = None,
-    executor: str = "thread",
     max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     supervise: bool = False,
@@ -640,17 +608,17 @@ def load_checkpoint(
     wal_fsync: str = "batch",
     restart_policy: Optional[Any] = None,
 ) -> ShardedEngine:
-    """Rebuild an engine from a checkpoint directory (or a legacy file).
+    """Rebuild an engine from a checkpoint directory.
 
     ``workers=None`` returns a serial :class:`ShardedEngine`; any positive
-    ``workers`` returns a worker-backed engine driving the same shard
-    states — a thread-backed :class:`~repro.engine.ParallelEngine` by
-    default, or a process-backed :class:`~repro.engine.ProcessEngine` with
-    ``executor="process"``.  ``max_batch`` tunes the restored worker-backed
-    engine's dispatch sub-batch size (ignored for serial restores).  Worker
-    count and executor flavour are both orthogonal to the checkpoint, so a
-    manifest saved under one loads into any other; legacy single-file (v1)
-    checkpoints restore into all three flavours too.
+    ``workers`` returns a :class:`~repro.engine.ProcessEngine` driving the
+    same shard states from that many worker processes.  ``max_batch`` tunes
+    the restored process engine's dispatch sub-batch size (ignored for
+    serial restores).  The worker count is orthogonal to the checkpoint, so
+    a manifest saved by either engine under any worker count loads into any
+    other.  A path that is not a directory (such as a single-file v1
+    checkpoint, which is no longer readable) raises
+    :class:`~repro.exceptions.CheckpointError`.
 
     Every segment's SHA-256 digest is verified against the manifest before a
     single sampler is rebuilt: a missing, truncated or bit-flipped segment
@@ -667,23 +635,19 @@ def load_checkpoint(
     ``checkpoint.restore.seconds`` histogram.
 
     ``supervise`` / ``wal_dir`` / ``wal_fsync`` / ``restart_policy``
-    (process executor only) rebuild the engine with the self-healing
+    (``workers=N`` only) rebuild the engine with the self-healing
     supervision layer attached — the restored checkpoint becomes the
     recovery baseline immediately.  A non-empty journal left in ``wal_dir``
     by the previous coordinator is **not** replayed automatically; call
     :meth:`~repro.engine.ProcessEngine.replay_wal` on the returned engine
     (the CLI/serve resume paths do).
     """
-    if executor not in _EXECUTORS:
-        raise ConfigurationError(
-            f"executor must be one of {sorted(_EXECUTORS)}, got {executor!r}"
-        )
     engine_kwargs: Dict[str, Any] = {}
     if wal_dir is not None or supervise:
-        if workers is None or executor != "process":
+        if workers is None:
             raise ConfigurationError(
                 "supervise/wal_dir apply to process-backed restores only"
-                " (pass workers=N and executor='process')"
+                " (pass workers=N)"
             )
         if wal_dir is not None:
             engine_kwargs["wal_dir"] = os.fspath(wal_dir)
@@ -693,12 +657,13 @@ def load_checkpoint(
         if restart_policy is not None:
             engine_kwargs["restart_policy"] = restart_policy
     path = os.path.abspath(os.fspath(path))
+    if not os.path.isdir(path):
+        raise CheckpointError(
+            f"{path} is not a checkpoint directory"
+            " (single-file v1 checkpoints are no longer readable)"
+        )
     span_registry = registry if registry is not None else get_registry()
     with span("checkpoint.restore", registry=span_registry):
-        if os.path.isdir(path):
-            return _load_directory_checkpoint(
-                path, workers, executor, max_batch, registry, engine_kwargs
-            )
-        return _load_legacy_checkpoint(
-            path, workers, executor, max_batch, registry, engine_kwargs
+        return _load_directory_checkpoint(
+            path, workers, max_batch, registry, engine_kwargs
         )

@@ -478,7 +478,7 @@ class ShardedEngine:
         shard_count = self._shards
         route = stable_key_hash
         # NOTE: the inlined record-unpack + clock-stamp block below is
-        # mirrored in _WorkerBackedEngine.ingest (executor.py) — both inline
+        # mirrored in ProcessEngine.ingest (executor.py) — both inline
         # it because a shared helper costs a function call per record on the
         # hottest loop in the codebase.  Change one, change the other.
         # key -> [shard, last pool-local position, values, stamps-or-None];

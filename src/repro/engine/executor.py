@@ -1,66 +1,59 @@
-"""Worker-backed parallel shard executors: threads and processes.
+"""The worker-process shard executor: :class:`ProcessEngine`.
 
-Two executors drive the shards of a :class:`ShardedEngine` from a worker
-fleet.  Both exploit the invariant the shard layer was built for: shards are
-*independent* ingest points — no sampler, eviction list or counter is shared
-between two shards — so per-shard work can proceed concurrently as long as
-each shard's records are applied in arrival order by exactly one worker.
+:class:`ProcessEngine` drives the shards of a :class:`ShardedEngine` from a
+fleet of worker processes.  It exploits the invariant the shard layer was
+built for: shards are *independent* ingest points — no sampler, eviction
+list or counter is shared between two shards — so per-shard work can
+proceed concurrently as long as each shard's records are applied in arrival
+order by exactly one worker.
 
-* :class:`ParallelEngine` — worker **threads**.  Shards stay in the
-  coordinator's address space; workers buy ingest/query pipelining (and real
-  parallelism on free-threaded builds), queries read the pools directly
-  after a drain barrier.
-* :class:`ProcessEngine` — worker **processes**.  Each worker process
-  *owns* its shards' pools outright: records are shipped over bounded
-  multiprocessing queues, queries run worker-side via a request/reply
-  protocol (the pools are never pickled on the hot path), and checkpoints
-  are written by the workers themselves as per-shard segment files.  This
-  clears the GIL ceiling: per-record sampler updates run on as many cores
-  as there are workers.
+Each worker process *owns* its shards' pools outright: records are shipped
+over bounded multiprocessing queues, queries run worker-side via a
+request/reply protocol (the pools are never pickled on the hot path), and
+checkpoints are written by the workers themselves as per-shard segment
+files.  This clears the GIL ceiling: per-record sampler updates run on as
+many cores as there are workers.  The serial :class:`ShardedEngine` and
+this class are the only two engines.  There is no thread executor: under
+the GIL, pure-Python sampler updates serialise, and thread workers measured
+slower than the serial engine on every workload shape tried.
 
-Topology (both executors)
--------------------------
+Topology
+--------
 Shard ``i`` is owned by worker ``i % workers`` for the life of the engine.
 Single ownership is what makes parallel ingest deterministic: a shard's
 batches are applied sequentially, in dispatch order, by one worker, so every
 key sees its records in exactly the order a serial engine would have applied
 them — and because per-key sampler seeds are key-derived (not order-derived),
-``workers=1``, ``workers=8``, threads and processes all produce bit-identical
+``workers=1``, ``workers=8`` and the serial engine all produce bit-identical
 sampler states.  Workers are orthogonal to shard *state*: a checkpoint
-written by an engine with 4 process workers loads into a serial engine, or
-into a thread engine with 16 workers.
+written by an engine with 4 workers loads into a serial engine, or into one
+with 2 workers.
 
 Dataflow
 --------
 ``ingest()`` validates records and runs the global clock contract on the
 caller's thread (exactly the serial engine's semantics), partitions them into
 per-shard sub-batches, and hands each sub-batch to the shard's owner.  Memory
-stays bounded in both transports:
+stays bounded: each worker's inbox is a bounded ``multiprocessing.Queue`` of
+``queue_depth`` messages, so a producer outrunning a worker blocks in
+``put`` until the worker catches up.
 
-* threads: a per-shard counting semaphore caps in-flight sub-batches per
-  shard at ``queue_depth``;
-* processes: each worker's inbox is a bounded ``multiprocessing.Queue`` of
-  ``queue_depth`` messages — a producer outrunning a worker blocks in
-  ``put`` until the worker catches up.
-
-``flush()`` is the drain barrier: threads wait on a pending-count condition;
-processes send a barrier token down every (FIFO) inbox and wait for the
-replies, which also carry any worker-side failure.  Every query and
-aggregate flushes first, so readers always observe a consistent fleet.
-
-Both transports drive the same :class:`_ShardWorkerLoop` — the executors
-differ only in how messages travel and where the pools live.
+``flush()`` is the drain barrier: it sends a barrier token down every (FIFO)
+inbox and waits for the replies, which also carry any worker-side failure.
+Every query and aggregate flushes first, so readers always observe a
+consistent fleet.  Every worker runs the same :class:`_ShardWorkerLoop`.
 
 Failure model
 -------------
-A worker failure is **sticky** by default: once a worker thread raises, or a
-worker process dies (crash, OOM kill, SIGKILL), the fleet may have lost
-arrivals, so the engine raises :class:`~repro.exceptions.WorkerFailure` on
-all further ingest, flushes and queries instead of serving from suspect
-state.  Recover by loading the last checkpoint into a fresh engine.
-``close()`` always reaps worker processes (shutdown message, then join, then
-terminate/kill), and a finalizer terminates them even if the engine is
-garbage-collected without ``close()`` — no orphaned processes.
+A worker failure is **sticky** by default: once a worker raises while
+applying records, or a worker process dies (crash, OOM kill, SIGKILL), the
+fleet may have lost arrivals, so the engine raises
+:class:`~repro.exceptions.WorkerFailure` on all further ingest, flushes and
+queries instead of serving from suspect state.  Recover by loading the last
+checkpoint into a fresh engine.  ``close()`` always reaps worker processes
+(shutdown message, then join, then terminate/kill), and a finalizer
+terminates them even if the engine is garbage-collected without ``close()``
+— no orphaned processes.
 
 Supervision (``ProcessEngine(supervise=True, wal_dir=...)``) upgrades that
 contract to *self-healing*: every dispatched sub-batch is journaled to a
@@ -77,7 +70,7 @@ parked coordinator-side and drained after replay, and ``stats()`` /
 ``liveness()`` report ``degraded: true`` with per-worker detail.  Only an
 exhausted restart budget degrades to the sticky ``WorkerFailure``.
 
-Thread-safety contract: each engine's public surface is serialised by one
+Thread-safety contract: the engine's public surface is serialised by one
 caller lock, so any number of application threads may ``ingest``/``sample``/
 ``advance_time`` concurrently; the worker fleet runs outside that lock.
 """
@@ -97,7 +90,6 @@ import weakref
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core._cascade import COMPILED as _CASCADE_COMPILED
 from ..core.base import WindowSampler
 from ..core.tracking import OccurrenceCounter
 from ..exceptions import (
@@ -136,7 +128,7 @@ from .transport import (
 )
 from .wal import WriteAheadLog
 
-__all__ = ["ParallelEngine", "ProcessEngine", "RestartPolicy"]
+__all__ = ["ProcessEngine", "RestartPolicy"]
 
 logger = logging.getLogger("repro.engine.executor")
 
@@ -191,18 +183,6 @@ class _RecoveryAborted(Exception):
     """Internal: the engine closed (or went sticky-failed) mid-recovery."""
 
 
-class _FailureBox:
-    """Holder for the first worker failure.  Thread workers share one box
-    (any failure poisons the fleet, exactly the pre-refactor semantics); a
-    worker process naturally has a private box and reports through barrier
-    replies instead."""
-
-    __slots__ = ("error",)
-
-    def __init__(self) -> None:
-        self.error: Optional[BaseException] = None
-
-
 def _picklable(error: BaseException) -> BaseException:
     """The error itself if it survives pickling, else a stand-in carrying
     its repr — a worker process must never die trying to report a failure."""
@@ -214,24 +194,21 @@ def _picklable(error: BaseException) -> BaseException:
 
 
 class _ShardWorkerLoop:
-    """Transport-agnostic owner of a disjoint set of shard pools.
+    """Owner of a disjoint set of shard pools inside one worker process.
 
-    One loop instance drives its pools from an inbox of messages.  The same
-    loop runs on a worker thread (pools shared with the coordinator, queries
-    answered by the coordinator directly) and inside a worker process (pools
-    resident here, queries answered over the reply queue).
+    One loop instance drives its pools from an inbox of messages and answers
+    queries over the reply queue.
 
-    Message vocabulary (plain tuples, picklable for the process transport):
+    Message vocabulary (plain tuples, picklable):
 
     ``("apply", shard, batch)``
-        Apply one sub-batch of ``(key, value, timestamp)`` records.  No
-        reply; completion is observed via ``on_applied`` (threads) or the
-        next barrier (processes).  Skipped once the fleet has failed.
+        Apply one sub-batch of ``(key, value, timestamp)`` records (the
+        ``"pickle"`` transport).  No reply; completion is observed at the
+        next barrier.  Skipped once this worker has failed.
     ``("applyc", shard, buffer)``
         Columnar form of ``apply``: the sub-batch travels as one
         struct-packed buffer (see :mod:`repro.engine.transport`) and is
-        decoded worker-side.  Used by the process transport to cut pickling
-        freight.
+        decoded worker-side, which cuts pickling freight.
     ``("applym", shard, start, length, end_counter)``
         Shared-memory form of ``applyc``: the columnar buffer sits at
         ``[start, start+length)`` of this worker's payload ring and only
@@ -252,9 +229,7 @@ class _ShardWorkerLoop:
         self,
         pools: Dict[int, KeyedSamplerPool],
         spec: SamplerSpec,
-        failures: Optional[_FailureBox] = None,
-        on_applied: Optional[Any] = None,
-        registry: Optional[Any] = None,
+        registry: Any,
     ) -> None:
         #: Insertion order is ascending shard index (the constructor sorts),
         #: so iteration over ``pools.values()`` matches the serial engine's
@@ -262,8 +237,8 @@ class _ShardWorkerLoop:
         self.pools = dict(sorted(pools.items()))
         self.spec = spec
         self.clocked = spec.is_timestamp
-        self.failures = failures if failures is not None else _FailureBox()
-        self.on_applied = on_applied
+        #: The first apply failure; reported by every later barrier reply.
+        self.failure: Optional[BaseException] = None
         #: Reader half of this worker's payload ring (shm transport only).
         self.shm_reader: Optional[ShmRingReader] = None
         # Per-stage transport accounting, reported through the "perf" op.
@@ -271,34 +246,24 @@ class _ShardWorkerLoop:
         self.apply_seconds = 0.0
         self.applied_batches = 0
         self.applied_records = 0
-        #: Metrics registry: per-worker inside a process, the engine's own
-        #: registry on worker threads.  The plain attributes above remain
+        #: This worker's metrics registry.  The plain attributes above remain
         #: the source for the "perf" op; the registry mirrors them so they
         #: participate in fleet-merged snapshots.
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.registry = registry
         self._m_apply_seconds = self.registry.counter("worker.apply.seconds")
         self._m_decode_seconds = self.registry.counter("worker.decode.seconds")
         self._m_applied_batches = self.registry.counter("worker.applied.batches")
         self._m_applied_records = self.registry.counter("worker.applied.records")
         self._m_failures = self.registry.counter("worker.failures")
 
-    def run(
-        self,
-        inbox: Any,
-        replies: Any,
-        poll_interval: Optional[float] = None,
-        parent_pid: Optional[int] = None,
-    ) -> None:
+    def run(self, inbox: Any, replies: Any, parent_pid: int) -> None:
         while True:
-            if poll_interval is None:
-                message = inbox.get()
-            else:
-                try:
-                    message = inbox.get(timeout=poll_interval)
-                except queue.Empty:
-                    if parent_pid is not None and os.getppid() != parent_pid:
-                        return  # orphaned: the coordinator process is gone
-                    continue
+            try:
+                message = inbox.get(timeout=_WORKER_POLL)
+            except queue.Empty:
+                if os.getppid() != parent_pid:
+                    return  # orphaned: the coordinator process is gone
+                continue
             kind = message[0]
             if kind == "apply":
                 self._apply(message[1], message[2])
@@ -332,7 +297,7 @@ class _ShardWorkerLoop:
             if kind == "shutdown":
                 return
             if kind == "barrier":
-                failure = self.failures.error
+                failure = self.failure
                 replies.put(
                     ("barrier", message[1], None if failure is None else repr(failure))
                 )
@@ -348,13 +313,13 @@ class _ShardWorkerLoop:
     def _apply(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
         started = time.perf_counter()
         try:
-            if self.failures.error is None:
+            if self.failure is None:
                 # One pool call for the whole sub-batch: the pool groups
                 # records per key and feeds each sampler's batched path.
                 self.pools[shard].extend_batch(batch)
         except BaseException as error:  # surfaced at the next barrier
-            if self.failures.error is None:
-                self.failures.error = error
+            if self.failure is None:
+                self.failure = error
             self._m_failures.inc()
         finally:
             elapsed = time.perf_counter() - started
@@ -364,10 +329,8 @@ class _ShardWorkerLoop:
             self._m_apply_seconds.inc(elapsed)
             self._m_applied_batches.inc()
             self._m_applied_records.inc(len(batch))
-            if self.on_applied is not None:
-                self.on_applied(shard)
 
-    # -- request/reply operations (the process-transport query surface) ------
+    # -- request/reply operations (the worker-side query surface) ------------
 
     def _execute(self, op: str, *args: Any) -> Any:
         pools = self.pools
@@ -403,8 +366,8 @@ class _ShardWorkerLoop:
             return _advance_and_sample(pools[shard], key, now, self.clocked)
         if op == "sampler":
             shard, key = args
-            # The sampler object itself travels back (pickled by the queue
-            # for processes): the caller receives a detached copy.
+            # The sampler object itself travels back (pickled by the
+            # queue): the caller receives a detached copy.
             return pools[shard].sampler_for(key)
         if op == "items":
             return {
@@ -504,7 +467,7 @@ def _process_worker_main(config: Dict[str, Any], inbox: Any, replies: Any) -> No
         )
         for shard in config["shard_indexes"]
     }
-    loop = _ShardWorkerLoop(pools, spec, registry=registry)
+    loop = _ShardWorkerLoop(pools, spec, registry)
     ring = config.get("shm_ring")
     if ring is not None:
         loop.shm_reader = ShmRingReader(*ring)
@@ -515,12 +478,7 @@ def _process_worker_main(config: Dict[str, Any], inbox: Any, replies: Any) -> No
         "shm" if ring is not None else "queue",
     )
     try:
-        loop.run(
-            inbox,
-            replies,
-            poll_interval=_WORKER_POLL,
-            parent_pid=config["parent_pid"],
-        )
+        loop.run(inbox, replies, config["parent_pid"])
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - torn pipes
         pass
     finally:
@@ -551,474 +509,7 @@ def _cleanup_fleet(processes: List[Any], rings: List[ShmRingWriter]) -> None:
         ring.close()
 
 
-class _WorkerBackedEngine(ShardedEngine):
-    """Coordinator machinery shared by the thread and process executors.
-
-    Owns the public-surface lock, the record validation / clock-stamping /
-    partitioning half of ``ingest`` (identical for both transports), and the
-    flush-before-every-query discipline.  Subclasses supply the transport:
-    :meth:`_dispatch`, :meth:`_barrier`, :meth:`_raise_failure` and
-    :meth:`close`.
-    """
-
-    def __init__(
-        self,
-        spec: SamplerSpec,
-        *,
-        workers: Optional[int] = None,
-        queue_depth: int = 8,
-        max_batch: int = 4096,
-        shards: int = 4,
-        seed: int = 0,
-        max_keys_per_shard: Optional[int] = None,
-        idle_ttl: Optional[int] = None,
-        track_occurrences: bool = False,
-        registry: Optional[Any] = None,
-        query_cache: Optional[QueryCache] = None,
-    ) -> None:
-        super().__init__(
-            spec,
-            shards=shards,
-            seed=seed,
-            max_keys_per_shard=max_keys_per_shard,
-            idle_ttl=idle_ttl,
-            track_occurrences=track_occurrences,
-            registry=registry,
-            query_cache=query_cache,
-        )
-        if workers is None:
-            workers = min(self.shards, os.cpu_count() or 1)
-        if workers <= 0:
-            raise ConfigurationError("workers must be positive")
-        if queue_depth <= 0:
-            raise ConfigurationError("queue_depth must be positive")
-        if max_batch <= 0:
-            raise ConfigurationError("max_batch must be positive")
-        self._workers = int(min(workers, self.shards))
-        self._queue_depth = int(queue_depth)
-        self._max_batch = int(max_batch)
-        self._closed = False
-        # Executor-stage instruments (no-ops on the null registry).  The
-        # process engine rebinds dispatch/backpressure onto its transport
-        # registry so transport_report() can read them even when disabled.
-        self._m_dispatched_batches = self._obs.counter("executor.dispatched.batches")
-        self._m_dispatched_records = self._obs.counter("executor.dispatched.records")
-        self._m_backpressure_seconds = self._obs.counter("executor.backpressure.seconds")
-        # Caller lock: serialises the public surface (ingest/flush/queries)
-        # across application threads.  RLock because queries call flush().
-        self._api_lock = threading.RLock()
-        #: Shard indexes owned by each worker (``shard % workers`` routing).
-        self._shard_sets: List[Tuple[int, ...]] = [
-            tuple(
-                shard for shard in range(self.shards) if shard % self._workers == index
-            )
-            for index in range(self._workers)
-        ]
-
-    # -- worker fleet --------------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _worker_of(self, shard: int) -> int:
-        return shard % self._workers
-
-    def _check_alive(self) -> None:
-        if self._closed:
-            raise ExecutorError("engine is closed")
-
-    def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
-        raise NotImplementedError
-
-    def _barrier(self) -> None:
-        raise NotImplementedError
-
-    def _raise_failure(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    # -- ingest --------------------------------------------------------------
-
-    def ingest(self, records: Iterable[Any]) -> int:
-        """Validate, clock-stamp and dispatch a batch to the shard workers.
-
-        Same record and clock contract as :meth:`ShardedEngine.ingest`; on a
-        mid-batch error the validated prefix is dispatched (and will be
-        applied) before the error propagates.  Returns the number of records
-        dispatched — call :meth:`flush` (or any query) for a barrier.
-        """
-        with self._api_lock:
-            self._check_alive()
-            self._raise_failure()
-            clocked = self._spec.is_timestamp
-            now = self._now
-            count = 0
-            max_batch = self._max_batch
-            shard_count = self.shards
-            route = stable_key_hash
-            # NOTE: the inlined record-unpack + clock-stamp block below
-            # mirrors ShardedEngine._ingest_grouped (engine.py) — both
-            # inline it because a shared helper costs a function call per
-            # record on the hottest loop.  Change one, change the other.
-            # Per-batch shard memo (bounded: cleared once it outgrows a
-            # dispatch window) so hot keys hash once, not once per record.
-            shard_memo: Dict[Any, int] = {}
-            buffers: Dict[int, List[Tuple[Any, Any, Optional[float]]]] = {}
-            # Chunk instrumentation mirroring the serial path: every dispatch
-            # window is one partitioned chunk, timed from the previous
-            # dispatch (grouping + routing + handoff).
-            instrumented = self._obs.enabled
-            chunk_started = time.perf_counter() if instrumented else 0.0
-            try:
-                for record in records:
-                    if isinstance(record, tuple):
-                        width = len(record)
-                        if width == 3:
-                            key, value, timestamp = record
-                        elif width == 2:
-                            key, value = record
-                            timestamp = None
-                        else:
-                            raise ConfigurationError(
-                                f"keyed records must have 2 or 3 fields, got {width}: {record!r}"
-                            )
-                    else:
-                        key, value, timestamp = _unpack_record(record)
-                    if clocked:
-                        if type(timestamp) is float and timestamp >= now:
-                            now = timestamp
-                        else:
-                            timestamp = _stamp_timestamp(timestamp, now)
-                            now = timestamp
-                    shard = shard_memo.get(key, -1)
-                    if shard < 0:
-                        if len(shard_memo) >= 65536:
-                            shard_memo.clear()
-                        shard = shard_memo[key] = route(key, salt=_ROUTE_SALT) % shard_count
-                    buffer = buffers.get(shard)
-                    if buffer is None:
-                        buffer = buffers[shard] = []
-                    buffer.append((key, value, timestamp))
-                    count += 1
-                    if len(buffer) >= max_batch:
-                        del buffers[shard]
-                        self._dispatch(shard, buffer)
-                        if instrumented:
-                            dispatched_at = time.perf_counter()
-                            self._m_chunks_partitioned.inc()
-                            self._m_chunk_seconds.observe(dispatched_at - chunk_started)
-                            chunk_started = dispatched_at
-            finally:
-                self._now = now
-                for shard, buffer in buffers.items():
-                    self._dispatch(shard, buffer)
-                    if instrumented:
-                        dispatched_at = time.perf_counter()
-                        self._m_chunks_partitioned.inc()
-                        self._m_chunk_seconds.observe(dispatched_at - chunk_started)
-                        chunk_started = dispatched_at
-            if self._obs.enabled:
-                self._m_ingest_batches.inc()
-                self._m_ingest_records.inc(count)
-            return count
-
-    def flush(self) -> None:
-        """Block until every dispatched record has been applied, then
-        re-raise any worker failure.  The consistency barrier for queries."""
-        with self._api_lock:
-            self._barrier()
-            self._raise_failure()
-
-    def __enter__(self) -> "_WorkerBackedEngine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- queries (all barrier first; thread-transport defaults) --------------
-    #
-    # These defaults serve the thread executor: after the barrier the pools
-    # are quiescent and local, so the serial implementations apply verbatim.
-    # ProcessEngine overrides every one of them with request/reply versions.
-
-    def advance_time(self, now: float) -> None:
-        with self._api_lock:
-            self.flush()
-            super().advance_time(now)
-
-    def sampler_for(self, key: Any) -> WindowSampler:
-        with self._api_lock:
-            self.flush()
-            return super().sampler_for(key)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._api_lock:
-            self.flush()
-            return super().__contains__(key)
-
-    def sample(self, key: Any) -> List[StreamElement]:
-        with self._api_lock:
-            self.flush()
-            return super().sample(key)
-
-    @property
-    def key_count(self) -> int:
-        with self._api_lock:
-            self.flush()
-            return super().key_count
-
-    @property
-    def total_arrivals(self) -> int:
-        with self._api_lock:
-            self.flush()
-            return super().total_arrivals
-
-    @property
-    def evictions(self) -> int:
-        with self._api_lock:
-            self.flush()
-            return super().evictions
-
-    def keys(self) -> List[Any]:
-        with self._api_lock:
-            self.flush()
-            return super().keys()
-
-    def items(self) -> Iterator[Tuple[Any, WindowSampler]]:
-        # Materialised under the lock: a lazy generator would walk the pools'
-        # dicts after the lock is released, racing concurrent ingest.
-        with self._api_lock:
-            self.flush()
-            return iter(list(super().items()))
-
-    def memory_words(self) -> int:
-        with self._api_lock:
-            self.flush()
-            return super().memory_words()
-
-    def stats(self) -> Dict[str, Any]:
-        with self._api_lock:
-            return super().stats()  # the base flushes first
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        with self._api_lock:
-            return super().metrics_snapshot()
-
-    def merged_frequent_items(
-        self, threshold: float, *, top: Optional[int] = None
-    ) -> List[Tuple[Any, float]]:
-        with self._api_lock:
-            # The base implementation flushes before touching pools.
-            return super().merged_frequent_items(threshold, top=top)
-
-    def hottest_keys(self, top: int = 10) -> List[Tuple[Any, int]]:
-        with self._api_lock:
-            return super().hottest_keys(top)  # the base flushes first
-
-    def per_key_moments(self, order: float) -> Dict[Any, float]:
-        with self._api_lock:
-            return super().per_key_moments(order)
-
-    def query_batch(self, ops: Iterable[Any]) -> List[Tuple[Any, ...]]:
-        with self._api_lock:
-            return super().query_batch(ops)  # the base flushes first
-
-    # -- checkpointing -------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _checkpoint_guard(self):
-        # The whole save happens inside the API lock: producers queue behind
-        # it, and the flush guarantees the pools are fully applied and still.
-        with self._api_lock:
-            try:
-                self.flush()
-            except ExecutorError as error:
-                # To its caller a save that cannot happen is a checkpoint
-                # failure, whichever executor the fleet runs on — same
-                # translation as ProcessEngine's guard.
-                raise CheckpointError(
-                    f"cannot checkpoint this fleet: {error}"
-                ) from error
-            yield
-
-    def state_dict(self) -> Dict[str, Any]:
-        with self._api_lock:
-            self.flush()
-            return super().state_dict()
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        with self._api_lock:
-            self.flush()
-            super().load_state_dict(state)
-
-    def _segment_generations(self) -> List[int]:
-        with self._api_lock:
-            self.flush()
-            return super()._segment_generations()
-
-
-class ParallelEngine(_WorkerBackedEngine):
-    """A :class:`ShardedEngine` whose shards are driven by worker threads.
-
-    Parameters
-    ----------
-    workers:
-        Worker-thread count (default: ``min(shards, cpu_count)``).  Each
-        worker owns the shards congruent to its index modulo ``workers``.
-    queue_depth:
-        Maximum in-flight sub-batches per shard before ``ingest`` blocks
-        (backpressure toward the producer).
-    max_batch:
-        Records per dispatched sub-batch; one large ``ingest`` call streams
-        through the queues in ``max_batch``-sized pieces per shard.
-
-    All remaining parameters are inherited from :class:`ShardedEngine`.
-
-    A note on speed: on CPython with the GIL, pure-Python sampler updates do
-    not run concurrently, so thread workers mainly buy ingest/query
-    pipelining.  :class:`ProcessEngine` runs the identical dataflow on worker
-    *processes* and does scale across cores.
-    """
-
-    def __init__(
-        self,
-        spec: SamplerSpec,
-        *,
-        workers: Optional[int] = None,
-        queue_depth: int = 8,
-        max_batch: int = 4096,
-        shards: int = 4,
-        seed: int = 0,
-        max_keys_per_shard: Optional[int] = None,
-        idle_ttl: Optional[int] = None,
-        track_occurrences: bool = False,
-        registry: Optional[Any] = None,
-        query_cache: Optional[QueryCache] = None,
-    ) -> None:
-        super().__init__(
-            spec,
-            workers=workers,
-            queue_depth=queue_depth,
-            max_batch=max_batch,
-            shards=shards,
-            seed=seed,
-            max_keys_per_shard=max_keys_per_shard,
-            idle_ttl=idle_ttl,
-            track_occurrences=track_occurrences,
-            registry=registry,
-            query_cache=query_cache,
-        )
-        # One failure box shared by every loop: any worker failure poisons
-        # the whole fleet (arrivals may have been lost).
-        self._failures = _FailureBox()
-        # Drain barrier state: number of dispatched-but-unapplied sub-batches.
-        self._drain = threading.Condition()
-        self._pending = 0
-        self._obs.register_callback("executor.inflight.batches", lambda: self._pending)
-        # Backpressure: per-shard cap on in-flight sub-batches.
-        self._shard_slots = [
-            threading.BoundedSemaphore(self._queue_depth) for _ in range(self.shards)
-        ]
-        # One FIFO per worker; a shard's sub-batches all land in its owner's
-        # queue, preserving per-shard (hence per-key) order.
-        self._inboxes: List["queue.Queue"] = [queue.Queue() for _ in range(self._workers)]
-        self._obs.register_callback(
-            "executor.queue.depth", lambda: sum(inbox.qsize() for inbox in self._inboxes)
-        )
-        self._loops = [
-            _ShardWorkerLoop(
-                {shard: self._pools[shard] for shard in self._shard_sets[index]},
-                self._spec,
-                failures=self._failures,
-                on_applied=self._on_applied,
-                registry=self._obs,
-            )
-            for index in range(self._workers)
-        ]
-        self._threads = [
-            threading.Thread(
-                target=self._loops[index].run,
-                args=(self._inboxes[index], None),
-                name=f"swsample-shard-worker-{index}",
-                daemon=True,
-            )
-            for index in range(self._workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _on_applied(self, shard: int) -> None:
-        self._shard_slots[shard].release()
-        with self._drain:
-            self._pending -= 1
-            if self._pending == 0:
-                self._drain.notify_all()
-
-    def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
-        slot = self._shard_slots[shard]
-        if self._obs.enabled:
-            # Only a *blocked* acquire pays for timestamps: the uncontended
-            # fast path stays a single semaphore op, metrics on or off.
-            if not slot.acquire(blocking=False):
-                stalled = time.perf_counter()
-                slot.acquire()
-                self._m_backpressure_seconds.inc(time.perf_counter() - stalled)
-            self._m_dispatched_batches.inc()
-            self._m_dispatched_records.inc(len(batch))
-        else:
-            slot.acquire()  # blocks: per-shard backpressure
-        with self._drain:
-            self._pending += 1
-        self._inboxes[self._worker_of(shard)].put(("apply", shard, batch))
-
-    def _barrier(self) -> None:
-        with self._drain:
-            self._drain.wait_for(lambda: self._pending == 0)
-
-    def _raise_failure(self) -> None:
-        # A worker failure is sticky: sub-batches queued behind the failing
-        # one are skipped, so the fleet may have lost arrivals — the engine
-        # refuses all further work rather than serving from suspect state.
-        error = self._failures.error
-        if error is not None:
-            raise WorkerFailure(
-                f"a shard worker failed while applying records: {error!r}"
-            ) from error
-
-    def close(self) -> None:
-        """Drain outstanding work and stop the worker threads (idempotent).
-
-        A closed engine still answers queries — its fleet state is final and
-        lives in this process — but refuses further ``ingest``.
-        """
-        with self._api_lock:
-            if self._closed:
-                return
-            try:
-                self._barrier()
-            finally:
-                self._closed = True
-                for inbox in self._inboxes:
-                    inbox.put(("shutdown",))
-                for thread in self._threads:
-                    thread.join()
-            self._raise_failure()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ParallelEngine(workers={self._workers}, shards={self.shards}, "
-            f"spec={self._spec.describe()!r})"
-        )
-
-
-class ProcessEngine(_WorkerBackedEngine):
+class ProcessEngine(ShardedEngine):
     """A :class:`ShardedEngine` whose shards are *resident in worker
     processes* — the executor that clears the GIL ceiling.
 
@@ -1028,16 +519,33 @@ class ProcessEngine(_WorkerBackedEngine):
     a request/reply protocol: ``sample``/aggregate requests are computed
     *inside* the owning worker and only the results travel back, so the
     pools are never pickled on the hot path.  Because shard ownership,
-    per-shard ordering and per-key seeding are identical to the serial and
-    thread engines, process ingest is bit-identical to both.
+    per-shard ordering and per-key seeding are identical to the serial
+    engine, process ingest is bit-identical to it.
+
+    Parameters
+    ----------
+    workers:
+        Worker-process count (default: ``min(shards, cpu_count)``; clamped
+        to ``shards``).  Each worker owns the shards congruent to its index
+        modulo ``workers``.
+    queue_depth:
+        Maximum messages in one worker's inbox before ``ingest`` blocks
+        (backpressure toward the producer).
+    max_batch:
+        Records per dispatched sub-batch; one large ``ingest`` call streams
+        through the queues in ``max_batch``-sized pieces per shard.
+
+    The recipe parameters (``shards``, ``seed``, ``max_keys_per_shard``,
+    ``idle_ttl``, ``track_occurrences``, ``registry``, ``query_cache``) are
+    those of :class:`ShardedEngine`.
 
     Keys and values must be picklable (they cross a process boundary); the
     same is already required of anything checkpointable.
 
-    Differences from :class:`ParallelEngine`:
+    Differences from the serial :class:`ShardedEngine`:
 
-    * backpressure is per *worker* (a bounded inbox of ``queue_depth``
-      messages) rather than per shard;
+    * ``ingest`` returns once the records are dispatched; :meth:`flush` (or
+      any query) is the barrier that waits for them to be applied;
     * ``sampler_for`` returns a **detached copy** of the key's sampler (the
       live object stays in its worker);
     * a *closed* engine cannot answer queries — its state lived in the
@@ -1092,9 +600,6 @@ class ProcessEngine(_WorkerBackedEngine):
     ) -> None:
         super().__init__(
             spec,
-            workers=workers,
-            queue_depth=queue_depth,
-            max_batch=max_batch,
             shards=shards,
             seed=seed,
             max_keys_per_shard=max_keys_per_shard,
@@ -1103,6 +608,14 @@ class ProcessEngine(_WorkerBackedEngine):
             registry=registry,
             query_cache=query_cache,
         )
+        if workers is None:
+            workers = min(self.shards, os.cpu_count() or 1)
+        if workers <= 0:
+            raise ConfigurationError("workers must be positive")
+        if queue_depth <= 0:
+            raise ConfigurationError("queue_depth must be positive")
+        if max_batch <= 0:
+            raise ConfigurationError("max_batch must be positive")
         if transport not in ("columnar", "pickle", "shm"):
             raise ConfigurationError(
                 f"transport must be 'columnar', 'shm' or 'pickle', got {transport!r}"
@@ -1114,6 +627,20 @@ class ProcessEngine(_WorkerBackedEngine):
                 "supervise=True requires wal_dir: recovery restores from the"
                 " last checkpoint and replays the write-ahead journal tail"
             )
+        self._workers = int(min(workers, self.shards))
+        self._queue_depth = int(queue_depth)
+        self._max_batch = int(max_batch)
+        self._closed = False
+        # Caller lock: serialises the public surface (ingest/flush/queries)
+        # across application threads.  RLock because queries call flush().
+        self._api_lock = threading.RLock()
+        #: Shard indexes owned by each worker (``shard % workers`` routing).
+        self._shard_sets: List[Tuple[int, ...]] = [
+            tuple(
+                shard for shard in range(self.shards) if shard % self._workers == index
+            )
+            for index in range(self._workers)
+        ]
         context = multiprocessing.get_context(mp_context)
         self._mp_context = context
         self._requested_transport = transport
@@ -1144,7 +671,7 @@ class ProcessEngine(_WorkerBackedEngine):
         self._m_dispatched_batches = self._tobs.counter("executor.dispatched.batches")
         self._m_dispatched_records = self._tobs.counter("executor.dispatched.records")
         self._m_backpressure_seconds = self._tobs.counter("executor.backpressure.seconds")
-        self._obs.register_callback("executor.queue.depth", self._queue_depth)
+        self._obs.register_callback("executor.queue.depth", self._queued_messages)
         # Supervision state.  `_recover_cond` guards `_recovering` (worker
         # indexes mid-recovery) and the per-worker `_pending` park buffers;
         # everything else is only touched under the API lock or by the
@@ -1258,6 +785,23 @@ class ProcessEngine(_WorkerBackedEngine):
             " use the query/aggregate/state_dict surface instead of raw pools"
         )
 
+    @property
+    def workers(self) -> int:
+        return self._workers
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _worker_of(self, shard: int) -> int:
+        return shard % self._workers
+
+    def __enter__(self) -> "ProcessEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     # -- transport -----------------------------------------------------------
 
     def _next_rid(self) -> int:
@@ -1313,7 +857,7 @@ class ProcessEngine(_WorkerBackedEngine):
             )
             self._raise_failure()
 
-    def _queue_depth(self) -> int:
+    def _queued_messages(self) -> int:
         """Messages currently sitting in worker inboxes (callback gauge).
         Best effort: ``qsize`` is unimplemented on some platforms and the
         queues may already be closed when a late snapshot fires."""
@@ -1414,6 +958,90 @@ class ProcessEngine(_WorkerBackedEngine):
 
     # -- dataflow ------------------------------------------------------------
 
+    def ingest(self, records: Iterable[Any]) -> int:
+        """Validate, clock-stamp and dispatch a batch to the shard workers.
+
+        Same record and clock contract as :meth:`ShardedEngine.ingest`; on a
+        mid-batch error the validated prefix is dispatched (and will be
+        applied) before the error propagates.  Returns the number of records
+        dispatched — call :meth:`flush` (or any query) for a barrier.
+        """
+        with self._api_lock:
+            if self._closed:
+                raise ExecutorError("engine is closed")
+            self._raise_failure()
+            clocked = self._spec.is_timestamp
+            now = self._now
+            count = 0
+            max_batch = self._max_batch
+            shard_count = self.shards
+            route = stable_key_hash
+            # NOTE: the inlined record-unpack + clock-stamp block below
+            # mirrors ShardedEngine._ingest_grouped (engine.py) — both
+            # inline it because a shared helper costs a function call per
+            # record on the hottest loop.  Change one, change the other.
+            # Per-batch shard memo (bounded: cleared once it outgrows a
+            # dispatch window) so hot keys hash once, not once per record.
+            shard_memo: Dict[Any, int] = {}
+            buffers: Dict[int, List[Tuple[Any, Any, Optional[float]]]] = {}
+            # Chunk instrumentation mirroring the serial path: every dispatch
+            # window is one partitioned chunk, timed from the previous
+            # dispatch (grouping + routing + handoff).
+            instrumented = self._obs.enabled
+            chunk_started = time.perf_counter() if instrumented else 0.0
+            try:
+                for record in records:
+                    if isinstance(record, tuple):
+                        width = len(record)
+                        if width == 3:
+                            key, value, timestamp = record
+                        elif width == 2:
+                            key, value = record
+                            timestamp = None
+                        else:
+                            raise ConfigurationError(
+                                f"keyed records must have 2 or 3 fields, got {width}: {record!r}"
+                            )
+                    else:
+                        key, value, timestamp = _unpack_record(record)
+                    if clocked:
+                        if type(timestamp) is float and timestamp >= now:
+                            now = timestamp
+                        else:
+                            timestamp = _stamp_timestamp(timestamp, now)
+                            now = timestamp
+                    shard = shard_memo.get(key, -1)
+                    if shard < 0:
+                        if len(shard_memo) >= 65536:
+                            shard_memo.clear()
+                        shard = shard_memo[key] = route(key, salt=_ROUTE_SALT) % shard_count
+                    buffer = buffers.get(shard)
+                    if buffer is None:
+                        buffer = buffers[shard] = []
+                    buffer.append((key, value, timestamp))
+                    count += 1
+                    if len(buffer) >= max_batch:
+                        del buffers[shard]
+                        self._dispatch(shard, buffer)
+                        if instrumented:
+                            dispatched_at = time.perf_counter()
+                            self._m_chunks_partitioned.inc()
+                            self._m_chunk_seconds.observe(dispatched_at - chunk_started)
+                            chunk_started = dispatched_at
+            finally:
+                self._now = now
+                for shard, buffer in buffers.items():
+                    self._dispatch(shard, buffer)
+                    if instrumented:
+                        dispatched_at = time.perf_counter()
+                        self._m_chunks_partitioned.inc()
+                        self._m_chunk_seconds.observe(dispatched_at - chunk_started)
+                        chunk_started = dispatched_at
+            if self._obs.enabled:
+                self._m_ingest_batches.inc()
+                self._m_ingest_records.inc(count)
+            return count
+
     def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
         perf = time.perf_counter
         transport = self._transport
@@ -1507,9 +1135,7 @@ class ProcessEngine(_WorkerBackedEngine):
         travelled through the queue instead.  ``encoded_bytes`` is 0 under
         the ``"pickle"`` transport.  ``kernel`` is the *resolved*
         batched-ingest kernel running in the workers (``"auto"`` already
-        resolved per host) and ``cascade_compiled`` reports whether the
-        ``repro.core._cascade`` merge-cascade module is the mypyc-compiled
-        extension — together they say which apply-path implementation
+        resolved per host): it says which apply-path implementation
         produced ``apply_seconds``.
 
         All of these numbers live and die with the engine instance: they
@@ -1532,7 +1158,6 @@ class ProcessEngine(_WorkerBackedEngine):
                 "transport": self._transport,
                 "requested_transport": self._requested_transport,
                 "kernel": self._kernel,
-                "cascade_compiled": _CASCADE_COMPILED,
                 "batches": self._m_dispatched_batches.value,
                 "records": self._m_dispatched_records.value,
                 "encoded_bytes": self._m_encoded_bytes.value,
@@ -1566,12 +1191,19 @@ class ProcessEngine(_WorkerBackedEngine):
                 )
         self._unbarriered = bool(self._recovering)
 
+    def flush(self) -> None:
+        """Block until every dispatched record has been applied, then
+        re-raise any worker failure.  The consistency barrier for queries."""
+        with self._api_lock:
+            self._barrier()
+            self._raise_failure()
+
     def close(self) -> None:
         """Drain outstanding work and reap the worker processes (idempotent).
 
-        Unlike the thread engine, a closed :class:`ProcessEngine` cannot
-        answer queries — its shard state lived in the workers.  Checkpoint
-        (or ``state_dict()``) before closing if the state matters.
+        A closed engine cannot answer queries — its shard state lived in
+        the workers.  Checkpoint (or ``state_dict()``) before closing if the
+        state matters.
         """
         with self._api_lock:
             if self._closed:

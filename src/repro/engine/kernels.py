@@ -39,10 +39,9 @@ and ``kernel="numpy"`` fails loudly with
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from ..exceptions import ConfigurationError, TransportError
-from .transport import Buffer, decode_columns, _decode_column
+from ..exceptions import ConfigurationError
 
 try:  # pragma: no cover - exercised via HAS_NUMPY in both CI lanes
     import numpy as _np
@@ -61,7 +60,6 @@ __all__ = [
     "KERNELS",
     "resolve_kernel",
     "make_generator",
-    "decode_batch_arrays",
     "seq_wr_process_batch",
     "seq_wor_process_batch",
     "coverage_observe_batch",
@@ -104,50 +102,6 @@ def make_generator(root: random.Random) -> Any:
     if _np is None:  # pragma: no cover - callers resolve the kernel first
         raise ConfigurationError("numpy is not installed")
     return _np.random.default_rng(root.getrandbits(64))
-
-
-# -- typed-array transport decode ---------------------------------------------
-
-#: Transport column tags with a fixed-width numpy dtype.
-_DTYPES = {"b": "<i1", "h": "<i2", "i": "<i4", "q": "<i8", "d": "<f8"}
-
-
-def _decode_column_array(buffer: Buffer, offset: int, count: int) -> Tuple[Sequence[Any], int]:
-    """Like ``transport._decode_column`` but fixed-width numeric columns come
-    back as zero-copy numpy arrays over the buffer instead of tuples."""
-    fmt = chr(buffer[offset])
-    if fmt in _DTYPES:
-        dtype = _np.dtype(_DTYPES[fmt])
-        offset += 1
-        end = offset + dtype.itemsize * count
-        if end > len(buffer):
-            raise TransportError(
-                f"truncated numeric column at offset {offset}:"
-                f" need {end - offset} bytes, have {len(buffer) - offset}"
-            )
-        return _np.frombuffer(buffer, dtype=dtype, count=count, offset=offset), end
-    return _decode_column(buffer, offset, count)
-
-
-def decode_batch_arrays(buffer: Buffer) -> Tuple[Sequence[Any], Sequence[Any], Sequence[Any], int]:
-    """Decode a columnar transport payload straight into typed columns.
-
-    The column-major, array-typed twin of
-    :func:`repro.engine.transport.decode_batch`: fixed-width numeric columns
-    (int8/16/32/64 and float64 tags) are returned as read-only numpy arrays
-    aliasing the buffer (zero copy); string, ``None`` and pickle-fallback
-    columns come back exactly as :func:`decode_batch` produces them.  Values,
-    timestamps and key order are element-for-element equal to the tuple-list
-    decoder — property-tested in ``tests/test_kernels.py``.
-
-    Requires numpy; raises :class:`~repro.exceptions.ConfigurationError`
-    when it is missing.
-    """
-    if not HAS_NUMPY:
-        raise ConfigurationError(
-            "decode_batch_arrays requires numpy (pip install 'swsample[fast]')"
-        )
-    return decode_columns(buffer, column_decoder=_decode_column_array)
 
 
 # -- sequence-window kernels --------------------------------------------------

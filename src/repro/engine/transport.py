@@ -195,22 +195,13 @@ def _decode_column(buffer: Buffer, offset: int, count: int) -> Tuple[Sequence[An
 
 def decode_columns(
     buffer: Buffer,
-    column_decoder: Any = None,
 ) -> Tuple[Sequence[Any], Sequence[Any], Sequence[Any], int]:
     """Decode one payload into its three raw columns plus the record count.
 
-    The column-major twin of :func:`decode_batch` — used by
-    :func:`repro.engine.kernels.decode_batch_arrays` to reach the typed
-    columns without paying the ``list(zip(...))`` re-tupling.  Raises
+    The column-major half of :func:`decode_batch`.  Raises
     :class:`~repro.exceptions.TransportError` (a ``ValueError``) on a bad
     magic or a malformed/truncated buffer, with byte-offset context.
-
-    ``column_decoder`` swaps the per-column decoder (same signature as the
-    default ``_decode_column``); the kernels module passes a numpy-aware one
-    that materialises numeric columns as zero-copy typed arrays while
-    reusing this function's header parsing and error context.
     """
-    decode_one = _decode_column if column_decoder is None else column_decoder
     if len(buffer) < 8:
         raise TransportError(
             f"truncated transport header: {len(buffer)} bytes (need >= 8)"
@@ -227,7 +218,7 @@ def decode_columns(
     for name in ("keys", "values", "timestamps"):
         started = offset
         try:
-            column, offset = decode_one(buffer, offset, count)
+            column, offset = _decode_column(buffer, offset, count)
         except IndexError:
             raise TransportError(
                 f"truncated {name} column: tag byte missing at offset {started}"

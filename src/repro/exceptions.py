@@ -92,16 +92,16 @@ class TransportError(SWSampleError, ValueError):
 
 
 class ExecutorError(SWSampleError):
-    """Raised when the parallel engine cannot make progress: a shard worker
-    died with an exception (re-raised at the next ingest/flush/query), or an
-    operation was attempted on a closed engine."""
+    """Raised when the process engine cannot make progress: a shard worker
+    failed (re-raised at the next ingest/flush/query), or an operation was
+    attempted on a closed engine."""
 
 
 class WorkerFailure(ExecutorError):
     """Raised when a shard worker has failed and its shards' state can no
-    longer be trusted: a worker thread raised while applying records, or a
-    worker *process* died (crash, OOM kill, SIGKILL) taking its resident
-    shards with it.
+    longer be trusted: a worker raised while applying records, or a worker
+    process died (crash, OOM kill, SIGKILL) taking its resident shards with
+    it.
 
     The failure is sticky — the engine refuses all further ingest and
     queries rather than serving from a fleet that may have lost arrivals.

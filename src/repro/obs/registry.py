@@ -1,6 +1,6 @@
 """Mergeable metrics primitives behind a registry, with a true no-op mode.
 
-The engine fleet (serial shards, worker threads, worker processes) reports
+The engine fleet (serial shards and worker processes) reports
 into :class:`MetricsRegistry` instances.  Three primitives cover everything
 the engine needs:
 

@@ -2,8 +2,8 @@
 
 The engine so far lives for one CLI invocation; this module keeps it alive.
 :class:`ServeApp` is an asyncio front-end over the existing transport-agnostic
-pieces — :mod:`repro.engine.source` parses records, any engine flavour
-(:class:`~repro.engine.ShardedEngine`, :class:`~repro.engine.ParallelEngine`,
+pieces — :mod:`repro.engine.source` parses records, either engine (the
+serial :class:`~repro.engine.ShardedEngine` or the worker-process
 :class:`~repro.engine.ProcessEngine`) ingests them, :mod:`repro.obs` renders
 telemetry, and the checkpoint layer persists the fleet across restarts.
 
@@ -83,7 +83,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .engine import (
-    ParallelEngine,
     ProcessEngine,
     QueryCache,
     RestartPolicy,
@@ -166,8 +165,8 @@ def _degraded_error(error: ShardRecovering) -> _HttpError:
 class EngineSettings:
     """The per-tenant engine recipe: which sampler fleet each tenant gets.
 
-    ``build`` constructs a fresh engine (serial by default; thread or process
-    workers when ``workers`` is set), ``resume`` restores one from a
+    ``build`` constructs a fresh engine (serial by default; worker processes
+    when ``workers`` is set), ``resume`` restores one from a
     checkpoint directory — under *any* worker count, which the manifest is
     validated against before paying for the restore, mirroring the CLI.
     """
@@ -179,7 +178,6 @@ class EngineSettings:
     idle_ttl: Optional[int] = None
     track_occurrences: bool = False
     workers: Optional[int] = None
-    executor: str = "thread"
     max_batch: Optional[int] = None
     supervise: bool = False
     wal_dir: Optional[str] = None
@@ -187,13 +185,8 @@ class EngineSettings:
     max_restarts: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (self.supervise or self.wal_dir is not None) and (
-            self.workers is None or self.executor != "process"
-        ):
-            raise ConfigurationError(
-                "supervise/wal_dir need process workers"
-                " (set workers=N and executor='process')"
-            )
+        if (self.supervise or self.wal_dir is not None) and self.workers is None:
+            raise ConfigurationError("supervise/wal_dir need workers=N")
         if self.supervise and self.wal_dir is None:
             raise ConfigurationError(
                 "supervise needs a wal_dir — recovery replays the journal"
@@ -231,12 +224,10 @@ class EngineSettings:
             registry=registry,
         )
         if self.workers is not None:
-            engine_class = ProcessEngine if self.executor == "process" else ParallelEngine
             if self.max_batch is not None:
                 config["max_batch"] = self.max_batch
-            if engine_class is ProcessEngine:
-                config.update(self._durability(wal_dir))
-            return engine_class(self.spec, workers=self.workers, **config)
+            config.update(self._durability(wal_dir))
+            return ProcessEngine(self.spec, workers=self.workers, **config)
         return ShardedEngine(self.spec, **config)
 
     def resume(self, path: str, registry: Any, wal_dir: Optional[str] = None) -> Any:
@@ -250,7 +241,6 @@ class EngineSettings:
         return load_checkpoint(
             path,
             workers=self.workers,
-            executor=self.executor,
             max_batch=self.max_batch,
             registry=registry,
             **self._durability(wal_dir),

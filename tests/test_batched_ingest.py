@@ -6,9 +6,9 @@ Three layers of guarantees are pinned here:
    ``extend_batch``/``extend_grouped`` (pools) and the grouped
    ``ShardedEngine.ingest`` consume randomness exactly like the per-element
    code they replace, so checkpoints, samples and generator positions are
-   byte-for-byte unchanged — for all four optimal samplers, across serial,
-   thread and process executors, and independently of how a record stream is
-   chunked into batches.
+   byte-for-byte unchanged — for all four optimal samplers, across the serial
+   and process engines, and independently of how a record stream is chunked
+   into batches.
 
 2. **Exact eviction semantics.**  Pools with a ``max_keys``/``idle_ttl``
    policy fall back to per-record routing, so batching can never change
@@ -37,7 +37,6 @@ from repro.core import (
 )
 from repro.engine import (
     KeyedSamplerPool,
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -244,19 +243,21 @@ class TestEngineBatchedIngest:
         assert engine.total_arrivals == 2
         assert "a" in engine and "b" in engine and "c" not in engine
 
-    @pytest.mark.parametrize("engine_class", [ParallelEngine, ProcessEngine], ids=["thread", "process"])
-    def test_executors_stay_bit_identical_under_batched_path(self, engine_class):
+    @pytest.mark.parametrize("transport", ["columnar", "pickle", "shm"])
+    def test_executors_stay_bit_identical_under_batched_path(self, transport):
         spec = SamplerSpec(window="sequence", n=64, k=4)
         records = self.records()
         serial = ShardedEngine(spec, shards=8, seed=3)
         serial.ingest(records)
-        with engine_class(spec, shards=8, seed=3, workers=3, max_batch=256) as fleet:
+        with ProcessEngine(
+            spec, shards=8, seed=3, workers=3, max_batch=256, transport=transport
+        ) as fleet:
             fleet.ingest(records)
             assert fleet.state_dict() == serial.state_dict()
 
     def test_eviction_engine_matches_across_executors(self):
         """Capped engines route through the per-record fallback everywhere,
-        so serial and worker-backed fleets still agree bit-for-bit."""
+        so serial and process fleets still agree bit-for-bit."""
         spec = SamplerSpec(window="sequence", n=32, k=2)
         records = [(f"key-{index % 64}", index) for index in range(4000)]
         serial = ShardedEngine(spec, shards=4, seed=5, max_keys_per_shard=6)
@@ -471,10 +472,10 @@ class TestTimestampFastEngineGating:
     """Engine-level χ² + KS gates for fast timestamp specs, per executor.
 
     The skip-sampling merge coins must keep every per-key timestamp sampler
-    uniform over its active window whichever executor hosts the pool —
-    serial, worker threads, or worker processes (the executors share the
-    batched `extend_batch` path, so one biased coin stream would show up in
-    all three; separate seeds keep the three gates independent)."""
+    uniform over its active window whichever engine hosts the pool — serial
+    or worker processes, over every transport (they share the batched
+    `extend_batch` path, so one biased coin stream would show up in all of
+    them; separate seeds keep the gates independent)."""
 
     WINDOW = 20
     STREAM = 50
@@ -506,10 +507,6 @@ class TestTimestampFastEngineGating:
     def test_serial_engine(self):
         self._gate(self._observations(ShardedEngine(self.spec(), shards=8, seed=101)))
 
-    def test_thread_engine(self):
-        with ParallelEngine(self.spec(), shards=8, seed=202, workers=3) as engine:
-            self._gate(self._observations(engine))
-
     def test_process_engine(self):
         with ProcessEngine(self.spec(), shards=8, seed=303, workers=2) as engine:
             self._gate(self._observations(engine))
@@ -517,5 +514,11 @@ class TestTimestampFastEngineGating:
     def test_process_engine_shm_transport(self):
         with ProcessEngine(
             self.spec(), shards=8, seed=404, workers=2, transport="shm"
+        ) as engine:
+            self._gate(self._observations(engine))
+
+    def test_process_engine_pickle_transport(self):
+        with ProcessEngine(
+            self.spec(), shards=8, seed=505, workers=2, transport="pickle"
         ) as engine:
             self._gate(self._observations(engine))

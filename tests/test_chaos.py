@@ -288,7 +288,6 @@ class TestJournalLifecycle:
         resumed = load_checkpoint(
             path,
             workers=2,
-            executor="process",
             supervise=True,
             wal_dir=wal_dir,
             restart_policy=FAST_POLICY,
@@ -333,7 +332,7 @@ class TestJournalLifecycle:
         )[-1]
         chaos.torn_wal_tail(wal_dir, shard)
         resumed = load_checkpoint(
-            path, workers=2, executor="process",
+            path, workers=2,
             supervise=True, wal_dir=wal_dir, restart_policy=FAST_POLICY,
         )
         with resumed:

@@ -194,13 +194,31 @@ class TestExperimentCommand:
 
 class TestEngineStreamingAndWorkers:
     def test_engine_with_workers_reports_worker_count(self, capsys):
+        # No --executor: --workers N alone builds process workers.
         exit_code = main(
             ["engine", "--records", "3000", "--keys", "30", "--shards", "4", "--workers", "2"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "shards          : 4 (2 thread workers)" in output
+        assert "shards          : 4 (2 process workers)" in output
         assert "live keys       : 30" in output
+
+    @pytest.mark.parametrize("command", ["engine", "serve"])
+    def test_engine_rejects_thread_executor(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", "2", "--executor", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["engine", "serve"])
+    def test_executor_flag_still_accepts_process(self, command):
+        # Scripts written before process workers became the default pass
+        # `--executor process` explicitly; it must keep parsing as a no-op.
+        explicit = build_parser().parse_args([command, "--workers", "2", "--executor", "process"])
+        implicit = build_parser().parse_args([command, "--workers", "2"])
+        assert explicit.executor == "process"
+        assert implicit.executor is None
+        assert explicit.workers == implicit.workers == 2
 
     def test_engine_workers_match_serial_sample(self, capsys):
         args = ["engine", "--records", "3000", "--keys", "30", "--shards", "4", "--seed", "6"]
@@ -262,7 +280,7 @@ class TestEngineStreamingAndWorkers:
             ["engine", "--records", "2000", "--keys", "50", "--workers", "2",
              "--max-batch", "128", "--seed", "3"]
         ) == 0
-        assert "2 thread workers" in capsys.readouterr().out
+        assert "2 process workers" in capsys.readouterr().out
 
     def test_engine_rejects_more_workers_than_shards(self, capsys):
         # Pre-PR-3 this silently clamped; now the misconfiguration is loud.
@@ -280,25 +298,31 @@ class TestEngineStreamingAndWorkers:
                      "--workers", "8"]) == 2
         assert "exceeds the checkpoint's 2 shards" in capsys.readouterr().err
 
-    def test_engine_rejects_resume_workers_beyond_legacy_checkpoint_shards(
-        self, capsys, tmp_path
+    @pytest.mark.parametrize(
+        "worker_args", [[], ["--workers", "2"], ["--workers", "8"]],
+        ids=["serial", "workers-2", "workers-beyond-shards"],
+    )
+    def test_engine_resume_rejects_v1_single_file_checkpoint(
+        self, capsys, tmp_path, worker_args
     ):
-        # Legacy v1 files carry no manifest to peek at, so the rejection
-        # comes from the post-load fallback check.
+        # The worker-count preflight peeks at a manifest; a v1 file has
+        # none, so the loader's own refusal must still be what surfaces.
         import pickle
 
         from repro.engine import SamplerSpec, ShardedEngine
 
         engine = ShardedEngine(SamplerSpec(window="sequence", n=500, k=4), shards=2, seed=0)
         engine.ingest([(f"u{i % 5}", i) for i in range(100)])
-        legacy = tmp_path / "legacy.ckpt"
-        legacy.write_bytes(pickle.dumps({
+        v1_file = tmp_path / "v1.ckpt"
+        v1_file.write_bytes(pickle.dumps({
             "magic": "swsample-engine-checkpoint", "version": 1,
             "engine": engine.state_dict(),
         }))
-        assert main(["engine", "--resume", str(legacy), "--records", "100",
-                     "--keys", "5", "--workers", "8"]) == 2
-        assert "exceeds the checkpoint's 2 shards" in capsys.readouterr().err
+        assert main(["engine", "--resume", str(v1_file), "--records", "100",
+                     "--keys", "5", *worker_args]) == 2
+        err = capsys.readouterr().err
+        assert str(v1_file) in err
+        assert "single-file v1 checkpoints are no longer readable" in err
 
     def test_engine_rejects_executor_without_workers(self, capsys, monkeypatch):
         # The classic stdin misconfiguration: a process executor requested
@@ -386,12 +410,20 @@ class TestEngineStreamingAndWorkers:
         assert "bad record" in err and "line 2" in err
 
     def test_engine_baseline_checkpoint_refusal_closes_workers(self, capsys):
+        import multiprocessing
         import threading
+        import time
+
         before = threading.active_count()
         assert main(["engine", "--algorithm", "chain", "--records", "100", "--keys", "5",
                      "--workers", "2", "--checkpoint", "/tmp/never.ckpt"]) == 2
         assert "requires --algorithm optimal" in capsys.readouterr().err
-        assert threading.active_count() == before  # worker threads joined
+        assert multiprocessing.active_children() == []  # worker processes reaped
+        # The queues' feeder threads finish flushing just after close().
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, "coordinator threads leaked"
+            time.sleep(0.01)
 
     def test_engine_query_file_resolves_a_batch(self, capsys, tmp_path):
         stream = tmp_path / "records.jsonl"
@@ -564,7 +596,7 @@ class TestDurabilityFlags:
     @pytest.mark.parametrize("command", ["engine", "serve"])
     def test_wal_dir_requires_process_workers(self, capsys, command, tmp_path):
         assert main([command, "--wal-dir", str(tmp_path / "wal")]) == 2
-        assert "--wal-dir requires --executor process" in capsys.readouterr().err
+        assert "--wal-dir requires --workers N" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["engine", "serve"])
     def test_wal_fsync_requires_wal_dir(self, capsys, command):

@@ -7,6 +7,7 @@ behaviour on any identical suffix of the stream.
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -14,7 +15,6 @@ import pytest
 
 from repro.engine import (
     KeyedSamplerPool,
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -436,76 +436,67 @@ class TestCrashRecovery:
         write_checkpoint(engine, path)
         restored = load_checkpoint(path, workers=2)
         try:
-            assert isinstance(restored, ParallelEngine)
-            assert restored.workers >= 1
+            assert isinstance(restored, ProcessEngine)
+            assert restored.workers == 2
             assert restored.state_dict() == engine.state_dict()
         finally:
             restored.close()
 
-    def test_legacy_single_file_checkpoints_still_load(self, tmp_path):
-        engine = make_engine()
-        engine.ingest([(f"key-{index}", index) for index in range(300)])
-        legacy = tmp_path / "legacy.ckpt"
-        legacy.write_bytes(
-            pickle.dumps(
-                {
-                    "magic": "swsample-engine-checkpoint",
-                    "version": 1,
-                    "engine": engine.state_dict(),
-                }
+    @pytest.mark.parametrize("loader_kwargs", [{}, {"workers": 2}], ids=["serial", "process"])
+    @pytest.mark.parametrize("content", ["v1-envelope", "garbage", "missing"])
+    def test_single_file_v1_checkpoint_is_rejected(self, tmp_path, content, loader_kwargs):
+        # Whatever sits at a non-directory path, the loader refuses it by
+        # path before it unpickles a byte or starts a worker.
+        v1_file = tmp_path / "v1.ckpt"
+        if content == "v1-envelope":
+            engine = make_engine()
+            engine.ingest([(f"key-{index}", index) for index in range(300)])
+            v1_file.write_bytes(
+                pickle.dumps(
+                    {
+                        "magic": "swsample-engine-checkpoint",
+                        "version": 1,
+                        "engine": engine.state_dict(),
+                    }
+                )
             )
-        )
-        restored = load_checkpoint(legacy)
-        assert restored.state_dict() == engine.state_dict()
-        # Since PR 3 a legacy file also restores into worker-backed engines
-        # (the v1 envelope carries the same full state a directory does).
-        threaded = load_checkpoint(legacy, workers=2)
-        try:
-            assert isinstance(threaded, ParallelEngine)
-            assert threaded.state_dict() == engine.state_dict()
-        finally:
-            threaded.close()
+        elif content == "garbage":
+            v1_file.write_bytes(b"\x00not a pickle\xff" * 8)
+        children = {child.pid for child in multiprocessing.active_children()}
+        with pytest.raises(CheckpointError, match="no longer readable") as raised:
+            load_checkpoint(v1_file, **loader_kwargs)
+        assert str(v1_file) in str(raised.value)
+        assert {child.pid for child in multiprocessing.active_children()} == children
 
-    def test_unknown_executor_is_rejected(self, tmp_path):
+    def test_supervised_restore_needs_workers(self, tmp_path):
         engine = make_engine()
         engine.append("a", 1)
         path = tmp_path / "engine.ckpt"
         write_checkpoint(engine, path)
-        with pytest.raises(ConfigurationError, match="executor"):
-            load_checkpoint(path, workers=2, executor="greenlet")
+        with pytest.raises(ConfigurationError, match="workers=N"):
+            load_checkpoint(path, supervise=True, wal_dir=tmp_path / "wal")
 
 
-#: (loader kwargs, expected engine class) — the serial/thread/process axis
-#: of the restore matrix.
+#: (loader kwargs, expected engine class) — the serial/process axis of the
+#: restore matrix.  ``make_engine`` writes three shards, so the process
+#: targets cover one worker owning every shard, an uneven split, and one
+#: shard per worker.
 RESTORE_TARGETS = [
     pytest.param({}, ShardedEngine, id="serial"),
-    pytest.param({"workers": 2}, ParallelEngine, id="thread"),
-    pytest.param({"workers": 2, "executor": "process"}, ProcessEngine, id="process"),
+    pytest.param({"workers": 2}, ProcessEngine, id="process"),
+    pytest.param({"workers": 1}, ProcessEngine, id="process-1"),
+    pytest.param({"workers": 3}, ProcessEngine, id="process-3"),
 ]
 
 
 class TestMixedRestoreMatrix:
-    """Every checkpoint format loads into every engine flavour.
+    """Every checkpoint loads into both engines, under any worker count.
 
-    Two formats (the PR-1 v1 single-file pickle and the PR-2 directory
-    layout) × three targets (serial, thread workers, process workers) ×
-    the paper's four optimal samplers — all 24 paths must restore the
-    identical fleet, because operators upgrade executors and formats at
-    different times.
+    Four targets (serial; process workers owning all, some or one of the
+    shards) × the paper's four optimal samplers — every path must restore
+    the identical fleet, because operators switch engines and worker counts
+    independently of the checkpoints they keep.
     """
-
-    @staticmethod
-    def _write_legacy(engine, path):
-        path.write_bytes(
-            pickle.dumps(
-                {
-                    "magic": "swsample-engine-checkpoint",
-                    "version": 1,
-                    "engine": engine.state_dict(),
-                }
-            )
-        )
-        return path
 
     @pytest.mark.parametrize("spec", OPTIMAL_SPECS)
     @pytest.mark.parametrize("loader_kwargs,engine_class", RESTORE_TARGETS)
@@ -519,37 +510,24 @@ class TestMixedRestoreMatrix:
         restored = load_checkpoint(path, **loader_kwargs)
         try:
             assert isinstance(restored, engine_class)
-            assert restored.state_dict() == engine.state_dict()
-        finally:
             if loader_kwargs:
-                restored.close()
-
-    @pytest.mark.parametrize("spec", OPTIMAL_SPECS)
-    @pytest.mark.parametrize("loader_kwargs,engine_class", RESTORE_TARGETS)
-    def test_legacy_v1_file_loads_into_every_flavour(
-        self, spec, loader_kwargs, engine_class, tmp_path
-    ):
-        engine = make_engine(spec=spec)
-        engine.ingest(spec_records(spec, 2_000))
-        legacy = self._write_legacy(engine, tmp_path / "legacy.ckpt")
-        restored = load_checkpoint(legacy, **loader_kwargs)
-        try:
-            assert isinstance(restored, engine_class)
+                assert restored.workers == loader_kwargs["workers"]
             assert restored.state_dict() == engine.state_dict()
         finally:
             if loader_kwargs:
                 restored.close()
 
     def test_restored_flavours_continue_identically(self, tmp_path):
-        """The upgrade path end to end: a serial v1 snapshot restored into a
+        """The switch end to end: a serial checkpoint restored into a
         process fleet keeps drawing the randomness the serial engine would
         have drawn."""
         spec = SamplerSpec(window="sequence", n=40, k=4, replacement=True)
         engine = make_engine(spec=spec)
         engine.ingest(spec_records(spec, 2_000))
-        legacy = self._write_legacy(engine, tmp_path / "legacy.ckpt")
+        path = tmp_path / "engine.ckpt"
+        write_checkpoint(engine, path)
         suffix = spec_records(spec, 600, seed=9)
-        restored = load_checkpoint(legacy, workers=2, executor="process")
+        restored = load_checkpoint(path, workers=2)
         try:
             restored.ingest(suffix)
             engine.ingest(suffix)

@@ -1,34 +1,27 @@
-"""Distributional guarantees through the worker-backed engines.
+"""Distributional guarantees through the worker-process engine.
 
 The paper's theorems say each sampler's output is uniform over its window;
 PR 1's engine tests pinned that for serially-hosted samplers.  What could
 break it here is *parallelism*: a worker applying a shard's records out of
 order, a key's records split across workers, or a query racing the drain
-barrier would all skew the per-key sample law — and the process executor
-adds a serialisation boundary (records and samples pickled through
-multiprocessing queues) where any reordering or loss would show the same
-way.  Each engine-hosted key is an independent lane (key-derived seed), so
-the per-key draws form exactly the repeated-trials setup
-:mod:`repro.analysis.uniformity` expects; the whole suite runs once per
-executor flavour.
+barrier would all skew the per-key sample law — and the process boundary
+(records and samples pickled through multiprocessing queues) is one more
+place where any reordering or loss would show the same way.  Each
+engine-hosted key is an independent lane (key-derived seed), so the per-key
+draws form exactly the repeated-trials setup
+:mod:`repro.analysis.uniformity` expects.
 """
 
 import pytest
 
 from repro.analysis import assess_uniformity
-from repro.engine import ParallelEngine, ProcessEngine, SamplerSpec
+from repro.engine import ProcessEngine, SamplerSpec
 
 pytestmark = pytest.mark.slow
 
 KEYS = 800
 WINDOW = 25
 PER_KEY = 60  # records per key: window plus a 35-record discarded prefix
-
-#: Both worker-backed executors must preserve the sample law.
-EXECUTORS = [
-    pytest.param(ParallelEngine, id="thread"),
-    pytest.param(ProcessEngine, id="process"),
-]
 
 
 def interleaved_records():
@@ -40,12 +33,11 @@ def interleaved_records():
     ]
 
 
-class TestParallelEngineUniformity:
-    @pytest.mark.parametrize("engine_class", EXECUTORS)
-    def test_wr_per_key_samples_uniform_over_window_positions(self, engine_class):
+class TestProcessEngineUniformity:
+    def test_wr_per_key_samples_uniform_over_window_positions(self):
         """χ² uniformity of k=1 WR draws pooled across 800 engine keys."""
         spec = SamplerSpec(window="sequence", n=WINDOW, k=1, replacement=True)
-        with engine_class(spec, shards=8, workers=4, seed=29, max_batch=512) as engine:
+        with ProcessEngine(spec, shards=8, workers=4, seed=29, max_batch=512) as engine:
             engine.ingest(interleaved_records())
             observations = []
             for key in range(KEYS):
@@ -54,11 +46,10 @@ class TestParallelEngineUniformity:
         report = assess_uniformity(observations, list(range(WINDOW)))
         assert report.passes, report
 
-    @pytest.mark.parametrize("engine_class", EXECUTORS)
-    def test_wor_per_key_inclusions_uniform(self, engine_class):
+    def test_wor_per_key_inclusions_uniform(self):
         """Every window position equally likely to enter a k=6 WoR sample."""
         spec = SamplerSpec(window="sequence", n=WINDOW, k=6, replacement=False)
-        with engine_class(spec, shards=8, workers=4, seed=31, max_batch=512) as engine:
+        with ProcessEngine(spec, shards=8, workers=4, seed=31, max_batch=512) as engine:
             engine.ingest(interleaved_records())
             pooled = []
             for key in range(KEYS):
@@ -67,25 +58,24 @@ class TestParallelEngineUniformity:
         report = assess_uniformity(pooled, list(range(WINDOW)))
         assert report.passes, report
 
-    @pytest.mark.parametrize("engine_class", EXECUTORS)
-    def test_parallel_and_serial_draws_have_identical_distribution(self, engine_class):
-        """Sharper than χ²: the worker-backed fleet's draws are *equal* to
-        the serial fleet's, so parallelism cannot have introduced bias."""
+    def test_parallel_and_serial_draws_have_identical_distribution(self):
+        """Sharper than χ²: the process fleet's draws are *equal* to the
+        serial fleet's, so parallelism cannot have introduced bias."""
         from repro.engine import ShardedEngine
 
         spec = SamplerSpec(window="sequence", n=WINDOW, k=4, replacement=True)
         records = interleaved_records()
         serial = ShardedEngine(spec, shards=8, seed=29)
         serial.ingest(records)
-        with engine_class(spec, shards=8, workers=4, seed=29) as parallel:
+        with ProcessEngine(spec, shards=8, workers=4, seed=29) as parallel:
             parallel.ingest(records)
             for key in range(0, KEYS, 25):
                 name = f"lane-{key}"
                 assert parallel.sample(name) == serial.sample(name)
 
     def test_cross_executor_merged_aggregates_agree(self):
-        """Thread and process fleets agree with the serial fleet on the
-        merged frequent-values aggregate over the same 800-key ingest."""
+        """The process fleet agrees with the serial fleet on the merged
+        frequent-values aggregate over the same 800-key ingest."""
         from repro.engine import ShardedEngine
 
         spec = SamplerSpec(window="sequence", n=WINDOW, k=4, replacement=True)
@@ -97,10 +87,9 @@ class TestParallelEngineUniformity:
         serial = ShardedEngine(spec, shards=8, seed=29)
         serial.ingest(records)
         reference = dict(serial.merged_frequent_items(0.01))
-        for engine_class in (ParallelEngine, ProcessEngine):
-            with engine_class(spec, shards=8, workers=4, seed=29) as engine:
-                engine.ingest(records)
-                merged = dict(engine.merged_frequent_items(0.01))
-            assert merged.keys() == reference.keys()
-            for value, frequency in merged.items():
-                assert frequency == pytest.approx(reference[value], rel=1e-9)
+        with ProcessEngine(spec, shards=8, workers=4, seed=29) as engine:
+            engine.ingest(records)
+            merged = dict(engine.merged_frequent_items(0.01))
+        assert merged.keys() == reference.keys()
+        for value, frequency in merged.items():
+            assert frequency == pytest.approx(reference[value], rel=1e-9)

@@ -1,26 +1,26 @@
 """Process-based shard workers: equivalence, faults, crash recovery.
 
-The load-bearing claim of :class:`repro.engine.ProcessEngine` is the same
-as the thread executor's, strengthened across a process boundary: because
-shard ownership, per-shard FIFO order and key-derived sampler seeds are all
-identical, ingest through worker *processes* must be bit-identical to the
-serial engine — same samples, same generator positions, same future
-randomness — while the pools themselves never leave their workers on the
-query hot path.  These tests pin the equivalence for all four optimal
-samplers and across all three executors, then exercise what is genuinely
-new: the request/reply query protocol, worker-written checkpoint segments,
-and the failure model (a killed worker process must surface as a sticky
-``WorkerFailure``, never a hang, an orphan, or silent data loss).
+The load-bearing claim of :class:`repro.engine.ProcessEngine` is that
+``workers`` is a pure throughput knob: because shard ownership, per-shard
+FIFO order and key-derived sampler seeds are all identical, ingest through
+worker *processes* must be bit-identical to the serial engine — same
+samples, same generator positions, same future randomness — while the pools
+themselves never leave their workers on the query hot path.  These tests
+pin the equivalence for all four optimal samplers over every record
+transport and worker count, then exercise the request/reply query
+protocol, worker-written checkpoint segments, the caller-lock contract
+under concurrent application threads, and the failure model (a killed worker process must surface as a sticky ``WorkerFailure``,
+never a hang, an orphan, or silent data loss).
 """
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.engine import (
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -35,6 +35,7 @@ from repro.exceptions import (
     StreamOrderError,
     WorkerFailure,
 )
+from repro.obs import MetricsRegistry
 from repro.streams.workloads import build_keyed_workload
 
 SEQ_SPEC = SamplerSpec(window="sequence", n=32, k=4, replacement=True)
@@ -47,6 +48,10 @@ OPTIMAL_SPECS = [
     pytest.param(SamplerSpec(window="timestamp", t0=60.0, k=3, replacement=True), id="ts-wr"),
     pytest.param(SamplerSpec(window="timestamp", t0=60.0, k=3, replacement=False), id="ts-wor"),
 ]
+
+#: Every way a record sub-batch can cross the process boundary; results must
+#: not depend on which one carried it.
+TRANSPORTS = ["columnar", "pickle", "shm"]
 
 
 def keyed_records(count, keys=37, seed=5):
@@ -99,8 +104,8 @@ class TestConstruction:
             engine.ingest([("a", 2)])
 
     def test_closed_engine_refuses_queries(self):
-        # Unlike the thread engine, the state lived in the (now reaped)
-        # workers: a closed ProcessEngine cannot answer — loudly.
+        # The state lived in the (now reaped) workers: a closed
+        # ProcessEngine cannot answer — loudly.
         with ProcessEngine(SEQ_SPEC, shards=2, workers=2, seed=9) as engine:
             engine.ingest([("a", value) for value in range(100)])
             assert engine.total_arrivals == 100  # queries fine before close
@@ -122,24 +127,38 @@ class TestConstruction:
 
 
 class TestCrossExecutorEquivalence:
-    """Serial, thread and process ingest must be bit-identical per key."""
+    """Serial and process ingest must be bit-identical per key."""
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("spec", OPTIMAL_SPECS)
-    def test_three_executors_one_fleet_state(self, spec):
+    def test_two_executors_one_fleet_state(self, spec, transport):
         records = spec_records(spec, 6_000)
         serial = ShardedEngine(spec, shards=8, seed=13)
         serial.ingest(records)
         expected = serial.state_dict()
-        with ParallelEngine(spec, shards=8, seed=13, workers=4, max_batch=64) as threaded:
-            threaded.ingest(records)
-            assert threaded.state_dict() == expected
-        with ProcessEngine(spec, shards=8, seed=13, workers=3, max_batch=64) as process:
+        with ProcessEngine(
+            spec, shards=8, seed=13, workers=3, max_batch=64, transport=transport
+        ) as process:
             process.ingest(records)
             # state_dict captures every candidate, counter and generator
             # position, so equality means identical samples *and* identical
             # future randomness — through a process boundary.
             assert process.state_dict() == expected
             assert process.now == serial.now
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+    def test_every_worker_count_matches_serial(self, workers):
+        # 8 shards over 3 or 5 workers is an uneven split: some workers own
+        # two shards, some one.  Ownership must never show in the state.
+        records = keyed_records(3_000)
+        serial = ShardedEngine(SEQ_SPEC, shards=8, seed=21)
+        serial.ingest(records)
+        with ProcessEngine(
+            SEQ_SPEC, shards=8, seed=21, workers=workers, max_batch=32
+        ) as engine:
+            assert engine.workers == workers
+            engine.ingest(records)
+            assert engine.state_dict() == serial.state_dict()
 
     def test_one_worker_equals_many_workers(self):
         records = keyed_records(4_000)
@@ -324,8 +343,13 @@ class TestAggregates:
 
 
 class TestClockContract:
-    def test_missing_timestamps_stamped_with_engine_clock(self):
-        with ProcessEngine(TS_SPEC, shards=2, workers=2, seed=1) as engine:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_missing_timestamps_stamped_with_engine_clock(self, transport):
+        # The coordinator stamps before encoding, so every transport must
+        # carry the stamped clock, not the caller's missing one.
+        with ProcessEngine(
+            TS_SPEC, shards=2, workers=2, seed=1, transport=transport
+        ) as engine:
             engine.ingest([("a", 1, 10.0), ("b", 2)])  # b stamped at 10.0
             assert engine.now == 10.0
             serial = ShardedEngine(TS_SPEC, shards=2, seed=1)
@@ -346,23 +370,28 @@ class TestClockContract:
             with pytest.raises(EmptyWindowError):
                 engine.sample("a")
 
-    def test_advance_time_matches_serial_state(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_advance_time_matches_serial_state(self, transport):
         records = [(f"k{index % 5}", index, index * 1.0) for index in range(500)]
         serial = ShardedEngine(TS_SPEC, shards=2, seed=6)
         serial.ingest(records)
         serial.advance_time(600.0)
-        with ProcessEngine(TS_SPEC, shards=2, seed=6, workers=2) as process:
+        with ProcessEngine(
+            TS_SPEC, shards=2, seed=6, workers=2, transport=transport
+        ) as process:
             process.ingest(records)
             process.advance_time(600.0)
             assert process.state_dict() == serial.state_dict()
 
 
 class TestBackpressureAndBarrier:
-    def test_tiny_queues_lose_nothing(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_tiny_queues_lose_nothing(self, transport):
         # queue_depth=1 and max_batch=8 force constant producer blocking on
         # the bounded multiprocessing inboxes.
         with ProcessEngine(
-            SEQ_SPEC, shards=4, workers=2, seed=3, queue_depth=1, max_batch=8
+            SEQ_SPEC, shards=4, workers=2, seed=3, queue_depth=1, max_batch=8,
+            transport=transport,
         ) as engine:
             records = keyed_records(5_000, keys=50)
             assert engine.ingest(records) == 5_000
@@ -374,6 +403,36 @@ class TestBackpressureAndBarrier:
             engine.flush()
             engine.flush()
             assert engine.total_arrivals == 1
+
+    def test_queue_depth_gauge_counts_undrained_messages(self):
+        # Stopped workers cannot drain their inboxes, so every sub-batch the
+        # coordinator sends must show in the executor.queue.depth gauge.
+        registry = MetricsRegistry()
+        engine = ProcessEngine(
+            SEQ_SPEC, shards=2, workers=2, seed=3, queue_depth=16, max_batch=8,
+            registry=registry,
+        )
+        depth = lambda: registry.snapshot()["gauges"]["executor.queue.depth"]
+        try:
+            engine.flush()
+            assert depth() == 0
+            for process in engine._processes:
+                os.kill(process.pid, signal.SIGSTOP)
+                # Block until the stop has landed, so no worker can still
+                # take a message off its inbox.
+                _, status = os.waitpid(process.pid, os.WUNTRACED)
+                assert os.WIFSTOPPED(status)
+            try:
+                engine.ingest([("a", value) for value in range(40)])
+                assert depth() == 5  # 40 records in sub-batches of 8, one shard
+            finally:
+                for process in engine._processes:
+                    os.kill(process.pid, signal.SIGCONT)
+            engine.flush()
+            assert depth() == 0
+            assert engine.total_arrivals == 40
+        finally:
+            engine.close()
 
     def test_worker_side_apply_error_is_sticky(self):
         engine = ProcessEngine(SEQ_SPEC, shards=2, workers=2, seed=3)
@@ -397,6 +456,67 @@ class TestBackpressureAndBarrier:
                 pass
         assert engine.closed
         assert all(not process.is_alive() for process in engine._processes)
+
+
+class TestThreadedStress:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_concurrent_ingest_sample_advance_loses_nothing(self, transport):
+        """Four producer threads, a sampler thread and a clock thread share
+        one engine through its caller lock; every arrival must land and
+        nothing may deadlock, whichever transport the producers encode
+        into."""
+        producers = 4
+        batches = 30
+        batch_size = 100
+        engine = ProcessEngine(
+            TS_SPEC, shards=8, workers=4, seed=11, queue_depth=2, max_batch=64,
+            transport=transport,
+        )
+        errors = []
+        stop = threading.Event()
+
+        def produce(worker_index):
+            try:
+                for batch_number in range(batches):
+                    records = [
+                        (f"p{worker_index}-k{record % 13}", record)
+                        for record in range(batch_size)
+                    ]
+                    engine.ingest(records)  # stamped at the engine clock
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        def read():
+            while not stop.is_set():
+                try:
+                    engine.sample(f"p0-k{len(errors) % 13}")
+                except (KeyError, EmptyWindowError):
+                    pass
+                engine.hottest_keys(3)
+
+        def tick():
+            now = 0.0
+            while not stop.is_set():
+                now += 1.0
+                engine.advance_time(now)
+
+        threads = [
+            threading.Thread(target=produce, args=(index,)) for index in range(producers)
+        ] + [threading.Thread(target=read), threading.Thread(target=tick)]
+        for thread in threads:
+            thread.start()
+        for thread in threads[:producers]:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "producer deadlocked"
+        stop.set()
+        for thread in threads[producers:]:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "reader/clock thread deadlocked"
+        try:
+            assert not errors, f"worker raised: {errors!r}"
+            assert engine.total_arrivals == producers * batches * batch_size
+        finally:
+            engine.close()
 
 
 class TestWorkerDeath:
@@ -479,7 +599,7 @@ class TestWorkerDeath:
         victim = path / manifest["segments"][2]["file"]
         victim.write_bytes(victim.read_bytes()[:-32])  # truncated by the crash
         with pytest.raises(CheckpointError):
-            load_checkpoint(path, workers=2, executor="process")
+            load_checkpoint(path, workers=2)
 
 
 class TestCrashRecovery:
@@ -515,7 +635,7 @@ class TestCrashRecovery:
             except ExecutorError:
                 pass
 
-        recovered = load_checkpoint(path, workers=2, executor="process")
+        recovered = load_checkpoint(path, workers=2)
         try:
             assert recovered.state_dict() == checkpoint_state
             recovered.ingest(suffix)
@@ -527,7 +647,7 @@ class TestCrashRecovery:
 
 
 class TestCheckpointOrthogonality:
-    """Checkpoints round-trip under any executor and any worker count."""
+    """Checkpoints round-trip between engines and across worker counts."""
 
     def test_process_written_checkpoint_loads_everywhere(self, tmp_path):
         records = keyed_records(2_000)
@@ -539,22 +659,11 @@ class TestCheckpointOrthogonality:
         assert result.segments_written == 4
         serial = load_checkpoint(path)
         assert serial.state_dict() == expected
-        with load_checkpoint(path, workers=2) as threaded:
-            assert isinstance(threaded, ParallelEngine)
-            assert threaded.state_dict() == expected
-        with load_checkpoint(path, workers=4, executor="process") as process:
-            assert isinstance(process, ProcessEngine)
-            assert process.state_dict() == expected
-
-    def test_thread_written_checkpoint_loads_into_process_engine(self, tmp_path):
-        records = keyed_records(2_000)
-        path = tmp_path / "engine.ckpt"
-        with ParallelEngine(SEQ_SPEC, shards=4, seed=8, workers=2) as source:
-            source.ingest(records)
-            write_checkpoint(source, path)
-            expected = source.state_dict()
-        with load_checkpoint(path, workers=2, executor="process") as process:
-            assert process.state_dict() == expected
+        for workers in (2, 4):
+            with load_checkpoint(path, workers=workers) as process:
+                assert isinstance(process, ProcessEngine)
+                assert process.workers == workers
+                assert process.state_dict() == expected
 
     def test_incremental_resave_through_worker_processes(self, tmp_path):
         path = tmp_path / "engine.ckpt"
@@ -579,7 +688,7 @@ class TestCheckpointOrthogonality:
         with ProcessEngine(SEQ_SPEC, shards=4, seed=8, workers=2) as engine:
             engine.ingest(keyed_records(1_000))
             write_checkpoint(engine, path)
-        with load_checkpoint(path, workers=2, executor="process") as restored:
+        with load_checkpoint(path, workers=2) as restored:
             # The loader seeds the save memo from worker-side generations: a
             # just-restored fleet's immediate resave writes nothing.
             assert write_checkpoint(restored, path).segments_written == 0

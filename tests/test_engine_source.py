@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import (
-    ParallelEngine,
+    ProcessEngine,
     SamplerSpec,
     ShardedEngine,
     batched,
@@ -135,7 +135,7 @@ class TestIngestJsonl:
         assert engine.key_count == 9
 
     def test_streams_into_parallel_engine(self):
-        with ParallelEngine(
+        with ProcessEngine(
             SamplerSpec(window="sequence", n=16, k=2), shards=4, workers=2
         ) as engine:
             assert ingest_jsonl(engine, self.lines(1_000), batch_size=64) == 1_000

@@ -1,6 +1,6 @@
 """The vectorized apply-path kernel layer (``repro.engine.kernels``).
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 1. **Kernel selection.**  ``kernel="python"`` never imports numpy,
    ``"auto"`` resolves per host, ``"numpy"`` on a numpy-free host raises
@@ -10,11 +10,7 @@ Four contracts are pinned here:
    ``fast=False`` runs the reference python path and must stay
    byte-identical to ``kernel="python"`` — the numpy generator is seeded
    *after* every stdlib spawn precisely so it cannot perturb the lanes.
-3. **Typed-array transport decode.**  ``decode_batch_arrays`` must agree
-   element-for-element with ``decode_batch`` over randomized batches
-   (bools, negative ints, utf-8 edge cases, the pickle fallback), while
-   returning zero-copy numpy arrays for fixed-width numeric columns.
-4. **Distributional exactness.**  The numpy ``fast`` kernels are free to
+3. **Distributional exactness.**  The numpy ``fast`` kernels are free to
    use different exact sampling laws than the python skip path, so every
    vectorized family is gated by the same χ² + KS suites as the python
    ``fast`` path (marked ``slow``), plus structural canonicality checks
@@ -35,13 +31,11 @@ from repro.core import (
     TimestampSamplerWOR,
     TimestampSamplerWR,
 )
-from repro.core._cascade import COMPILED, CoinSlab
+from repro.core._cascade import CoinSlab
 from repro.core.facade import sliding_window_sampler
-from repro.engine import SamplerSpec, ShardedEngine
+from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine
 from repro.engine import kernels as kernels_module
-from repro.engine.executor import ParallelEngine
 from repro.engine.kernels import HAS_NUMPY, resolve_kernel
-from repro.engine.transport import decode_batch, encode_batch
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
 
@@ -157,10 +151,6 @@ class TestDefaultPathBitIdentity:
 
 
 class TestCascadeModule:
-    def test_compiled_flag_reports_interpreted(self):
-        # In this repo the module ships interpreted; a mypyc build flips it.
-        assert COMPILED is False
-
     def test_coin_slab_consumes_randbytes_like_the_inline_loop(self):
         rng = random.Random(123)
         slab = CoinSlab(rng.randbytes)
@@ -172,104 +162,6 @@ class TestCascadeModule:
             raw = mirror.randbytes(512)
             expected.extend(byte < 128 for byte in raw)
         assert flips == expected[:1300]
-
-
-@needs_numpy
-class TestDecodeBatchArrays:
-    """Satellite: ``decode_batch_arrays`` == ``decode_batch`` (values,
-    timestamps, key order) over randomized batches."""
-
-    def _values(self, rng):
-        pools = [
-            lambda: rng.randint(-(2**62), 2**62),
-            lambda: rng.randint(-128, 127),
-            lambda: rng.random() * 1e9 - 5e8,
-            lambda: rng.choice([True, False]),
-            lambda: None,
-            lambda: "uni-é中\U0001f600-" + str(rng.randint(0, 99)),
-            lambda: ("pickle", rng.randint(0, 9)),  # no columnar tag: fallback
-        ]
-        return rng.choice(pools)()
-
-    def _random_batch(self, rng, homogeneous):
-        count = rng.randint(1, 40)
-        if homogeneous:
-            # Single-type columns hit the typed-array decode path.
-            maker = rng.choice(
-                [
-                    lambda: rng.randint(-(2**31), 2**31 - 1),
-                    lambda: rng.randint(-128, 127),
-                    lambda: rng.random() - 0.5,
-                    lambda: rng.choice([True, False]),
-                ]
-            )
-            values = [maker() for _ in range(count)]
-        else:
-            values = [self._values(rng) for _ in range(count)]
-        keys = [rng.choice(["alpha", "ß-key", 7, -3, ("tuple", 1)]) for _ in range(count)]
-        stamps = [
-            None if rng.random() < 0.3 else rng.random() * 100.0 for _ in range(count)
-        ]
-        if rng.random() < 0.5:
-            stamps = [None] * count
-        return list(zip(keys, values, stamps))
-
-    def _assert_equivalent(self, batch):
-        from repro.engine.kernels import decode_batch_arrays
-
-        payload = encode_batch(batch)
-        reference = decode_batch(payload)
-        keys, values, stamps, count = decode_batch_arrays(payload)
-        assert count == len(reference) == len(batch)
-        for at, (ref_key, ref_value, ref_stamp) in enumerate(reference):
-            assert keys[at] == ref_key
-            value = values[at]
-            # numpy scalars compare equal to their python twins; pin the
-            # payload, not the container type.
-            assert value == ref_value or (value != value and ref_value != ref_value)
-            stamp = stamps[at]
-            assert (stamp is None and ref_stamp is None) or stamp == ref_stamp
-
-    def test_randomized_batches_match_reference(self):
-        rng = random.Random(2024)
-        for trial in range(150):
-            self._assert_equivalent(self._random_batch(rng, homogeneous=trial % 2 == 0))
-
-    def test_extreme_ints_and_utf8_edges(self):
-        batch = [
-            ("k", -(2**63), None),
-            ("k", 2**63 - 1, 0.5),
-            ("\U0001f9ea", "", 1.5),
-            ("k", "\x00퟿", 2.5),
-            ("k", True, 3.5),
-            ("k", False, 4.5),
-        ]
-        self._assert_equivalent(batch)
-
-    def test_numeric_columns_are_zero_copy_views(self):
-        import numpy
-
-        from repro.engine.kernels import decode_batch_arrays
-
-        payload = encode_batch([("k", value, float(value)) for value in range(100)])
-        _, values, stamps, _ = decode_batch_arrays(payload)
-        assert isinstance(values, numpy.ndarray) and isinstance(stamps, numpy.ndarray)
-        assert values.base is not None and stamps.base is not None  # aliasing views
-
-    def test_truncated_numeric_column_raises_transport_error(self):
-        from repro.engine.kernels import decode_batch_arrays
-        from repro.exceptions import TransportError
-
-        payload = encode_batch([("k", value, None) for value in range(50)])
-        with pytest.raises(TransportError):
-            decode_batch_arrays(payload[: len(payload) - 40])
-
-    def test_requires_numpy(self, monkeypatch):
-        from repro.engine.kernels import decode_batch_arrays
-
-        monkeypatch.setattr(kernels_module, "HAS_NUMPY", False)
-        with pytest.raises(ConfigurationError, match="numpy"):
-            decode_batch_arrays(encode_batch([("k", 1, None)]))
 
 
 @needs_numpy
@@ -327,7 +219,7 @@ class TestEngineKernelReporting:
     def test_parallel_stats_and_gauge(self):
         registry = MetricsRegistry()
         spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="numpy")
-        engine = ParallelEngine(spec, shards=2, workers=2, registry=registry)
+        engine = ProcessEngine(spec, shards=2, workers=2, registry=registry)
         try:
             engine.ingest([(f"key-{value % 5}", value) for value in range(200)])
             engine.flush()
@@ -339,13 +231,13 @@ class TestEngineKernelReporting:
 
 
 class TestWorkerBackedChunkMetrics:
-    """Satellite regression: the worker-backed ingest path must emit the
-    same chunk instruments the serial path does (they stayed zero before)."""
+    """The process engine's ingest path must emit the same chunk
+    instruments the serial path does."""
 
     def test_parallel_ingest_emits_chunk_metrics(self):
         registry = MetricsRegistry()
         spec = SamplerSpec(window="sequence", n=16, k=2)
-        engine = ParallelEngine(spec, shards=4, workers=2, registry=registry, max_batch=64)
+        engine = ProcessEngine(spec, shards=4, workers=2, registry=registry, max_batch=64)
         try:
             engine.ingest([(f"key-{value % 7}", value) for value in range(1000)])
             engine.flush()
@@ -361,7 +253,7 @@ class TestWorkerBackedChunkMetrics:
         # No registry: the chunk instruments are null and the path must not
         # observe into them (guarded by the same enabled flag as serial).
         spec = SamplerSpec(window="sequence", n=16, k=2)
-        engine = ParallelEngine(spec, shards=2, workers=2, max_batch=64)
+        engine = ProcessEngine(spec, shards=2, workers=2, max_batch=64)
         try:
             engine.ingest([("a", value) for value in range(500)])
             engine.flush()

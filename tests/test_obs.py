@@ -26,7 +26,6 @@ import signal
 import pytest
 
 from repro.engine import (
-    ParallelEngine,
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
@@ -576,7 +575,7 @@ class TestExecutorEquivalence:
         reference.ingest(records)
         expected = reference.state_dict()
 
-        flavours = [(ShardedEngine, {}), (ParallelEngine, {}), (ProcessEngine, {})]
+        flavours = [(ShardedEngine, {}), (ProcessEngine, {})]
         if HAS_SHARED_MEMORY:
             flavours.append((ProcessEngine, {"transport": "shm"}))
         for engine_class, kwargs in flavours:
@@ -587,7 +586,7 @@ class TestExecutorEquivalence:
             assert state == expected, label
             counters = snapshot["counters"]
             assert counters["engine.ingest.records"] == len(records), label
-            # Worker-backed flavours: everything dispatched was applied.
+            # Process flavours: everything dispatched was applied.
             if engine_class is not ShardedEngine:
                 assert counters["executor.dispatched.records"] == len(records), label
                 assert counters["worker.applied.records"] == len(records), label

@@ -1,10 +1,10 @@
 """Batched fleet-wide queries (``query_batch``): bit-identity and batching.
 
 The contract under test: a batch of ``(name, *args)`` ops resolves to exactly
-the same answers as the scalar query methods, across the serial, thread and
-process executors — one outcome per op, per-op runtime failures captured
-inline (a missing key never aborts the batch), malformed shapes refused up
-front.  Ranked reports (``hottest``, ``frequent``) break count ties on a
+the same answers as the scalar query methods, on the serial engine and on
+process workers over each record transport — one outcome per op, per-op
+runtime failures captured inline (a missing key never aborts the batch),
+malformed shapes refused up front.  Ranked reports (``hottest``, ``frequent``) break count ties on a
 stable byte encoding of the key, so the serial path and the worker-merged
 path order tie-heavy workloads identically — pinned here because the query
 cache and the cross-executor equivalence suite both depend on it.
@@ -12,7 +12,7 @@ cache and the cross-executor equivalence suite both depend on it.
 
 import pytest
 
-from repro.engine import ParallelEngine, ProcessEngine, SamplerSpec, ShardedEngine
+from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine
 from repro.exceptions import ConfigurationError
 from repro.streams.workloads import build_keyed_workload
 
@@ -21,8 +21,15 @@ TS_SPEC = SamplerSpec(window="timestamp", t0=64.0, k=3, replacement=False)
 
 EXECUTORS = [
     pytest.param(lambda spec, **kw: ShardedEngine(spec, **kw), id="serial"),
-    pytest.param(lambda spec, **kw: ParallelEngine(spec, workers=2, **kw), id="thread"),
     pytest.param(lambda spec, **kw: ProcessEngine(spec, workers=2, **kw), id="process"),
+    pytest.param(
+        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="pickle", **kw),
+        id="process-pickle",
+    ),
+    pytest.param(
+        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="shm", **kw),
+        id="process-shm",
+    ),
 ]
 
 
@@ -99,7 +106,6 @@ class TestBatchVersusScalar:
         results = []
         for factory in (
             lambda spec, **kw: ShardedEngine(spec, **kw),
-            lambda spec, **kw: ParallelEngine(spec, workers=3, **kw),
             lambda spec, **kw: ProcessEngine(spec, workers=3, **kw),
         ):
             engine = factory(SEQ_SPEC, shards=4, seed=17, track_occurrences=True)
@@ -108,7 +114,7 @@ class TestBatchVersusScalar:
                 results.append(engine.query_batch(QUERY_OPS))
             finally:
                 close(engine)
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 class TestShapeValidation:
@@ -163,8 +169,6 @@ class TestDeterministicTies:
         reports = []
         for factory in (
             lambda spec, **kw: ShardedEngine(spec, **kw),
-            lambda spec, **kw: ParallelEngine(spec, workers=2, **kw),
-            lambda spec, **kw: ParallelEngine(spec, workers=4, **kw),
             lambda spec, **kw: ProcessEngine(spec, workers=2, **kw),
             lambda spec, **kw: ProcessEngine(spec, workers=4, **kw),
         ):

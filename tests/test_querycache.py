@@ -6,10 +6,10 @@ invalidation, counters (both the plain mirrors and the
 
 Engine level: the load-bearing property from the issue — *any* interleaving
 of ingest / eviction / snapshot-restore with cached queries answers
-bit-identically to an uncached oracle, across all three executors.  The
-per-shard ``generation`` counter bumps on every mutation (appends, LRU/TTL
-eviction, ``load_state_dict``), so a stale cache entry can never survive a
-state change.
+bit-identically to an uncached oracle, on the serial engine and on process
+workers over each record transport.  The per-shard ``generation`` counter
+bumps on every mutation (appends, LRU/TTL eviction, ``load_state_dict``), so
+a stale cache entry can never survive a state change.
 """
 
 import random
@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.engine import (
-    ParallelEngine,
     ProcessEngine,
     QueryCache,
     SamplerSpec,
@@ -30,8 +29,15 @@ SPEC = SamplerSpec(window="sequence", n=24, k=4, replacement=True)
 
 EXECUTORS = [
     pytest.param(lambda spec, **kw: ShardedEngine(spec, **kw), id="serial"),
-    pytest.param(lambda spec, **kw: ParallelEngine(spec, workers=2, **kw), id="thread"),
     pytest.param(lambda spec, **kw: ProcessEngine(spec, workers=2, **kw), id="process"),
+    pytest.param(
+        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="pickle", **kw),
+        id="process-pickle",
+    ),
+    pytest.param(
+        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="shm", **kw),
+        id="process-shm",
+    ),
 ]
 
 

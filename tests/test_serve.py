@@ -855,18 +855,18 @@ class TestDegradedServing:
 
 class TestDurabilitySettings:
     def test_supervise_needs_process_workers(self):
-        with pytest.raises(ConfigurationError, match="process workers"):
+        with pytest.raises(ConfigurationError, match="need workers=N"):
             EngineSettings(spec=SPEC, supervise=True, wal_dir="/tmp/x")
-        with pytest.raises(ConfigurationError, match="process workers"):
-            EngineSettings(spec=SPEC, wal_dir="/tmp/x", workers=2, executor="thread")
+        with pytest.raises(ConfigurationError, match="need workers=N"):
+            EngineSettings(spec=SPEC, wal_dir="/tmp/x")
+        # Any worker count means process workers: no executor to choose.
+        settings = EngineSettings(spec=SPEC, workers=2, wal_dir="/tmp/x", supervise=True)
+        assert settings.supervise and settings.workers == 2
 
     def test_supervise_needs_wal_dir(self):
         with pytest.raises(ConfigurationError, match="wal_dir"):
-            EngineSettings(spec=SPEC, supervise=True, workers=2, executor="process")
+            EngineSettings(spec=SPEC, supervise=True, workers=2)
 
     def test_max_restarts_needs_supervise(self):
         with pytest.raises(ConfigurationError, match="max_restarts"):
-            EngineSettings(
-                spec=SPEC, wal_dir="/tmp/x", workers=2,
-                executor="process", max_restarts=3,
-            )
+            EngineSettings(spec=SPEC, wal_dir="/tmp/x", workers=2, max_restarts=3)

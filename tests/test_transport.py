@@ -12,11 +12,12 @@ list) is asserted for the engine's typical record shapes.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
 from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine, decode_batch, encode_batch
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TransportError
 
 
 def round_trip(batch):
@@ -63,6 +64,59 @@ class TestRoundTrip:
     def test_float_columns_round_trip_exactly(self):
         batch = [(0, 0, 0.1 + 0.2), (1, 1, 2.0**-1074), (2, 2, 1.7976931348623157e308)]
         assert decode_batch(encode_batch(batch)) == batch
+
+    def test_extreme_ints_and_utf8_edges(self):
+        batch = [
+            ("k", -(2**63), None),
+            ("k", 2**63 - 1, 0.5),
+            ("\U0001f9ea", "", 1.5),
+            ("k", "\x00퟿", 2.5),
+            ("k", True, 3.5),
+            ("k", False, 4.5),
+        ]
+        decoded = decode_batch(encode_batch(batch))
+        assert decoded == batch
+        assert [type(value) for _, value, _ in decoded] == [type(value) for _, value, _ in batch]
+
+    def test_randomized_batches_round_trip(self):
+        rng = random.Random(2024)
+        pools = [
+            lambda: rng.randint(-(2**62), 2**62),
+            lambda: rng.randint(-128, 127),
+            lambda: rng.random() * 1e9 - 5e8,
+            lambda: rng.choice([True, False]),
+            lambda: None,
+            lambda: "uni-é中\U0001f600-" + str(rng.randint(0, 99)),
+            lambda: ("pickle", rng.randint(0, 9)),  # no columnar tag: fallback
+        ]
+        for trial in range(150):
+            count = rng.randint(1, 40)
+            if trial % 2 == 0:  # single-type columns take the packed paths
+                maker = rng.choice(pools[:4])
+                values = [maker() for _ in range(count)]
+            else:
+                values = [rng.choice(pools)() for _ in range(count)]
+            keys = [rng.choice(["alpha", "ß-key", 7, -3, ("tuple", 1)]) for _ in range(count)]
+            stamps = [None if rng.random() < 0.3 else rng.random() * 100.0 for _ in range(count)]
+            if rng.random() < 0.5:
+                stamps = [None] * count
+            batch = list(zip(keys, values, stamps))
+            decoded = decode_batch(encode_batch(batch))
+            assert decoded == batch, trial
+            # bool == int in Python: pin the decoded types too.
+            assert [type(value) for _, value, _ in decoded] == [type(value) for value in values]
+
+    @pytest.mark.parametrize("cut", [1, 5, 40])
+    def test_truncated_payload_raises_transport_error(self, cut):
+        # A worker must reject a short buffer with the transport's own
+        # error, never a bare struct.error or a silently short batch.
+        for batch in (
+            [("k", value, None) for value in range(50)],
+            [("k", "x" * value, 0.5) for value in range(50)],
+        ):
+            payload = encode_batch(batch)
+            with pytest.raises(TransportError):
+                decode_batch(payload[: len(payload) - cut])
 
 
 class TestFreight:
