@@ -210,19 +210,26 @@ See ``examples/serve_demo.py`` for the end-to-end loop.
 
 Querying
 --------
-Reads have a fleet-wide path of their own, layered like ingest:
+Every read of an engine is a query op, and there is one read path:
 
-* **Batched queries.**  ``engine.query_batch(ops)`` answers a list of
-  ``(name, *args)`` ops — ``("sample", key)``, ``("contains", key)``,
-  ``("hottest", top)``, ``("frequent", threshold[, top])``,
-  ``("moments", order)``, ``("stats",)`` — in one fleet pass: one
-  request/reply round per worker instead of one per key, with per-op
-  runtime failures (a missing key, an expired window) captured inline as
-  ``("error", type, message)`` so one bad key never aborts the batch.
-  Malformed op shapes are refused up front with
-  :class:`~repro.exceptions.ConfigurationError` before anything runs.  The
-  daemon exposes the same batch as ``POST /v1/<tenant>/query`` and the CLI
-  as ``swsample engine --query-file OPS.jsonl``.
+* **Ops.**  ``("sample", key)``, ``("contains", key)``, ``("hottest", top)``,
+  ``("frequent", threshold[, top])``, ``("moments", order)`` and
+  ``("stats",)``.  ``engine.query(op)`` answers one op: its value, or the
+  op's own exception (``KeyError``, ``EmptyWindowError``, the retryable
+  ``ShardRecovering`` with its ``shards`` and ``retry_after``).
+  ``engine.query_batch(ops)`` answers many in one fleet pass — one
+  request/reply round per worker instead of one per key — with per-op
+  runtime failures captured inline as ``("error", type, message)`` so one
+  bad key never aborts the batch.  Malformed op shapes are refused up
+  front with :class:`~repro.exceptions.ConfigurationError` before anything
+  runs.  ``sample``, ``hottest_keys``, ``merged_frequent_items``,
+  ``per_key_moments``, ``stats`` and the scalar totals (``key_count``, ...)
+  are thin wrappers over ``query``.  Both engines evaluate a batch in slot
+  order, so a timestamp window's per-key query draws happen in the order
+  the ops name them, whichever engine answers.
+  The daemon exposes one op per ``GET /v1/<tenant>/<op>`` and a batch as
+  ``POST /v1/<tenant>/query``; the CLI runs a batch with ``swsample engine
+  --query-file OPS.jsonl``.
 * **Result caching.**  A :class:`~repro.engine.QueryCache` (attach one via
   ``query_cache=`` on any engine; ``swsample serve`` attaches one per
   tenant) memoises query results keyed on the op *and the per-shard

@@ -491,7 +491,8 @@ def _command_engine(args: argparse.Namespace) -> int:
         replayed = engine.replay_wal()
         if replayed:
             print(f"wal replay      : {replayed} journaled records re-applied")
-        print(f"resumed         : {args.resume} ({engine.key_count} keys, {engine.total_arrivals} records)")
+        resumed = engine.stats()
+        print(f"resumed         : {args.resume} ({resumed['keys']} keys, {resumed['arrivals']} records)")
     else:
         if workers is not None and workers > args.shards:
             print(
@@ -574,12 +575,13 @@ def _command_engine(args: argparse.Namespace) -> int:
         print(f"shards          : {engine.shards}"
               + (f" ({engine.workers} process workers)" if workers is not None else ""))
         print(f"ingest          : {elapsed:.3f}s ({rate / 1000.0:.1f} krec/s)")
-        evictions = engine.stats()["evictions"]
+        stats = engine.stats()
+        evictions = stats["evictions"]
         print(
-            f"live keys       : {engine.key_count} ({evictions['total']} evicted:"
+            f"live keys       : {stats['keys']} ({evictions['total']} evicted:"
             f" {evictions['lru']} lru, {evictions['ttl']} ttl)"
         )
-        print(f"memory (words)  : {engine.memory_words()}")
+        print(f"memory (words)  : {stats['memory_words']}")
         hottest = engine.hottest_keys(args.top)
         print(f"hottest {args.top} keys  :")
         for key, arrivals in hottest:

@@ -87,19 +87,28 @@ batching above, kept strictly additive to the bit-exact reference:
 
 Querying
 --------
-The query surface mirrors the ingest surface's batching discipline:
+Every read is a query op (``sample``, ``contains``, ``hottest``,
+``frequent``, ``moments``, ``stats``), and both engines share one read
+path:
 
-* **Batched queries.**  :meth:`ShardedEngine.query_batch` resolves many
-  queries in one pass — a sequence of ``(name, *args)`` ops (``sample``,
-  ``contains``, ``hottest``, ``frequent``, ``moments``, ``stats``) returns
-  one ``("ok", value)`` / ``("error", type, message)`` outcome per op, so a
-  missing key never aborts the batch.  On :class:`ProcessEngine` the whole
-  batch costs **one request/reply round per worker**: per-key ops ship only
-  to the worker owning their shard, aggregates are computed as per-worker
+* **One op, many ops.**  :meth:`ShardedEngine.query` answers one op (its
+  value, or the op's own exception); :meth:`ShardedEngine.query_batch`
+  answers many, one ``("ok", value)`` / ``("error", type, message)``
+  outcome per op, so a missing key never aborts the batch.  The scalar
+  reads (``sample``, ``stats``, ``hottest_keys``, the ``key_count``-style
+  totals, ...) are thin wrappers over ``query``.  The read path validates
+  the ops, flushes, consults the cache and computes the misses; computing
+  evaluates the ops in slot order over a ``{shard: pool}`` map and merges
+  the per-pool-set partials.  On :class:`ProcessEngine` a whole batch
+  costs **one request/reply round per worker**: per-key ops ship only to
+  the worker owning their shard, aggregates are computed as per-worker
   partials and merged coordinator-side — the query-side analogue of how
   ``extend_batch`` groups ingest.  Batched, scalar, serial and process
-  results are all bit-identical, ties included (ranked reports
-  break ties on a stable byte encoding of the key, never on dict order).
+  results are all bit-identical, ties included (ranked reports break ties
+  on a stable byte encoding of the key, never on dict order).
+  ``sampler_for``, ``keys`` and ``items`` are not ops: they return live
+  samplers on the serial engine and detached copies from workers, so
+  they are never cached.
 * **Result caching.**  Pass ``query_cache=QueryCache(...)`` to any engine
   and the query surface consults it.  Entries are stamped with the
   per-shard ``generation`` tuple — the checkpoint layer's dirty-tracking

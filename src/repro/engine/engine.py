@@ -7,10 +7,17 @@ shard is a pure function of ``(key, shard_count)`` — independent of the
 engine seed, of ingest order, and of process restarts.
 
 The shard layer exists for scale-out: each shard is an independent ingest
-point with its own eviction bookkeeping, so later PRs can pin shards to
-threads or processes without touching the per-key machinery.  Within this PR
-it already pays for itself by bounding per-shard key-table sizes and by
-making eviction sweeps shard-local.
+point with its own eviction bookkeeping, so
+:class:`~repro.engine.ProcessEngine` hosts shards in worker processes without
+touching the per-key machinery.  It also bounds per-shard key-table sizes and
+keeps eviction sweeps shard-local.
+
+Every read is a query op: :meth:`ShardedEngine.query` answers one,
+:meth:`ShardedEngine.query_batch` many, and the scalar reads are thin
+wrappers over ``query``.  :func:`_evaluate_ops` answers ops over a
+``{shard: pool}`` map — all shards on the serial engine, a worker's own
+shards in a worker process — and :meth:`ShardedEngine._merge_outcome` turns
+the partials into answers for both engines.
 
 Cross-key aggregates reuse the Section-5 application estimators: merged
 frequent items use the sample-and-count heavy-hitter argument (one weighted
@@ -21,10 +28,11 @@ samplers' :class:`~repro.core.tracking.OccurrenceCounter` statistics through
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import time
 from collections import Counter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.base import SequenceWindowSampler, WindowSampler
 from ..core.serialization import STATE_FORMAT, require_state_fields
@@ -62,8 +70,8 @@ _INGEST_CHUNK = 32768
 def _unpack_record(record: Any) -> Tuple[Any, Any, Optional[float]]:
     """Normalise one keyed record to ``(key, value, timestamp_or_None)``.
 
-    Shared by the serial and parallel ingest paths so both enforce the same
-    record contract.  Clock semantics (stamping missing timestamps, the
+    Shared by the serial and process-worker ingest paths so both enforce the
+    same record contract.  Clock semantics (stamping missing timestamps, the
     global non-decreasing check) stay with the caller.
     """
     if isinstance(record, (str, bytes)):
@@ -126,9 +134,9 @@ def _advance_and_sample(
 ) -> List[StreamElement]:
     """One key's window sample, with the engine-clock lazy advance applied.
 
-    Shared by the serial query path and the shard-worker loop, so an
-    engine-hosted sampler sees exactly the same advance/mark-dirty sequence
-    whether its pool lives on the caller's thread or in a worker process.
+    Called by :func:`_evaluate_ops`, so an engine-hosted sampler sees exactly
+    the same advance/mark-dirty sequence whether its pool lives on the
+    caller's thread or in a worker process.
     """
     sampler = pool.sampler_for(key)
     if clocked and now != float("-inf"):
@@ -254,6 +262,65 @@ def _moment_partial(pools: Iterable[KeyedSamplerPool], order: float) -> Dict[Any
     return estimates
 
 
+def _sum_rows(rows: Iterable[Sequence[int]]) -> List[int]:
+    """Column sums of the six-wide ``stats`` rows (zeros for no rows)."""
+    return [sum(column) for column in zip(*rows)] or [0] * 6
+
+
+def _stats_partial(pools: Iterable[KeyedSamplerPool]) -> List[int]:
+    """The ``stats`` totals over ``pools``: live keys, arrivals, memory
+    words, and evictions (total, LRU, TTL) — additive across pool sets."""
+    return _sum_rows(
+        (len(pool), pool.ticks, pool.memory_words(), pool.evictions,
+         pool.evictions_lru, pool.evictions_ttl)
+        for pool in pools
+    )
+
+
+#: Ops answered by one key's sampler; routing appends the owning shard.
+_PER_KEY_OPS = ("sample", "contains")
+
+
+def _evaluate_ops(
+    pools: Dict[int, KeyedSamplerPool],
+    routed: Iterable[Tuple[Any, ...]],
+    now: float,
+    clocked: bool,
+) -> List[Tuple[Any, Any]]:
+    """Answer routed query ops in slot order against ``{shard: pool}``.
+
+    ``routed`` holds normalised ops, per-key ops with their owning shard
+    appended (``("sample", key, shard)``).  A per-key op answers its value,
+    an aggregate the partial of these pools.  Each outcome is ``("ok",
+    value)`` or ``("error", exception)``.  Slot order matters on timestamp
+    windows: ``sample`` and ``frequent`` both draw from a key's query
+    generator, so reordering them would change the draws.
+    """
+    shard_pools = pools.values()
+    frequent_clocked = clocked and now != float("-inf")
+    outcomes: List[Tuple[Any, Any]] = []
+    for op in routed:
+        kind = op[0]
+        try:
+            if kind == "sample":
+                value: Any = _advance_and_sample(pools[op[2]], op[1], now, clocked)
+            elif kind == "contains":
+                value = op[1] in pools[op[2]]
+            elif kind == "hottest":
+                value = _hottest_partial(shard_pools, op[1])
+            elif kind == "frequent":
+                value = _frequent_partial(shard_pools, now, frequent_clocked)
+            elif kind == "moments":
+                value = _moment_partial(shard_pools, op[1])
+            else:  # "stats"
+                value = _stats_partial(shard_pools)
+        except Exception as error:
+            outcomes.append(("error", error))
+        else:
+            outcomes.append(("ok", value))
+    return outcomes
+
+
 def _query_error(error: BaseException) -> Tuple[str, str, str]:
     """The per-op error encoding of :meth:`ShardedEngine.query_batch`:
     ``("error", type_name, message)`` — picklable, JSON-mappable, and
@@ -285,7 +352,8 @@ def _stamp_timestamp(timestamp: Any, now: float) -> float:
 
     A missing timestamp means "now" (zero before any timestamped record);
     an explicit one must be numeric and globally non-decreasing.  Shared by
-    the serial and parallel ingest paths — one contract, one implementation.
+    the serial and process-worker ingest paths — one contract, one
+    implementation.
     """
     if timestamp is None:
         # "Now" must be the engine's clock, not the key-local sampler's
@@ -333,8 +401,8 @@ class ShardedEngine:
         randomness: ingest results are bit-identical with metrics on or off.
     query_cache:
         An optional :class:`~repro.engine.querycache.QueryCache` consulted
-        by the query surface (``sample``, ``hottest_keys``,
-        ``merged_frequent_items``, ``per_key_moments``, ``query_batch``).
+        by every read (:meth:`query`, :meth:`query_batch` and the scalar
+        reads over them).
         Entries are stamped with the per-shard ``generation`` tuple, so any
         mutation (ingest, eviction, clock advance, restore) invalidates
         exactly the answers it could have changed; cached and uncached
@@ -638,30 +706,36 @@ class ShardedEngine:
 
     def flush(self) -> None:
         """Wait until every ingested record is applied.  The serial engine
-        applies records synchronously, so this is a no-op; the parallel
-        executor overrides it with a real drain barrier.  Callers that may
-        hold either engine flavour can call it unconditionally."""
+        applies records synchronously, so this is a no-op;
+        :class:`ProcessEngine` overrides it with a real drain barrier.
+        Callers that may hold either engine can call it unconditionally."""
 
     def _checkpoint_guard(self):
         """Context manager under which pool state may be read consistently.
 
-        The serial engine needs no locking (single caller by contract); the
-        parallel executor overrides this to hold its API lock across the
+        The serial engine needs no locking (single caller by contract);
+        :class:`ProcessEngine` overrides this to hold its API lock across the
         whole save so concurrent producers cannot tear a checkpoint.
         """
-        import contextlib
+        return contextlib.nullcontext()
 
+    def _read_guard(self):
+        """Context manager every read runs under: the engine has applied
+        every ingested record.  :class:`ProcessEngine` overrides this to
+        hold its API lock and refuse a closed or failed fleet."""
+        self.flush()
         return contextlib.nullcontext()
 
     # -- per-key queries -----------------------------------------------------
 
     def sampler_for(self, key: Any) -> WindowSampler:
         """The key's live sampler (read-only; ``KeyError`` when absent —
-        samplers are created by ingest, never by lookup)."""
+        samplers are created by ingest, never by lookup).  Not a query op:
+        the serial engine hands out the live object, so it is never cached."""
         return self._pool_of(key).sampler_for(key)
 
     def __contains__(self, key: Any) -> bool:
-        return key in self._pool_of(key)
+        return self.query(("contains", key))
 
     def sample(self, key: Any) -> List[StreamElement]:
         """The current window sample of one key.
@@ -670,12 +744,7 @@ class ShardedEngine:
         evicted) and :class:`~repro.exceptions.EmptyWindowError` when the
         key's window has expired.
         """
-        return self._cached_query(
-            ("sample", key),
-            lambda: _advance_and_sample(
-                self._pool_of(key), key, self._now, self._spec.is_timestamp
-            ),
-        )
+        return self.query(("sample", key))
 
     def sample_values(self, key: Any) -> List[Any]:
         """Values-only form of :meth:`sample`."""
@@ -683,20 +752,31 @@ class ShardedEngine:
 
     # -- fleet introspection ---------------------------------------------------
 
+    def _fleet_total(self, field: str) -> Any:
+        """One field of the ``stats`` op.  A bare total cannot say that it
+        is partial, so unlike :meth:`stats` it refuses a degraded fleet."""
+        with self._read_guard():
+            self._check_fleet_ready()
+            return self.query(("stats",))[field]
+
     @property
     def key_count(self) -> int:
         """Number of live per-key samplers across all shards."""
-        return sum(len(pool) for pool in self._pools)
+        return self._fleet_total("keys")
 
     @property
     def total_arrivals(self) -> int:
         """Total records ingested (including records of evicted keys)."""
-        return sum(pool.ticks for pool in self._pools)
+        return self._fleet_total("arrivals")
 
     @property
     def evictions(self) -> int:
         """Total keys evicted across all shards."""
-        return sum(pool.evictions for pool in self._pools)
+        return self._fleet_total("evictions")["total"]
+
+    def memory_words(self) -> int:
+        """Aggregate word-RAM footprint of the whole fleet."""
+        return self._fleet_total("memory_words")
 
     def stats(self) -> Dict[str, Any]:
         """One fleet-wide statistics dict: live keys, arrivals, memory, and
@@ -707,28 +787,7 @@ class ShardedEngine:
         come from the pools' own bookkeeping, so eviction pressure is
         visible even on fully uninstrumented engines.
         """
-        self.flush()
-        return self._query_stats()
-
-    def _query_stats(self) -> Dict[str, Any]:
-        """The :meth:`stats` payload, computed from already-flushed pools
-        (shared with the batched query path, which flushes once up front)."""
-        pools = self._pools
-        return {
-            "shards": self._shards,
-            "kernel": self._kernel,
-            "keys": sum(len(pool) for pool in pools),
-            "arrivals": sum(pool.ticks for pool in pools),
-            "memory_words": sum(pool.memory_words() for pool in pools),
-            "evictions": {
-                "total": sum(pool.evictions for pool in pools),
-                "lru": sum(pool.evictions_lru for pool in pools),
-                "ttl": sum(pool.evictions_ttl for pool in pools),
-            },
-            # In-process pools can never be mid-recovery; the supervised
-            # ProcessEngine flips this while a worker restart is in flight.
-            "degraded": False,
-        }
+        return self.query(("stats",))
 
     def liveness(self) -> Dict[str, Any]:
         """Degradation/liveness report for health endpoints.  In-process
@@ -786,15 +845,7 @@ class ShardedEngine:
         for pool in self._pools:
             yield from pool.items()
 
-    def memory_words(self) -> int:
-        """Aggregate word-RAM footprint of the whole fleet."""
-        return sum(pool.memory_words() for pool in self._pools)
-
     # -- cross-key aggregates --------------------------------------------------
-
-    #: Kept as a class attribute for introspection; the shared aggregate
-    #: helpers above use the module-level tuple directly.
-    _SKIPPABLE_SAMPLE_ERRORS = _SKIPPABLE_SAMPLE_ERRORS
 
     #: Delegates to the module-level helper so worker loops (which have no
     #: engine) and the engine share one estimator.
@@ -807,12 +858,7 @@ class ShardedEngine:
         and recreated — by construction the engine retains no state at all
         for evicted keys.
         """
-        if top <= 0:
-            raise ConfigurationError("top must be positive")
-        self.flush()
-        return self._cached_query(
-            ("hottest", int(top)), lambda: _hottest_partial(self._pools, top)
-        )
+        return self.query(("hottest", top))
 
     def merged_frequent_items(
         self, threshold: float, *, top: Optional[int] = None
@@ -825,16 +871,7 @@ class ShardedEngine:
         :class:`repro.applications.SlidingHeavyHitters`, lifted from one
         window to the union of every key's window.
         """
-        if not 0 < threshold < 1:
-            raise ConfigurationError("threshold must lie strictly between 0 and 1")
-        self.flush()
-
-        def compute() -> List[Tuple[Any, float]]:
-            clocked = self._spec.is_timestamp and self._now != float("-inf")
-            pooled, total_weight = _frequent_partial(self._pools, self._now, clocked)
-            return _frequent_report(pooled, total_weight, threshold, top)
-
-        return self._cached_query(("frequent", float(threshold), top), compute)
+        return self.query(("frequent", threshold, top))
 
     def _check_moment_config(self) -> None:
         if not self._track_occurrences:
@@ -857,11 +894,7 @@ class ShardedEngine:
         window (whose exact size the estimator needs).  Keys with empty
         windows are omitted.
         """
-        self._check_moment_config()
-        self.flush()
-        return self._cached_query(
-            ("moments", float(order)), lambda: _moment_partial(self._pools, order)
-        )
+        return self.query(("moments", order))
 
     def aggregate_moment(self, order: float) -> float:
         """The summed per-key moment — ``sum_key F_order(key's window)``.
@@ -872,7 +905,7 @@ class ShardedEngine:
         """
         return sum(self.per_key_moments(order).values())
 
-    # -- batched & cached queries ----------------------------------------------
+    # -- the read path: query ops, cache, evaluation -----------------------------
 
     @property
     def query_cache(self) -> Optional[QueryCache]:
@@ -886,36 +919,12 @@ class ShardedEngine:
         # daemon's recipe) can still attach a cache before serving traffic.
         self._query_cache = cache
 
-    def _cached_query(self, cache_key: Tuple[Any, ...], compute: Any) -> Any:
-        """Run one query through the result cache.
-
-        Lookups use the *pre*-compute generation tuple; stores use the
-        *post*-compute tuple when the spec is clocked, because the lazy
-        clock advance inside ``sample``/``frequent`` may legitimately bump
-        generations while computing — the freshly computed answer is valid
-        for the settled post-compute state (the engine clock is fixed for
-        the duration of a query).  Errors are never cached.  Hit values are
-        defensively copied so callers cannot mutate cache contents.
-        """
-        cache = self._query_cache
-        if cache is None:
-            return compute()
-        generations = tuple(self._segment_generations())
-        hit, value = cache.lookup(cache_key, generations)
-        if hit:
-            return _copy_query_result(value)
-        value = compute()
-        if self._spec.is_timestamp:
-            generations = tuple(self._segment_generations())
-        cache.store(cache_key, generations, value)
-        return _copy_query_result(value)
-
-    #: Operations understood by :meth:`query_batch`, with their canonical
-    #: argument shapes (after normalisation).
+    #: Operations understood by :meth:`query` and :meth:`query_batch`, with
+    #: their canonical argument shapes (after normalisation).
     _QUERY_OPS = ("sample", "contains", "hottest", "frequent", "moments", "stats")
 
     def _normalize_query_op(self, op: Any) -> Tuple[Any, ...]:
-        """Validate one batched-query op and return its canonical tuple.
+        """Validate one query op and return its canonical tuple.
 
         Accepted shapes (``op`` may be a tuple or list):
 
@@ -937,6 +946,15 @@ class ShardedEngine:
                 f"query ops must be (name, *args) tuples, got {op!r}"
             )
         kind = op[0]
+
+        def number(index: int, convert: Any) -> Any:
+            try:
+                return convert(op[index])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{kind!r} needs a number at position {index}, got {op!r}"
+                ) from None
+
         if kind in ("sample", "contains"):
             if len(op) != 2:
                 raise ConfigurationError(f"{kind!r} takes exactly one key, got {op!r}")
@@ -944,7 +962,7 @@ class ShardedEngine:
         if kind == "hottest":
             if len(op) != 2:
                 raise ConfigurationError(f"'hottest' takes (top,), got {op!r}")
-            top = int(op[1])
+            top = number(1, int)
             if top <= 0:
                 raise ConfigurationError("top must be positive")
             return ("hottest", top)
@@ -953,10 +971,10 @@ class ShardedEngine:
                 raise ConfigurationError(
                     f"'frequent' takes (threshold[, top]), got {op!r}"
                 )
-            threshold = float(op[1])
+            threshold = number(1, float)
             if not 0 < threshold < 1:
                 raise ConfigurationError("threshold must lie strictly between 0 and 1")
-            top = None if len(op) == 2 or op[2] is None else int(op[2])
+            top = None if len(op) == 2 or op[2] is None else number(2, int)
             if top is not None and top <= 0:
                 raise ConfigurationError("top must be positive")
             return ("frequent", threshold, top)
@@ -964,7 +982,7 @@ class ShardedEngine:
             if len(op) != 2:
                 raise ConfigurationError(f"'moments' takes (order,), got {op!r}")
             self._check_moment_config()
-            return ("moments", float(op[1]))
+            return ("moments", number(1, float))
         if kind == "stats":
             if len(op) != 1:
                 raise ConfigurationError(f"'stats' takes no arguments, got {op!r}")
@@ -973,8 +991,15 @@ class ShardedEngine:
             f"unknown query op {kind!r} (expected one of {self._QUERY_OPS})"
         )
 
-    def _query_plans(self, ops: Iterable[Any]) -> List[Tuple[Any, ...]]:
-        return [self._normalize_query_op(op) for op in ops]
+    def query(self, op: Any) -> Any:
+        """Answer one query op (see :meth:`_normalize_query_op`): its value,
+        or the op's own exception — ``KeyError``, ``EmptyWindowError``, or
+        :class:`~repro.exceptions.ShardRecovering` with its ``shards`` and
+        ``retry_after``, which the :meth:`query_batch` encoding drops."""
+        ((status, value),) = self._query_outcomes((op,))
+        if status == "error":
+            raise value
+        return value
 
     def query_batch(self, ops: Iterable[Any]) -> List[Tuple[Any, ...]]:
         """Resolve many queries in one pass over the fleet.
@@ -991,76 +1016,122 @@ class ShardedEngine:
         per key, with per-key ops shipped only to the worker owning their
         shard and aggregates merged coordinator-side from per-worker
         partials (the query-side analogue of how ``extend_batch`` groups
-        ingest).  Results are bit-identical to issuing the equivalent
-        scalar calls in order.
+        ingest).  Ops are evaluated in slot order, so results are
+        bit-identical to the same :meth:`query` calls made in order (a query
+        cache answers a repeated op from its first evaluation, though).
         """
-        plans = self._query_plans(ops)
-        self.flush()
-        return self._query_batch_resolve(plans)
+        return [
+            outcome if outcome[0] == "ok" else _query_error(outcome[1])
+            for outcome in self._query_outcomes(ops)
+        ]
 
-    def _query_batch_resolve(self, plans: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
-        """Serve a normalised batch through the cache; compute the misses."""
-        cache = self._query_cache
-        results: List[Optional[Tuple[Any, ...]]] = [None] * len(plans)
-        if cache is None:
-            miss_indexes = list(range(len(plans)))
-            generations: Tuple[int, ...] = ()
-        else:
+    def _query_outcomes(self, ops: Iterable[Any]) -> List[Tuple[Any, Any]]:
+        """The one read path: validate, guard and flush, consult the cache,
+        compute the misses; outcomes are ``("ok", value)`` or ``("error",
+        exception)``.
+
+        Lookups use the *pre*-compute generation tuple; stores use the
+        *post*-compute tuple when the spec is clocked, because the lazy
+        clock advance inside ``sample``/``frequent`` may legitimately bump
+        generations while computing (the engine clock is fixed for the
+        duration of a query).  Errors are never cached; values handed out
+        are copies, so callers cannot mutate cache contents.
+        """
+        plans = [self._normalize_query_op(op) for op in ops]
+        with self._read_guard():
+            cache = self._read_cache()
+            if cache is None:
+                return self._compute_query_ops(plans)
             generations = tuple(self._segment_generations())
-            miss_indexes = []
+            outcomes: List[Any] = [None] * len(plans)
+            misses: List[int] = []
             for index, plan in enumerate(plans):
                 hit, value = cache.lookup(plan, generations)
                 if hit:
-                    results[index] = ("ok", _copy_query_result(value))
+                    outcomes[index] = ("ok", _copy_query_result(value))
                 else:
-                    miss_indexes.append(index)
-        if miss_indexes:
-            computed = self._compute_query_ops([plans[i] for i in miss_indexes])
-            if cache is not None and self._spec.is_timestamp:
-                # Lazy clock advances during compute may have bumped
-                # generations; stamp stores with the settled signal.
-                generations = tuple(self._segment_generations())
-            for index, outcome in zip(miss_indexes, computed):
-                if cache is not None and outcome[0] == "ok":
-                    cache.store(plans[index], generations, outcome[1])
-                    outcome = ("ok", _copy_query_result(outcome[1]))
-                results[index] = outcome
-        return results  # type: ignore[return-value]
+                    misses.append(index)
+            if misses:
+                computed = self._compute_query_ops([plans[i] for i in misses])
+                if self._spec.is_timestamp:
+                    generations = tuple(self._segment_generations())
+                for index, outcome in zip(misses, computed):
+                    if outcome[0] == "ok":
+                        cache.store(plans[index], generations, outcome[1])
+                        outcome = ("ok", _copy_query_result(outcome[1]))
+                    outcomes[index] = outcome
+            return outcomes
+
+    def _read_cache(self) -> Optional[QueryCache]:
+        """The cache this read may use.  :class:`ProcessEngine` bypasses it
+        while degraded."""
+        return self._query_cache
+
+    def _check_fleet_ready(self) -> None:
+        """Raise when a fleet-wide answer would be partial.  In-process pools
+        never are; :class:`ProcessEngine` raises
+        :class:`~repro.exceptions.ShardRecovering` mid-recovery."""
 
     def _compute_query_ops(
         self, plans: List[Tuple[Any, ...]]
-    ) -> List[Tuple[Any, ...]]:
-        """Execute normalised ops against local pools (serial and thread
-        engines; :class:`ProcessEngine` overrides this with a one-round
-        request/reply fan-out)."""
-        clocked = self._spec.is_timestamp
-        now = self._now
-        outcomes: List[Tuple[Any, ...]] = []
-        for plan in plans:
-            kind = plan[0]
-            try:
-                if kind == "sample":
-                    value: Any = _advance_and_sample(
-                        self._pool_of(plan[1]), plan[1], now, clocked
-                    )
-                elif kind == "contains":
-                    value = plan[1] in self._pool_of(plan[1])
-                elif kind == "hottest":
-                    value = _hottest_partial(self._pools, plan[1])
-                elif kind == "frequent":
-                    pooled, total_weight = _frequent_partial(
-                        self._pools, now, clocked and now != float("-inf")
-                    )
-                    value = _frequent_report(pooled, total_weight, plan[1], plan[2])
-                elif kind == "moments":
-                    value = _moment_partial(self._pools, plan[1])
-                else:  # "stats"
-                    value = self._query_stats()
-            except Exception as error:
-                outcomes.append(_query_error(error))
-            else:
-                outcomes.append(("ok", value))
-        return outcomes
+    ) -> List[Tuple[Any, Any]]:
+        """Answer normalised ops against the in-process pools.
+        :class:`ProcessEngine` overrides this with its one-round fan-out to
+        the worker processes."""
+        routed = [
+            plan + (self.shard_of(plan[1]),) if plan[0] in _PER_KEY_OPS else plan
+            for plan in plans
+        ]
+        outcomes = _evaluate_ops(
+            dict(enumerate(self._pools)), routed, self._now, self._spec.is_timestamp
+        )
+        return [
+            self._merge_outcome(plan, [outcome])
+            for plan, outcome in zip(plans, outcomes)
+        ]
+
+    def _merge_outcome(
+        self, plan: Tuple[Any, ...], outcomes: List[Tuple[Any, Any]]
+    ) -> Tuple[Any, Any]:
+        """One op's answer from its :func:`_evaluate_ops` outcomes, one per
+        pool set (its owning shard's for a per-key op).  Aggregates merge
+        under total orders, so the answer does not depend on how the shards
+        were split.  The first error wins."""
+        for outcome in outcomes:
+            if outcome[0] == "error":
+                return outcome
+        kind = plan[0]
+        if kind in _PER_KEY_OPS:
+            return outcomes[0]
+        partials = [outcome[1] for outcome in outcomes]
+        if kind == "hottest":
+            pairs = (pair for partial in partials for pair in partial)
+            value: Any = _rank_hottest(pairs, plan[1])
+        elif kind == "frequent":
+            pooled: Counter = Counter()
+            total_weight = 0.0
+            for partial, weight in partials:
+                pooled.update(partial)
+                total_weight += weight
+            value = _frequent_report(pooled, total_weight, plan[1], plan[2])
+        elif kind == "moments":
+            value = {}
+            for partial in partials:
+                value.update(partial)
+        else:  # "stats"
+            keys, arrivals, memory, evictions, lru, ttl = _sum_rows(partials)
+            value = {
+                "shards": self._shards,
+                "kernel": self._kernel,
+                "keys": keys,
+                "arrivals": arrivals,
+                "memory_words": memory,
+                "evictions": {"total": evictions, "lru": lru, "ttl": ttl},
+                # In-process pools can never be mid-recovery; the supervised
+                # ProcessEngine flips this while a worker restart is in flight.
+                "degraded": False,
+            }
+        return ("ok", value)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -1139,7 +1210,7 @@ class ShardedEngine:
 
         ``plan`` maps shard index to the reuse candidate recorded by the last
         save (see :func:`repro.engine.checkpoint.write_shard_segment`).  The
-        serial and thread engines write from their in-process pools;
+        serial engine writes from its in-process pools;
         :class:`ProcessEngine` overrides this so each worker *process* writes
         its own shards' segments and ships back only the manifest entries.
         """

@@ -87,7 +87,6 @@ import queue
 import threading
 import time
 import weakref
-from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.base import WindowSampler
@@ -101,17 +100,11 @@ from ..exceptions import (
 )
 from ..obs import MetricsRegistry, NULL_REGISTRY, merge_snapshots, span
 from ..obs.logging import apply_logging_config, logging_config
-from ..streams.element import StreamElement
 from .engine import (
+    _PER_KEY_OPS,
     _ROUTE_SALT,
     ShardedEngine,
-    _advance_and_sample,
-    _frequent_partial,
-    _frequent_report,
-    _hottest_partial,
-    _moment_partial,
-    _query_error,
-    _rank_hottest,
+    _evaluate_ops,
     _stamp_timestamp,
     _unpack_record,
 )
@@ -221,8 +214,20 @@ class _ShardWorkerLoop:
         Reply ``("barrier", rid, failure_repr_or_None)``.  Because the inbox
         is FIFO, the reply proves every earlier ``apply`` has been applied.
     ``(op, rid, *args)``
-        Request/reply query — replies ``("ok", rid, value)`` or
-        ``("error", rid, exception)``.
+        Request/reply — replies ``("ok", rid, value)`` or ``("error", rid,
+        exception)``.  The ops:
+
+        * ``qbatch`` ``(routed, now)`` — every read: the routed query ops
+          answered in slot order by :func:`~repro.engine.engine._evaluate_ops`
+          over this worker's shards, one ``("ok", value)`` / ``("error",
+          exception)`` per op (aggregates answer partials);
+        * ``sampler`` ``(shard, key)`` / ``items`` / ``keys`` — detached
+          samplers and key lists (never cached, so not query ops);
+        * ``advance`` ``(now,)`` — broadcast clock advance;
+        * ``generations`` / ``perf`` / ``metrics`` — per-shard generations,
+          transport stage timings, this worker's registry snapshot;
+        * ``get_state`` / ``set_state`` ``(states,)`` / ``checkpoint``
+          ``(path, plan)`` — shard snapshots and segment writes.
     """
 
     def __init__(
@@ -334,15 +339,14 @@ class _ShardWorkerLoop:
 
     def _execute(self, op: str, *args: Any) -> Any:
         pools = self.pools
-        if op == "stats":
-            return (
-                sum(len(pool) for pool in pools.values()),
-                sum(pool.ticks for pool in pools.values()),
-                sum(pool.evictions for pool in pools.values()),
-                sum(pool.memory_words() for pool in pools.values()),
-                sum(pool.evictions_lru for pool in pools.values()),
-                sum(pool.evictions_ttl for pool in pools.values()),
-            )
+        if op == "qbatch":
+            # One batched-query round over this worker's shards, evaluated
+            # in slot order; the coordinator merges the partials.
+            routed, now = args
+            return [
+                outcome if outcome[0] == "ok" else ("error", _picklable(outcome[1]))
+                for outcome in _evaluate_ops(pools, routed, now, self.clocked)
+            ]
         if op == "metrics":
             # This worker's registry as a plain dict; the coordinator merges
             # every worker's reply into one fleet-wide snapshot.
@@ -358,12 +362,6 @@ class _ShardWorkerLoop:
                 "batches": self.applied_batches,
                 "records": self.applied_records,
             }
-        if op == "contains":
-            shard, key = args
-            return key in pools[shard]
-        if op == "sample":
-            shard, key, now = args
-            return _advance_and_sample(pools[shard], key, now, self.clocked)
         if op == "sampler":
             shard, key = args
             # The sampler object itself travels back (pickled by the
@@ -378,16 +376,6 @@ class _ShardWorkerLoop:
             for pool in pools.values():
                 pool.advance_time(now)
             return None
-        if op == "hottest":
-            (top,) = args
-            return _hottest_partial(pools.values(), top)
-        if op == "frequent":
-            now, clocked = args
-            pooled, total_weight = _frequent_partial(pools.values(), now, clocked)
-            return dict(pooled), total_weight
-        if op == "moments":
-            (order,) = args
-            return _moment_partial(pools.values(), order)
         if op == "get_state":
             return {shard: pool.state_dict() for shard, pool in pools.items()}
         if op == "set_state":
@@ -403,40 +391,6 @@ class _ShardWorkerLoop:
                 shard: write_shard_segment(path, shard, pool, plan.get(shard))
                 for shard, pool in pools.items()
             }
-        if op == "qbatch":
-            # One batched-query round: this worker's per-key ops (shipped
-            # only to the shard owner) plus the aggregate ops (broadcast to
-            # every worker; the coordinator merges the partials).  Per-key
-            # runtime failures are encoded per slot, never poisoning the
-            # rest of the batch.
-            perkey, aggregates, now, frequent_clocked = args
-            key_results: List[Tuple[int, Tuple[Any, ...]]] = []
-            for slot, kind, shard, key in perkey:
-                try:
-                    if kind == "contains":
-                        value = key in pools[shard]
-                    else:  # "sample"
-                        value = _advance_and_sample(pools[shard], key, now, self.clocked)
-                except Exception as error:
-                    key_results.append((slot, _query_error(error)))
-                else:
-                    key_results.append((slot, ("ok", value)))
-            agg_results: List[Tuple[int, Any]] = []
-            for entry in aggregates:
-                slot, kind = entry[0], entry[1]
-                if kind == "hottest":
-                    partial: Any = _hottest_partial(pools.values(), entry[2])
-                elif kind == "frequent":
-                    pooled, weight = _frequent_partial(
-                        pools.values(), now, frequent_clocked
-                    )
-                    partial = (dict(pooled), weight)
-                elif kind == "moments":
-                    partial = _moment_partial(pools.values(), entry[2])
-                else:  # "stats"
-                    partial = self._execute("stats")
-                agg_results.append((slot, partial))
-            return key_results, agg_results
         raise ExecutorError(f"unknown worker operation {op!r}")
 
 
@@ -653,11 +607,10 @@ class ProcessEngine(ShardedEngine):
         self._failure: Optional[str] = None
         self._request_counter = 0
         self._unbarriered = False
-        self._stats_cache: Optional[Tuple[int, int, int, int, int, int]] = None
         # Coordinator-side memo of the per-shard generation tuple: the
         # query cache reads generations before and after every consult, so
         # without a memo each cached query would pay an extra broadcast.
-        # Invalidated by every mutating send (same rule as _stats_cache).
+        # Invalidated by every mutating send (see _NONMUTATING_OPS).
         self._generations_cache: Optional[List[int]] = None
         # Coordinator-side transport accounting lives in a registry so
         # transport_report() and metrics_snapshot() read the same numbers.
@@ -823,8 +776,8 @@ class ProcessEngine(ShardedEngine):
                 f" {self._failure}"
             )
 
-    def _raise_recovering(self, indexes: Iterable[int]) -> None:
-        """Raise the retryable degraded-mode error for these workers."""
+    def _recovering_error(self, indexes: Iterable[int]) -> ShardRecovering:
+        """The retryable degraded-mode error for these workers."""
         chosen = sorted(set(indexes))
         shards = tuple(
             sorted(
@@ -833,7 +786,7 @@ class ProcessEngine(ShardedEngine):
         )
         attempt = max(self._restart_counts[index] for index in chosen) + 1
         retry_after = self._restart_policy.delay(attempt) + 1.0
-        raise ShardRecovering(
+        return ShardRecovering(
             f"worker(s) {', '.join(map(str, chosen))} are being restarted;"
             f" shards {list(shards)} are mid-recovery — retry shortly",
             shards=shards,
@@ -843,14 +796,14 @@ class ProcessEngine(ShardedEngine):
     def _ensure_alive(self, index: int) -> None:
         self._raise_failure()
         if index in self._recovering:
-            self._raise_recovering((index,))
+            raise self._recovering_error((index,))
         process = self._processes[index]
         if not process.is_alive():
             if self._supervise and not self._closed:
                 # Kick the supervisor (it also polls) and report the
                 # condition as retryable: recovery is about to begin.
                 self._supervisor_wake.set()
-                self._raise_recovering((index,))
+                raise self._recovering_error((index,))
             self._note_failure(
                 f"worker process {index} (pid {process.pid}) died"
                 f" with exit code {process.exitcode}"
@@ -869,13 +822,13 @@ class ProcessEngine(ShardedEngine):
                 pass
         return total
 
-    #: Ops that cannot change any fleet total.  Everything else ("apply",
-    #: "applyc", "advance", "set_state", and the lazy-clock-advancing
-    #: "sample"/"frequent") invalidates the cached stats.
+    #: Ops that cannot change any shard's generation.  Everything else
+    #: ("apply", "applyc", "advance", "set_state") invalidates the
+    #: generation memo, and so does "qbatch" on timestamp windows, whose
+    #: sample/frequent ops advance clocks lazily.
     _NONMUTATING_OPS = frozenset(
-        {"barrier", "stats", "keys", "generations", "contains", "sampler",
-         "items", "hottest", "moments", "get_state", "checkpoint", "perf",
-         "metrics"}
+        {"barrier", "keys", "generations", "sampler", "items", "get_state",
+         "checkpoint", "perf", "metrics"}
     )
 
     def _send(self, index: int, message: Tuple[Any, ...]) -> None:
@@ -883,9 +836,9 @@ class ProcessEngine(ShardedEngine):
             # Defence in depth: every caller checks first (dispatch parks,
             # queries raise, barriers skip), but nothing may interleave with
             # a recovery drain on the fresh worker's queue.
-            self._raise_recovering((index,))
-        if message[0] not in self._NONMUTATING_OPS:
-            self._stats_cache = None
+            raise self._recovering_error((index,))
+        kind = message[0]
+        if kind not in self._NONMUTATING_OPS and (kind != "qbatch" or self._spec.is_timestamp):
             self._generations_cache = None
         stalled: Optional[float] = None
         while True:
@@ -1339,7 +1292,6 @@ class ProcessEngine(ShardedEngine):
         try:
             with self._recover_cond:
                 self._recovering.add(index)
-            self._stats_cache = None
             self._generations_cache = None
             shard_set = self._shard_sets[index]
             tails = {shard: self._wal.tail(shard) for shard in shard_set}
@@ -1459,8 +1411,7 @@ class ProcessEngine(ShardedEngine):
                 pending = self._pending[index]
                 if not pending:
                     # Degraded-mode reads never cached, but invalidate too:
-                    # the recovered worker changed the fleet totals.
-                    self._stats_cache = None
+                    # the recovered worker's generations restarted.
                     self._generations_cache = None
                     self._unbarriered = True
                     self._recovering.discard(index)
@@ -1513,20 +1464,11 @@ class ProcessEngine(ShardedEngine):
                 self._recover_cond.wait(timeout=_POLL_INTERVAL)
                 self._m_backpressure_seconds.inc(time.perf_counter() - started)
 
-    def _check_recovering_for(self, shard: int) -> None:
-        """Per-key queries: retryable error when this shard's owner is
-        mid-recovery (healthy shards keep answering)."""
-        if not self._recovering:
-            return
-        worker = self._worker_of(shard)
-        if worker in self._recovering:
-            self._raise_recovering((worker,))
-
     def _check_fleet_ready(self) -> None:
         """Fleet-wide operations need every shard: raise the retryable
         :class:`ShardRecovering` rather than a silently-partial answer."""
         if self._recovering:
-            self._raise_recovering(tuple(self._recovering))
+            raise self._recovering_error(self._recovering)
 
     def liveness(self) -> Dict[str, Any]:
         """Lock-free per-worker liveness report (drives ``/healthz``):
@@ -1646,6 +1588,18 @@ class ProcessEngine(ShardedEngine):
             )
         self._raise_failure()
 
+    @contextlib.contextmanager
+    def _read_guard(self):
+        with self._api_lock:
+            self._check_query()
+            self.flush()
+            yield
+
+    def _read_cache(self) -> Optional[QueryCache]:
+        # Degraded: generations are in flux (and fetching them would need
+        # the recovering worker anyway) — compute without memoising.
+        return None if self._recovering else self._query_cache
+
     def advance_time(self, now: float) -> None:
         with self._api_lock:
             self._check_query()
@@ -1663,66 +1617,10 @@ class ProcessEngine(ShardedEngine):
             self._check_query()
             self.flush()
             shard = self.shard_of(key)
-            self._check_recovering_for(shard)
-            return self._request(self._worker_of(shard), "sampler", shard, key)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._api_lock:
-            self._check_query()
-            self.flush()
-            shard = self.shard_of(key)
-            self._check_recovering_for(shard)
-            return self._request(self._worker_of(shard), "contains", shard, key)
-
-    def sample(self, key: Any) -> List[StreamElement]:
-        with self._api_lock:
-            self._check_query()
-            self.flush()
-            shard = self.shard_of(key)
-            self._check_recovering_for(shard)
-            return self._cached_query(
-                ("sample", key),
-                lambda: self._request(
-                    self._worker_of(shard), "sample", shard, key, self._now
-                ),
-            )
-
-    def _stats(self, strict: bool = True) -> Tuple[int, int, int, int, int, int]:
-        # One broadcast returns all six fleet totals (keys, ticks, evictions,
-        # memory words, LRU evictions, TTL evictions); they are cached until
-        # the next mutating message so the common read-them-all pattern
-        # (key_count, evictions, memory_words back to back) pays one IPC
-        # round trip instead of several.  Strict callers (the scalar
-        # properties) refuse to answer from a degraded fleet; ``stats()``
-        # passes strict=False and labels the partial totals ``degraded``.
-        self._check_query()
-        if strict:
-            self._check_fleet_ready()
-        self.flush()
-        if self._stats_cache is not None:
-            return self._stats_cache
-        recovering = set(self._recovering)
-        targets = [
-            index for index in range(self._workers) if index not in recovering
-        ]
-        totals = (0, 0, 0, 0, 0, 0)
-        rid = self._next_rid()
-        for index in targets:
-            self._send(index, ("stats", rid))
-        errors: List[BaseException] = []
-        for index in targets:
-            reply = self._receive(index, rid)
-            if reply[0] == "error":
-                errors.append(reply[2])
-            else:
-                totals = tuple(a + b for a, b in zip(totals, reply[2]))
-        if errors:
-            raise errors[0]
-        if not recovering and not self._recovering:
-            # Partial (degraded) totals are never cached: the fleet totals
-            # jump when the recovered worker rejoins.
-            self._stats_cache = totals  # type: ignore[assignment]
-        return totals  # type: ignore[return-value]
+            worker = self._worker_of(shard)
+            if worker in self._recovering:
+                raise self._recovering_error((worker,))
+            return self._request(worker, "sampler", shard, key)
 
     def _degraded_stats_fields(self, recovering: List[int]) -> Dict[str, Any]:
         return {
@@ -1737,31 +1635,6 @@ class ProcessEngine(ShardedEngine):
                 "restarts": self._total_restarts,
             },
         }
-
-    def stats(self) -> Dict[str, Any]:
-        """Fleet statistics (same shape as :meth:`ShardedEngine.stats`),
-        computed from one ``stats`` broadcast over the resident pools.
-
-        While a worker restart is in flight the totals cover only the
-        healthy workers and the payload carries ``degraded: True`` plus a
-        ``workers`` block naming the recovering workers/shards — a health
-        answer, never a silent partial masquerading as the whole fleet.
-        """
-        with self._api_lock:
-            recovering = sorted(self._recovering)
-            keys, arrivals, evictions, memory, lru, ttl = self._stats(strict=False)
-            payload: Dict[str, Any] = {
-                "shards": self._shards,
-                "kernel": self._kernel,
-                "keys": keys,
-                "arrivals": arrivals,
-                "memory_words": memory,
-                "evictions": {"total": evictions, "lru": lru, "ttl": ttl},
-                "degraded": False,
-            }
-            if recovering:
-                payload.update(self._degraded_stats_fields(recovering))
-            return payload
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """One fleet-wide metrics snapshot: the coordinator's registry
@@ -1803,25 +1676,6 @@ class ProcessEngine(ShardedEngine):
                 merged["gauges"]["fleet.workers.lost"] = self._workers - reporting
             return merged
 
-    @property
-    def key_count(self) -> int:
-        with self._api_lock:
-            return self._stats()[0]
-
-    @property
-    def total_arrivals(self) -> int:
-        with self._api_lock:
-            return self._stats()[1]
-
-    @property
-    def evictions(self) -> int:
-        with self._api_lock:
-            return self._stats()[2]
-
-    def memory_words(self) -> int:
-        with self._api_lock:
-            return self._stats()[3]
-
     def keys(self) -> List[Any]:
         with self._api_lock:
             self._check_query()
@@ -1847,204 +1701,64 @@ class ProcessEngine(ShardedEngine):
                 result.extend(by_shard.get(shard, []))
             return iter(result)
 
-    def hottest_keys(self, top: int = 10) -> List[Tuple[Any, int]]:
-        """Bit-identical to the serial engine, ties included: workers rank
-        their shards and the coordinator re-ranks the partials under the
-        same total order (arrival count, then the stable key tiebreak)."""
-        if top <= 0:
-            raise ConfigurationError("top must be positive")
-        with self._api_lock:
-            self._check_query()
-            self._check_fleet_ready()
-            self.flush()
-
-            def compute() -> List[Tuple[Any, int]]:
-                partials = self._broadcast("hottest", top)
-                pairs = (pair for partial in partials for pair in partial)
-                return _rank_hottest(pairs, top)
-
-            return self._cached_query(("hottest", int(top)), compute)
-
-    def merged_frequent_items(
-        self, threshold: float, *, top: Optional[int] = None
-    ) -> List[Tuple[Any, float]]:
-        if not 0 < threshold < 1:
-            raise ConfigurationError("threshold must lie strictly between 0 and 1")
-        with self._api_lock:
-            self._check_query()
-            self._check_fleet_ready()
-            self.flush()
-
-            def compute() -> List[Tuple[Any, float]]:
-                clocked = self._spec.is_timestamp and self._now != float("-inf")
-                pooled: Counter = Counter()
-                total_weight = 0.0
-                for partial, weight in self._broadcast("frequent", self._now, clocked):
-                    for value, mass in partial.items():
-                        pooled[value] += mass
-                    total_weight += weight
-                return _frequent_report(pooled, total_weight, threshold, top)
-
-            return self._cached_query(("frequent", float(threshold), top), compute)
-
-    def per_key_moments(self, order: float) -> Dict[Any, float]:
-        self._check_moment_config()
-        with self._api_lock:
-            self._check_query()
-            self._check_fleet_ready()
-            self.flush()
-
-            def compute() -> Dict[Any, float]:
-                estimates: Dict[Any, float] = {}
-                for partial in self._broadcast("moments", order):
-                    estimates.update(partial)
-                return estimates
-
-            return self._cached_query(("moments", float(order)), compute)
-
-    def _cached_query(self, cache_key: Tuple[Any, ...], compute: Any) -> Any:
-        if self._recovering:
-            # Degraded: generations are in flux (and fetching them would
-            # need the recovering worker anyway) — compute without memoising.
-            return compute()
-        return super()._cached_query(cache_key, compute)
-
-    def query_batch(self, ops: Iterable[Any]) -> List[Tuple[Any, ...]]:
-        plans = self._query_plans(ops)
-        with self._api_lock:
-            self._check_query()
-            self.flush()
-            if self._recovering:
-                # Degraded: bypass the result cache (its generation fetch
-                # needs every worker); per-op ShardRecovering errors are
-                # captured inline below, healthy-shard ops answer normally.
-                return self._compute_query_ops(plans)
-            return self._query_batch_resolve(plans)
-
     def _compute_query_ops(
         self, plans: List[Tuple[Any, ...]]
-    ) -> List[Tuple[Any, ...]]:
-        """One ``qbatch`` round over the fleet: per-key ops ship only to the
-        worker owning their shard, aggregate ops ship to every worker, and
-        all workers compute concurrently (send-all-then-receive).  Aggregate
-        partials merge coordinator-side under the same total orders as the
-        scalar paths, so batched results are bit-identical to scalar ones.
+    ) -> List[Tuple[Any, Any]]:
+        """One ``qbatch`` round: per-key ops ship only to the worker owning
+        their shard, aggregates to every worker, and all workers compute
+        concurrently (send-all-then-receive).
 
         While a worker is mid-recovery the batch degrades per op: per-key
-        ops for recovering shards and ranked/merged aggregates (which need
-        every shard) capture :class:`ShardRecovering` inline; ``stats``
-        answers with healthy-worker totals labelled ``degraded``.
+        ops for its shards and ranked/merged aggregates (which need every
+        shard) answer :class:`ShardRecovering`; ``stats`` answers the
+        healthy workers' totals labelled ``degraded``.
         """
-        recovering_set = frozenset(self._recovering)
-        recovering = sorted(recovering_set)
-        degraded_outcome: Optional[Tuple[Any, ...]] = None
-        if recovering:
-            shards = tuple(
-                sorted(
-                    shard
-                    for index in recovering
-                    for shard in self._shard_sets[index]
-                )
-            )
-            attempt = max(self._restart_counts[index] for index in recovering) + 1
-            degraded_outcome = _query_error(
-                ShardRecovering(
-                    f"shards {list(shards)} are mid-recovery — retry shortly",
-                    shards=shards,
-                    retry_after=self._restart_policy.delay(attempt) + 1.0,
-                )
-            )
-        outcomes: List[Optional[Tuple[Any, ...]]] = [None] * len(plans)
-        perkey_by_worker: Dict[int, List[Tuple[int, str, int, Any]]] = {
-            index: [] for index in range(self._workers)
-        }
-        aggregates: List[Tuple[Any, ...]] = []
+        recovering = sorted(self._recovering)
+        targets = [index for index in range(self._workers) if index not in recovering]
+        outcomes: List[Any] = [None] * len(plans)
+        # Per worker: the routed ops it evaluates and the slot each answers.
+        routed: Dict[int, List[Tuple[Any, ...]]] = {index: [] for index in targets}
+        slots: Dict[int, List[int]] = {index: [] for index in targets}
         for slot, plan in enumerate(plans):
-            kind = plan[0]
-            if kind in ("sample", "contains"):
+            if plan[0] in _PER_KEY_OPS:
                 shard = self.shard_of(plan[1])
-                worker = self._worker_of(shard)
-                if worker in recovering_set:
-                    outcomes[slot] = degraded_outcome
-                else:
-                    perkey_by_worker[worker].append((slot, kind, shard, plan[1]))
-            elif degraded_outcome is not None and kind != "stats":
+                owner = self._worker_of(shard)
+                if owner in recovering:
+                    outcomes[slot] = ("error", self._recovering_error((owner,)))
+                    continue
+                plan, owners = plan + (shard,), (owner,)
+            elif recovering and plan[0] != "stats":
                 # Ranked/merged aggregates need every shard; a partial
-                # answer would be silently wrong — degrade to the
-                # retryable error instead.
-                outcomes[slot] = degraded_outcome
+                # answer would be silently wrong.
+                outcomes[slot] = ("error", self._recovering_error(recovering))
+                continue
             else:
-                aggregates.append((slot,) + plan)
-        now = self._now
-        frequent_clocked = self._spec.is_timestamp and now != float("-inf")
-        targets = [
-            index
-            for index in range(self._workers)
-            if index not in recovering_set
-        ]
+                owners = targets
+            for index in owners:
+                routed[index].append(plan)
+                slots[index].append(slot)
+        busy = [index for index in targets if routed[index]]
         rid = self._next_rid()
-        for index in targets:
-            self._send(
-                index,
-                (
-                    "qbatch",
-                    rid,
-                    perkey_by_worker[index],
-                    aggregates,
-                    now,
-                    frequent_clocked,
-                ),
-            )
-        partials_by_slot: Dict[int, List[Any]] = {entry[0]: [] for entry in aggregates}
+        for index in busy:
+            self._send(index, ("qbatch", rid, routed[index], self._now))
+        partials: Dict[int, List[Tuple[Any, Any]]] = {}
         errors: List[BaseException] = []
-        for index in targets:
+        for index in busy:
             reply = self._receive(index, rid)
             if reply[0] == "error":
                 errors.append(reply[2])
                 continue
-            key_results, agg_results = reply[2]
-            for slot, outcome in key_results:
-                outcomes[slot] = outcome
-            for slot, partial in agg_results:
-                partials_by_slot[slot].append(partial)
+            for slot, outcome in zip(slots[index], reply[2]):
+                partials.setdefault(slot, []).append(outcome)
         if errors:
             raise errors[0]
-        for entry in aggregates:
-            slot, kind = entry[0], entry[1]
-            partials = partials_by_slot[slot]
-            if kind == "hottest":
-                pairs = (pair for partial in partials for pair in partial)
-                value: Any = _rank_hottest(pairs, entry[2])
-            elif kind == "frequent":
-                pooled: Counter = Counter()
-                total_weight = 0.0
-                for partial, weight in partials:
-                    for item, mass in partial.items():
-                        pooled[item] += mass
-                    total_weight += weight
-                value = _frequent_report(pooled, total_weight, entry[2], entry[3])
-            elif kind == "moments":
-                value = {}
-                for partial in partials:
-                    value.update(partial)
-            else:  # "stats"
-                totals = (0, 0, 0, 0, 0, 0)
-                for partial in partials:
-                    totals = tuple(a + b for a, b in zip(totals, partial))
-                keys, arrivals, evictions, memory, lru, ttl = totals
-                value = {
-                    "shards": self._shards,
-                    "kernel": self._kernel,
-                    "keys": keys,
-                    "arrivals": arrivals,
-                    "memory_words": memory,
-                    "evictions": {"total": evictions, "lru": lru, "ttl": ttl},
-                    "degraded": False,
-                }
-                if recovering:
-                    value.update(self._degraded_stats_fields(recovering))
-            outcomes[slot] = ("ok", value)
-        return outcomes  # type: ignore[return-value]
+        for slot, plan in enumerate(plans):
+            if outcomes[slot] is None:
+                outcome = self._merge_outcome(plan, partials.get(slot, []))
+                if recovering and plan[0] == "stats" and outcome[0] == "ok":
+                    outcome[1].update(self._degraded_stats_fields(recovering))
+                outcomes[slot] = outcome
+        return outcomes
 
     # -- state & checkpointing -----------------------------------------------
 

@@ -20,7 +20,10 @@ Surface
   which propagates to the sender via TCP — the right behaviour for a pipe.
 * **Query API** — ``GET /v1/<tenant>/sample?key=K`` (``key`` is a JSON
   document, or a bare string when it does not parse as JSON), ``/hottest``,
-  ``/frequent``, ``/moments``, ``/stats``; plus fleet-wide ``/healthz``
+  ``/frequent``, ``/moments``, ``/stats``: each is one ``/query`` op built
+  from the query string (same defaults) and answered by the engine's
+  :meth:`~repro.engine.ShardedEngine.query`; every route maps engine
+  errors to HTTP statuses through one table.  Plus fleet-wide ``/healthz``
   (loop-side only — never blocks on an engine), ``/v1/tenants`` and
   ``/metrics`` (Prometheus text: server-level counters via
   :func:`~repro.obs.to_prometheus_text` plus every tenant's fleet-merged
@@ -116,6 +119,10 @@ DEFAULT_MAX_PENDING_RECORDS = 100_000
 #: split by the client (or streamed over the raw socket instead).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Longest HTTP request line or header line (the stream reader's limit);
+#: a longer one answers 414 or 431.
+_HEAD_LINE_LIMIT = 64 * 1024
+
 #: ``Retry-After`` clamp for 429 responses: never tell a client to come back
 #: sooner than 1s, never make it sit out longer than 30s even when the drain
 #: estimate says the backlog needs minutes.
@@ -134,7 +141,9 @@ _HTTP_REASONS = {
     409: "Conflict",
     411: "Length Required",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -150,15 +159,31 @@ class _HttpError(Exception):
         self.headers = tuple(headers)
 
 
-def _degraded_error(error: ShardRecovering) -> _HttpError:
-    """503 for a query that needs a mid-recovery shard: unlike the sticky
-    ``WorkerFailure`` 503, this one carries ``Retry-After`` — the fleet is
-    healing itself and the same request will succeed shortly."""
-    retry = max(
-        RETRY_AFTER_MIN_SECONDS,
-        min(RETRY_AFTER_MAX_SECONDS, math.ceil(error.retry_after)),
-    )
-    return _HttpError(503, str(error), headers=(("Retry-After", str(retry)),))
+def _http_error(error: Exception) -> Exception:
+    """The HTTP error an engine error maps to, for every route.
+
+    Bad input (``ConfigurationError``, an out-of-order record) is 400, a key
+    with no live sampler 404, a window too thin to sample 409.  A query
+    that needs a mid-recovery shard is a 503 with ``Retry-After`` — unlike
+    the sticky ``WorkerFailure`` 503, the fleet is healing itself and the
+    same request will succeed shortly.  Any other error comes back
+    unchanged (and answers 500).
+    """
+    if isinstance(error, (ConfigurationError, StreamOrderError)):
+        return _HttpError(400, str(error))
+    if isinstance(error, KeyError):
+        return _HttpError(404, str(error.args[0]) if error.args else "no such key")
+    if isinstance(error, (InsufficientSampleError, SamplingFailureError)):
+        return _HttpError(409, str(error))
+    if isinstance(error, ShardRecovering):
+        retry = max(
+            RETRY_AFTER_MIN_SECONDS,
+            min(RETRY_AFTER_MAX_SECONDS, math.ceil(error.retry_after)),
+        )
+        return _HttpError(503, str(error), headers=(("Retry-After", str(retry)),))
+    if isinstance(error, WorkerFailure):
+        return _HttpError(503, str(error))
+    return error
 
 
 @dataclass
@@ -443,18 +468,47 @@ def _element_payload(element: Any) -> Dict[str, Any]:
     }
 
 
-def _parse_key(raw: str) -> Any:
+def _key_document(raw: str) -> Any:
     """A query-string key: a JSON document, or a bare string when it isn't.
 
     ``key=7`` is the integer key ``7``; the *string* ``"7"`` must be sent
-    JSON-quoted (``key=%227%22``).  Nested array keys arrive as JSON arrays
-    and are frozen recursively, exactly like ingest does.
+    JSON-quoted (``key=%227%22``).  Nested array keys arrive as JSON arrays;
+    :func:`_query_op_from_json` freezes them exactly like ingest does.
     """
     try:
-        document = json.loads(raw)
+        return json.loads(raw)
     except ValueError:
         return raw
-    return freeze_key(document)
+
+
+#: The GET query routes (``/v1/<tenant>/<op>``) and the query-string
+#: parameters each reads, with their parsers; absent parameters take the
+#: ``/query`` defaults.
+_GET_QUERY_PARAMS: Dict[str, Dict[str, Callable[[str], Any]]] = {
+    "sample": {"key": _key_document},
+    "hottest": {"top": int},
+    "frequent": {"threshold": float, "top": int},
+    "moments": {"order": float},
+    "stats": {},
+}
+
+#: The op argument a GET query route echoes back in its body.
+_GET_ECHOES = {"sample": "key", "frequent": "threshold", "moments": "order"}
+
+
+def _get_op_document(action: str, params: Dict[str, List[str]]) -> Dict[str, Any]:
+    """A GET query route's query string as a ``/query`` op document."""
+    document: Dict[str, Any] = {"op": action}
+    for name, parse in _GET_QUERY_PARAMS[action].items():
+        raw = _single_param(params, name)
+        if raw is None:
+            continue
+        try:
+            document[name] = parse(raw)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise _HttpError(400, f"{name} must be {kind}, got {raw!r}") from None
+    return document
 
 
 #: Sentinel for "the standing query has not produced a first answer yet" —
@@ -614,7 +668,10 @@ class ServeApp:
                 batch_size=config.batch_size,
             )
         self._http_server = await asyncio.start_server(
-            self._on_http_connection, config.host, config.http_port
+            self._on_http_connection,
+            config.host,
+            config.http_port,
+            limit=_HEAD_LINE_LIMIT,
         )
         self.http_port = self._http_server.sockets[0].getsockname()[1]
         if config.socket_port is not None:
@@ -890,7 +947,7 @@ class ServeApp:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, 414, "request line")
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
@@ -899,7 +956,7 @@ class ServeApp:
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         for _ in range(100):
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             if b":" not in line:
@@ -960,16 +1017,9 @@ class ServeApp:
             if action == "checkpoint":
                 _require(method, "POST")
                 return await self._checkpoint_response(tenant)
-            handler = {
-                "sample": self._sample_response,
-                "hottest": self._hottest_response,
-                "frequent": self._frequent_response,
-                "moments": self._moments_response,
-                "stats": self._stats_response,
-            }.get(action)
-            if handler is not None:
+            if action in _GET_QUERY_PARAMS:
                 _require(method, "GET")
-                return await handler(tenant, params)
+                return await self._get_query_response(tenant, action, params)
         raise _HttpError(404, f"no route for {path!r}")
 
     def _health_payload(self) -> Dict[str, Any]:
@@ -1026,12 +1076,8 @@ class ServeApp:
             )
         try:
             ingested = await future
-        except (ConfigurationError, StreamOrderError) as error:
-            raise _HttpError(400, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
+        except (SWSampleError, KeyError) as error:
+            raise _http_error(error) from None
         return _json_response(200, {"tenant": tenant.name, "ingested": ingested})
 
     async def _query_response(
@@ -1050,16 +1096,9 @@ class ServeApp:
             raise _HttpError(400, 'query body needs a non-empty "ops" array')
         try:
             ops = [_query_op_from_json(item) for item in ops_json]
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        try:
             outcomes = await tenant.query(tenant.engine.query_batch, ops)
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
+        except (SWSampleError, KeyError) as error:
+            raise _http_error(error) from None
         results = [
             _query_outcome_payload(op, outcome)
             for op, outcome in zip(ops, outcomes)
@@ -1107,8 +1146,6 @@ class ServeApp:
             tenant.engine._normalize_query_op(op)
         except ConfigurationError as error:
             raise _HttpError(400, str(error)) from None
-        except AttributeError:
-            raise _HttpError(503, "tenant engine does not support batched queries") from None
         self._sub_conns.inc()
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -1169,126 +1206,34 @@ class ServeApp:
             },
         )
 
-    async def _sample_response(
-        self, tenant: _Tenant, params: Dict[str, List[str]]
+    async def _get_query_response(
+        self, tenant: _Tenant, action: str, params: Dict[str, List[str]]
     ) -> Tuple[int, str, bytes, Sequence[Tuple[str, str]]]:
-        raw = _single_param(params, "key")
-        if raw is None:
-            raise _HttpError(400, "sample needs a ?key= parameter")
+        """``GET /v1/<tenant>/{sample,hottest,frequent,moments,stats}``: one
+        ``/query`` op built from the query string, answered by
+        ``engine.query``, with the op's argument echoed back (``key``,
+        ``threshold``, ``order``).  An expired window answers
+        ``expired: true`` with an empty sample; ``stats`` answers the flat
+        stats dict plus the tenant's pending records."""
+        expired = False
         try:
-            key = _parse_key(raw)
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        try:
-            elements = await tenant.query(tenant.engine.sample, key)
-        except KeyError:
-            raise _HttpError(404, f"no live sampler for key {raw!r}") from None
+            op = _query_op_from_json(_get_op_document(action, params))
+            value = await tenant.query(tenant.engine.query, op)
         except EmptyWindowError:
-            return _json_response(
-                200, {"tenant": tenant.name, "key": key, "sample": [], "expired": True}
-            )
-        except (InsufficientSampleError, SamplingFailureError) as error:
-            raise _HttpError(409, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
-        return _json_response(
-            200,
-            {
-                "tenant": tenant.name,
-                "key": key,
-                "sample": [_element_payload(element) for element in elements],
-                "expired": False,
-            },
-        )
-
-    async def _hottest_response(
-        self, tenant: _Tenant, params: Dict[str, List[str]]
-    ) -> Tuple[int, str, bytes, Sequence[Tuple[str, str]]]:
-        top = _int_param(params, "top", 10)
-        try:
-            hottest = await tenant.query(tenant.engine.hottest_keys, top)
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
-        return _json_response(
-            200,
-            {
-                "tenant": tenant.name,
-                "hottest": [
-                    {"key": key, "arrivals": arrivals} for key, arrivals in hottest
-                ],
-            },
-        )
-
-    async def _frequent_response(
-        self, tenant: _Tenant, params: Dict[str, List[str]]
-    ) -> Tuple[int, str, bytes, Sequence[Tuple[str, str]]]:
-        threshold = _float_param(params, "threshold", 0.01)
-        top = _int_param(params, "top", None)
-        try:
-            frequent = await tenant.query(
-                lambda: tenant.engine.merged_frequent_items(threshold, top=top)
-            )
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
-        return _json_response(
-            200,
-            {
-                "tenant": tenant.name,
-                "threshold": threshold,
-                "frequent": [
-                    {"value": value, "frequency": frequency}
-                    for value, frequency in frequent
-                ],
-            },
-        )
-
-    async def _moments_response(
-        self, tenant: _Tenant, params: Dict[str, List[str]]
-    ) -> Tuple[int, str, bytes, Sequence[Tuple[str, str]]]:
-        order = _float_param(params, "order", 2.0)
-        try:
-            moments = await tenant.query(tenant.engine.per_key_moments, order)
-        except ConfigurationError as error:
-            raise _HttpError(400, str(error)) from None
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
-        return _json_response(
-            200,
-            {
-                "tenant": tenant.name,
-                "order": order,
-                "moments": [
-                    {"key": key, "moment": moment} for key, moment in sorted(
-                        moments.items(), key=lambda item: repr(item[0])
-                    )
-                ],
-            },
-        )
-
-    async def _stats_response(
-        self, tenant: _Tenant, params: Dict[str, List[str]]
-    ) -> Tuple[int, str, bytes, Sequence[Tuple[str, str]]]:
-        try:
-            stats = await tenant.query(tenant.engine.stats)
-        except ShardRecovering as error:
-            raise _degraded_error(error) from None
-        except WorkerFailure as error:
-            raise _HttpError(503, str(error)) from None
-        payload = dict(stats)
+            value, expired = [], True
+        except (SWSampleError, KeyError) as error:
+            raise _http_error(error) from None
+        if action == "stats":
+            payload = dict(value)
+            payload["pending_records"] = tenant.pending_records
+        else:
+            payload = _query_outcome_payload(op, ("ok", value))
+            del payload["ok"]
         payload["tenant"] = tenant.name
-        payload["pending_records"] = tenant.pending_records
+        if action in _GET_ECHOES:
+            payload[_GET_ECHOES[action]] = op[1]
+        if action == "sample":
+            payload["expired"] = expired
         return _json_response(200, payload)
 
     # -- raw socket ------------------------------------------------------------
@@ -1461,6 +1406,15 @@ def _require(method: str, expected: str) -> None:
         raise _HttpError(405, f"use {expected} for this endpoint")
 
 
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One request-head line; a line longer than the reader's limit is the
+    client's error (``status``), not a 500."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio.LimitOverrunError surfaces as ValueError
+        raise _HttpError(status, f"{what} exceeds the {_HEAD_LINE_LIMIT}-byte limit") from None
+
+
 def _single_param(params: Dict[str, List[str]], name: str) -> Optional[str]:
     values = params.get(name)
     if not values:
@@ -1468,21 +1422,3 @@ def _single_param(params: Dict[str, List[str]], name: str) -> Optional[str]:
     return values[-1]
 
 
-def _int_param(params: Dict[str, List[str]], name: str, default: Optional[int]) -> Any:
-    raw = _single_param(params, name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _HttpError(400, f"{name} must be an integer, got {raw!r}") from None
-
-
-def _float_param(params: Dict[str, List[str]], name: str, default: Optional[float]) -> Any:
-    raw = _single_param(params, name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise _HttpError(400, f"{name} must be a number, got {raw!r}") from None

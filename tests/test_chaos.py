@@ -231,6 +231,14 @@ class TestDegradedMode:
                 stats = engine.stats()
                 assert stats["degraded"] is True
                 assert stats["arrivals"] < len(records)
+                assert stats["workers"]["recovering"] == [0]
+                # Bare totals cannot say they are partial: they refuse.
+                for total in ("key_count", "total_arrivals", "evictions"):
+                    with pytest.raises(ShardRecovering):
+                        getattr(engine, total)
+                with pytest.raises(ShardRecovering):
+                    engine.memory_words()
+                assert engine.stats()["degraded"] is True
                 # Batched queries degrade per op, never as a whole.
                 outcomes = engine.query_batch(
                     [("sample", keys[0]), ("contains", keys[1]), ("hottest", 2)]

@@ -85,12 +85,14 @@ class TestBatchVersusScalar:
     def test_timestamp_spec_batch_matches_scalar(self, factory):
         engine = factory(TS_SPEC, shards=2, seed=3)
         oracle = ShardedEngine(TS_SPEC, shards=2, seed=3)
+        scalar = factory(TS_SPEC, shards=2, seed=3)
         try:
             records = [
                 (f"k{i % 7}", float(i), float(i)) for i in range(400)
             ]
             engine.ingest(records)
             oracle.ingest(records)
+            scalar.ingest(records)
             ops = [("sample", f"k{i}") for i in range(7)] + [
                 ("hottest", 3),
                 ("stats",),
@@ -98,8 +100,32 @@ class TestBatchVersusScalar:
             outcomes = engine.query_batch(ops)
             expected = oracle.query_batch(ops)
             assert outcomes == expected
+            scalar.query_batch(ops)  # the same history as the other two
+            # Timestamp samplers draw query coins from a per-key generator,
+            # and "frequent" samples every key: the batch must answer in
+            # slot order on every executor, exactly like scalar calls.
+            mixed = [
+                ("frequent", 0.05),
+                ("sample", "k1"),
+                ("sample", "k2"),
+                ("frequent", 0.05),
+                ("sample", "k1"),
+                ("frequent", 0.01, 4),
+                ("sample", "k2"),
+            ]
+            outcomes = engine.query_batch(mixed)
+            assert outcomes == oracle.query_batch(mixed)
+            in_order = []
+            for op in mixed:
+                if op[0] == "sample":
+                    in_order.append(("ok", scalar.sample(op[1])))
+                else:
+                    top = op[2] if len(op) == 3 else None
+                    in_order.append(("ok", scalar.merged_frequent_items(op[1], top=top)))
+            assert outcomes == in_order
         finally:
             close(engine)
+            close(scalar)
 
     def test_results_identical_across_executors(self):
         records = keyed_records(3_000, keys=41, seed=9)

@@ -175,6 +175,110 @@ class TestHttpSurface:
             assert "swsample_serve_http_requests" in parsed["types"]
 
 
+TS_SPEC = SamplerSpec(window="timestamp", t0=10.0, k=2, replacement=False)
+
+STATS_KEYS = {
+    "tenant", "pending_records", "shards", "kernel", "keys", "arrivals",
+    "memory_words", "evictions", "degraded",
+}
+SAMPLE_KEYS = {"tenant", "key", "sample", "expired"}
+
+#: Every GET query route: (spec, track_occurrences, path, status, the
+#: body's JSON keys, exact values the body must carry).
+GET_ROUTES = [
+    pytest.param(SPEC, False, "/v1/default/sample?key=%22u-1%22", 200, SAMPLE_KEYS,
+                 {"key": "u-1", "expired": False}, id="sample"),
+    pytest.param(SPEC, False, "/v1/default/sample?key=%22ghost%22", 404, {"error"}, {},
+                 id="sample-unknown-key"),
+    pytest.param(SPEC, False, "/v1/default/sample", 400, {"error"}, {}, id="sample-no-key"),
+    pytest.param(TS_SPEC, False, "/v1/default/sample?key=%22u-1%22", 200, SAMPLE_KEYS,
+                 {"key": "u-1", "sample": [], "expired": True}, id="sample-expired"),
+    pytest.param(SPEC, False, "/v1/default/hottest?top=3", 200, {"tenant", "hottest"}, {},
+                 id="hottest"),
+    pytest.param(SPEC, False, "/v1/default/hottest?top=0", 400, {"error"}, {},
+                 id="hottest-top-0"),
+    pytest.param(SPEC, False, "/v1/default/frequent?threshold=0.001&top=5", 200,
+                 {"tenant", "threshold", "frequent"}, {"threshold": 0.001}, id="frequent"),
+    pytest.param(SPEC, False, "/v1/default/frequent?threshold=2", 400, {"error"}, {},
+                 id="frequent-threshold-2"),
+    pytest.param(SPEC, True, "/v1/default/moments", 200, {"tenant", "order", "moments"},
+                 {"order": 2.0}, id="moments"),
+    pytest.param(SPEC, False, "/v1/default/moments", 400, {"error"}, {},
+                 id="moments-untracked"),
+    pytest.param(SPEC, False, "/v1/default/stats", 200, STATS_KEYS,
+                 {"tenant": "default", "arrivals": 2, "pending_records": 0}, id="stats"),
+]
+
+
+class TestGetRoutes:
+    @pytest.mark.parametrize("spec, track, path, status, keys, values", GET_ROUTES)
+    def test_status_and_body_keys(self, spec, track, path, status, keys, values):
+        settings = EngineSettings(spec=spec, shards=2, seed=11, track_occurrences=track)
+        # Two records: on the timestamp spec, u-2 arrives past u-1's window.
+        records = [
+            {"key": "u-1", "value": 1, "timestamp": 0.0},
+            {"key": "u-2", "value": 2, "timestamp": 100.0},
+        ]
+        with ServeThread(serve_config(engine=settings)) as server:
+            port = server.http_port
+            assert http_post(port, "/v1/default/ingest", jsonl(records))[0] == 200
+            got_status, body, _ = http_get(port, path)
+        assert got_status == status, body
+        assert set(body) == keys
+        for name, value in values.items():
+            assert body[name] == value, name
+
+
+def raw_http(port, request):
+    """Send raw request bytes; return the status code and the JSON body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+        conn.sendall(request)
+        data = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+def http_errors(port):
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=30) as response:
+        parsed = parse_prometheus_text(response.read().decode())
+    return sum(
+        value for name, _, value in parsed["samples"] if name == "swsample_serve_http_errors"
+    )
+
+
+class TestOverLongHeadLines:
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            pytest.param(
+                b"GET /v1/default/stats?pad=" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                414,
+                id="request-line-414",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+                431,
+                id="header-line-431",
+            ),
+        ],
+    )
+    def test_over_long_line_is_a_client_error(self, request_bytes, status):
+        with ServeThread(serve_config()) as server:
+            port = server.http_port
+            before = http_errors(port)
+            got_status, body = raw_http(port, request_bytes)
+            assert got_status == status
+            assert "65536-byte limit" in body["error"]
+            assert http_errors(port) == before + 1
+            # The daemon keeps serving after the refusal.
+            assert http_get(port, "/healthz")[0] == 200
+
+
 class TestOracleEquivalence:
     def test_concurrent_ingest_and_query_match_a_serial_oracle(self):
         posters, per_poster, keys = 4, 300, 3
@@ -449,6 +553,20 @@ class TestBatchedQuery:
                 assert status == 400, body
             status, _, _ = http_get(port, "/v1/default/query")
             assert status == 405
+
+    def test_non_numeric_arguments_are_400_not_500(self):
+        with ServeThread(serve_config()) as server:
+            port = server.http_port
+            for op in (
+                {"op": "hottest", "top": "wibble"},
+                {"op": "frequent", "threshold": [0.1]},
+                {"op": "frequent", "threshold": 0.1, "top": {}},
+            ):
+                status, reply, _ = http_post(
+                    port, "/v1/default/query", json.dumps({"ops": [op]})
+                )
+                assert status == 400, op
+                assert "needs a number" in reply["error"]
 
     def test_repeated_query_is_served_from_cache(self):
         with ServeThread(serve_config()) as server:
@@ -754,13 +872,9 @@ class _RecoveringEngine(ShardedEngine):
         self._gate()
         return super().ingest(records)
 
-    def sample(self, key):
+    def query(self, op):
         self._gate()
-        return super().sample(key)
-
-    def hottest_keys(self, top=10):
-        self._gate()
-        return super().hottest_keys(top)
+        return super().query(op)
 
     def query_batch(self, ops):
         self._gate()
