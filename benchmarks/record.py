@@ -13,10 +13,9 @@ writes ``BENCH_E7.json`` / ``BENCH_E11.json``:
   runners (see ``timed_best_grouped``).
 * **E11** — keyed-engine ingest at fleet scale (zipf keys through
   ``ShardedEngine``), same three ways, plus the process-transport freight
-  (columnar vs pickled bytes per record — deterministic) and ``ProcessEngine``
-  per-stage timing breakdowns (encode / dispatch / decode / apply) for both
-  the ``columnar`` and the shared-memory-ring (``shm``) transports over the
-  same decoded stream.  The ``obs`` row measures the metrics-enabled ingest
+  (columnar vs pickled bytes per record — deterministic) and the
+  ``ProcessEngine`` per-stage timing breakdown (encode / dispatch / decode /
+  apply) of its columnar transport.  The ``obs`` row measures the metrics-enabled ingest
   overhead (hard-capped at 5% by the baseline guard), the process rows embed
   their fleet-merged ``repro.obs`` snapshots, and a standalone
   ``METRICS.json`` lands in ``--out`` for the CI artifact.  The ``query``
@@ -47,7 +46,8 @@ Usage::
 rows: an E7 ``kernel`` timing per sampler family with the floor-guarded
 ``speedup_numpy`` ratio, an E11 serial kernel row, and the process-engine
 apply-seconds split before/after the kernel.  ``--cores N`` appends an
-advisory multi-core process row (skipped with a note on smaller hosts).
+advisory multi-core process row at N workers (skipped with a note on smaller
+hosts).
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ from repro.engine import (  # noqa: E402
 from repro.engine.engine import _unpack_record  # noqa: E402
 from repro.engine.kernels import HAS_NUMPY, resolve_kernel  # noqa: E402
 from repro.exceptions import ConfigurationError  # noqa: E402
-from repro.engine.transport import (  # noqa: E402
-    HAS_SHARED_MEMORY,
-    ShmRingReader,
-    ShmRingWriter,
-    decode_batch,
-)
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.streams.workloads import build_keyed_workload  # noqa: E402
 
@@ -412,144 +406,9 @@ def bench_e11_transport(records: List[Any]) -> Dict[str, Any]:
     return result
 
 
-def _decode_proof(payloads: List[bytes]) -> tuple:
-    """Record count + key checksum over decoded payloads (the equal-output
-    proof both transport sinks reply with)."""
-    records = 0
-    checksum = 0
-    for payload in payloads:
-        batch = decode_batch(payload)
-        records += len(batch)
-        checksum += sum(record[0] for record in batch)
-    return records, checksum
-
-
-def _dispatch_sink_queue(inbox: Any, done: Any) -> None:
-    """Echo worker for the queue transport: receive every payload (held in
-    memory so the timed phase measures transport, not decoding), then decode
-    and prove the output with a record count and key checksum."""
-    held = []
-    while True:
-        message = inbox.get()
-        if message is None:
-            break
-        held.append(message[1])
-    done.put(_decode_proof(held))
-
-
-def _dispatch_sink_shm(inbox: Any, done: Any, ring_config: Any) -> None:
-    """Echo worker for the shm-ring transport (same proof of decoded output;
-    the per-message work is the real worker-side transport cost: descriptor
-    get, ring read, release)."""
-    reader = ShmRingReader(*ring_config)
-    held = []
-    while True:
-        message = inbox.get()
-        if message is None:
-            break
-        held.append(reader.read(message[1], message[2]))
-        reader.release(message[3])
-    done.put(_decode_proof(held))
-    reader.close()
-
-
-def bench_e11_transport_dispatch(records: List[Any], quick: bool) -> Dict[str, Any]:
-    """Dispatch-stage cost of the queue vs the shared-memory ring, isolated.
-
-    Inside the full engine rows the dispatch stage is dominated by sampler
-    apply time on the 1-core bench container, which buries the transport
-    difference in scheduler noise.  This benchmark ships the *same* encoded
-    E11 sub-batches (columnar payloads of ``payload_records`` records)
-    through the two real transports to an echo worker that decodes and
-    checksums every record once the stream ends, and times only the
-    coordinator's hand-off loop — exactly the engine's ``dispatch_seconds``
-    stage, backpressured by a depth-2 inbox so the hand-off includes each
-    transport's real drain cost.  Each transport runs twice and the faster
-    run is kept (the usual noise-floor treatment for sub-second timings).
-    """
-    import multiprocessing
-
-    payload_records = 65_536
-    rounds = 16 if quick else 32
-    payloads = []
-    low = 0
-    while low + payload_records <= len(records) and len(payloads) < 6:
-        chunk = records[low : low + payload_records]
-        payloads.append(
-            encode_batch([(key, value, None) for key, value in (r[:2] for r in chunk)])
-        )
-        low += payload_records
-    sends = len(payloads) * rounds
-    context = multiprocessing.get_context()
-    results: Dict[str, Any] = {
-        "payload_records": payload_records,
-        "payload_bytes_mean": round(sum(map(len, payloads)) / len(payloads), 1),
-        "sends": sends,
-    }
-    proofs = {}
-    for mode in ("columnar", "shm"):
-        if mode == "shm" and not HAS_SHARED_MEMORY:
-            results["shm"] = None  # documented fallback platform
-            continue
-        best = None
-        for _ in range(2):
-            inbox = context.Queue(maxsize=2)
-            done = context.Queue()
-            if mode == "columnar":
-                worker = context.Process(target=_dispatch_sink_queue, args=(inbox, done))
-                worker.start()
-                started = time.perf_counter()
-                for _ in range(rounds):
-                    for payload in payloads:
-                        inbox.put(("applyc", payload))
-                dispatch = time.perf_counter() - started
-            else:
-                ring = ShmRingWriter(context, 4 << 20)
-                worker = context.Process(
-                    target=_dispatch_sink_shm, args=(inbox, done, ring.worker_config())
-                )
-                worker.start()
-                started = time.perf_counter()
-                for _ in range(rounds):
-                    for payload in payloads:
-                        while True:
-                            slot = ring.offer(payload)
-                            if slot is not None:
-                                break
-                            time.sleep(0.0005)
-                        inbox.put(("applym", slot[0], len(payload), slot[1]))
-                dispatch = time.perf_counter() - started
-            inbox.put(None)
-            proof = done.get()
-            worker.join()
-            if mode == "shm":
-                ring.close()
-            proofs[mode] = proof
-            if best is None or dispatch < best:
-                best = dispatch
-        results[mode] = {"dispatch_seconds": round(best, 4)}
-    if results.get("shm") is not None:
-        if proofs["columnar"] != proofs["shm"]:
-            raise AssertionError(
-                f"transports decoded different streams: {proofs}"
-            )
-        results["decoded_records"] = proofs["columnar"][0]
-        results["shm_over_columnar_dispatch"] = round(
-            results["shm"]["dispatch_seconds"] / results["columnar"]["dispatch_seconds"], 3
-        )
-        print(
-            f"[E11] transport dispatch ({sends} x {results['payload_bytes_mean'] / 1024:.0f} KiB"
-            f" payloads): columnar {results['columnar']['dispatch_seconds']}s"
-            f" vs shm {results['shm']['dispatch_seconds']}s"
-            f" ({results['shm_over_columnar_dispatch']}x)"
-        )
-    return results
-
-
 def bench_e11_process(
     records: List[Any],
     quick: bool,
-    transport: str = "columnar",
     fast: bool = False,
     kernel: str = "python",
     workers: int = 2,
@@ -559,7 +418,7 @@ def bench_e11_process(
     registry = MetricsRegistry()
     with ProcessEngine(
         e11_spec(fast=fast, kernel=kernel), shards=8, seed=3, workers=workers,
-        transport=transport, registry=registry,
+        registry=registry,
     ) as engine:
         elapsed = timed(lambda: (engine.ingest(subset), engine.flush()))
         report = engine.transport_report()
@@ -570,7 +429,6 @@ def bench_e11_process(
         for stage in ("encode_seconds", "dispatch_seconds", "decode_seconds", "apply_seconds")
     }
     result = {
-        "transport": report["transport"],  # effective (shm may downgrade)
         "records": len(subset),
         "keys": keys,
         "workers": workers,
@@ -586,7 +444,7 @@ def bench_e11_process(
         # every committed bench row carries its own metrics provenance.
         result["metrics"] = snapshot
     print(
-        f"[E11] process/{result['transport']}"
+        "[E11] process"
         f" (workers={workers}, {result['cores']} core(s), kernel={result['kernel']}):"
         f" {result['krps']} krec/s, stages {stages}"
     )
@@ -617,10 +475,10 @@ def bench_e11_kernel_apply(records: List[Any], quick: bool) -> Dict[str, Any]:
 
 
 def bench_multicore(records: List[Any], quick: bool, workers: int) -> Dict[str, Any]:
-    """Advisory multi-core row (``--cores N``): the two process transports at
-    N workers.  Skipped with a printed note when the host has fewer cores
-    than requested — no ratio guard until a multi-core baseline is
-    committed, so the row records the trajectory without gating CI on
+    """Advisory multi-core row (``--cores N``): the process engine at N
+    workers.  Skipped with a printed note when the host has fewer cores
+    than requested.  Not guarded: CI's bench-smoke run does not pass
+    ``--cores``, so the row records the trajectory without gating CI on
     whatever runner class happens to execute it."""
     available = os.cpu_count() or 1
     if available < workers:
@@ -629,21 +487,14 @@ def bench_multicore(records: List[Any], quick: bool, workers: int) -> Dict[str, 
             f" {available} core(s) available)"
         )
         return {"requested_workers": workers, "available_cores": available, "skipped": True}
-    result: Dict[str, Any] = {
+    row = bench_e11_process(records, quick, workers=workers, embed_metrics=False)
+    return {
         "requested_workers": workers,
         "available_cores": available,
         "skipped": False,
+        "krps": row["krps"],
+        "stage_seconds": row["stage_seconds"],
     }
-    for transport in ("columnar", "shm"):
-        row = bench_e11_process(
-            records, quick, transport=transport, workers=workers, embed_metrics=False
-        )
-        result[transport] = {
-            "transport": row["transport"],
-            "krps": row["krps"],
-            "stage_seconds": row["stage_seconds"],
-        }
-    return result
 
 
 def bench_query(records: List[Any], quick: bool) -> Dict[str, Any]:
@@ -825,20 +676,9 @@ def run(
         "transport": bench_e11_transport(records),
     }
     if not skip_process:
-        e11_results["transport_dispatch"] = bench_e11_transport_dispatch(records, quick)
         e11_results["query"] = bench_query(records, quick)
         e11_results["recovery"] = bench_recovery(records, quick)
         e11_results["process"] = bench_e11_process(records, quick)
-        shm = bench_e11_process(records, quick, transport="shm")
-        e11_results["process_shm"] = shm
-        # The shm row is only comparable when both rows decoded the same
-        # stream into the same fleet shape.
-        for field in ("records", "keys"):
-            if shm[field] != e11_results["process"][field]:
-                raise AssertionError(
-                    f"shm and columnar process runs diverged on {field}:"
-                    f" {shm[field]} != {e11_results['process'][field]}"
-                )
         if kernel == "numpy":
             e11_results["process_kernel"] = bench_e11_kernel_apply(records, quick)
         if cores is not None:
@@ -852,14 +692,14 @@ def run(
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {path}")
-    # A standalone fleet snapshot (the columnar ProcessEngine run's merged
-    # metrics) for the CI artifact; not committed, so it lands in --out only.
+    # A standalone fleet snapshot (the ProcessEngine run's merged metrics)
+    # for the CI artifact, written beside the BENCH files.
     if not skip_process:
         metrics_path = os.path.join(out_dir, "METRICS.json")
         with open(metrics_path, "w", encoding="utf-8") as handle:
             json.dump(
                 {
-                    "source": "bench_e11_process[columnar]",
+                    "source": "bench_e11_process",
                     "meta": meta(quick),
                     "snapshot": e11_results["process"]["metrics"],
                 },

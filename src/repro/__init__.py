@@ -133,8 +133,10 @@ kept only as the reference semantics:
 * **Vectorized kernels (optional).**  ``pip install 'swsample[fast]'``
   pulls in numpy and unlocks :mod:`repro.engine.kernels`: constructing a
   sampler or :class:`~repro.engine.SamplerSpec` with ``kernel="numpy"``
-  (or ``"auto"``, which detects numpy; CLI: ``swsample engine/serve
-  --kernel``) vectorizes the ``fast=True`` draws across whole lanes —
+  (or, for a standalone sampler, ``"auto"``, which detects numpy; keyed
+  engines resolve ``"auto"`` to python, where numpy measured slower; CLI:
+  ``swsample engine/serve --kernel``) vectorizes the ``fast=True`` draws
+  across whole lanes —
   closed-form reservoir-transition draws for seq-WR, hypergeometric
   splits for WOR, width-weighted canonical rebuilds plus searchsorted
   run-splitting for the timestamp automata.  The default
@@ -147,20 +149,15 @@ kept only as the reference semantics:
 * **Process transport** packs each dispatched sub-batch into one columnar
   struct-packed buffer (:mod:`repro.engine.transport`) instead of pickling
   tuple lists — roughly half the bytes per record on typical int-keyed
-  feeds — and :meth:`~repro.engine.ProcessEngine.transport_report` breaks
+  feeds.  It is the only transport, and the write-ahead log journals the
+  same bytes; :meth:`~repro.engine.ProcessEngine.transport_report` breaks
   ingest cost into encode / dispatch / decode / apply stages.
-  ``ProcessEngine(transport="shm")`` additionally carries the buffers
-  through per-worker ``multiprocessing.shared_memory`` rings so the queue
-  ships only tiny descriptors, eliminating the feeder-thread pickle and
-  pipe copies on the dispatch path (payloads larger than the ring fall
-  back to the queue; interpreters without ``shared_memory`` silently
-  downgrade to ``"columnar"`` with identical results).
 
 The measured trajectory lives in ``BENCH_E7.json`` / ``BENCH_E11.json`` at
 the repo root, written by ``benchmarks/record.py`` (per-sampler and
 fleet-scale throughput for the per-record, batched and fast paths, plus
-transport bytes/record and a dispatch-isolated queue-vs-shm comparison;
-see that module's docstring for how to read and regenerate them).  CI's
+transport bytes/record and the process engine's per-stage costs; see that
+module's docstring for how to read and regenerate them).  CI's
 ``bench-smoke`` job fails on a >25% regression of any guarded metric —
 including the timestamp-sampler speedups — against those committed
 baselines, and the ``--kernel numpy`` rows carry baseline-independent

@@ -38,13 +38,12 @@ budget:
   ingest sources: JSONL lines from a file, pipe or stdin, fed to an engine
   in bounded batches (the ``swsample engine --input`` path).
 * :func:`encode_batch` / :func:`decode_batch` — the columnar record
-  transport: record sub-batches crossing the :class:`ProcessEngine` process
-  boundary are struct-packed into one compact buffer per sub-batch instead
-  of pickled tuple-by-tuple (format documented in
-  :mod:`repro.engine.transport`).  ``ProcessEngine(transport="shm")`` maps
-  those buffers into per-worker ``multiprocessing.shared_memory`` rings so
-  the queue carries only descriptors (falling back to ``"columnar"`` where
-  ``shared_memory`` is unavailable, with identical results).
+  transport: every record sub-batch crossing the :class:`ProcessEngine`
+  process boundary is struct-packed into one compact buffer instead of
+  pickled tuple-by-tuple, and the write-ahead log journals the same bytes
+  (format documented in :mod:`repro.engine.transport`).  It is the only
+  transport; a malformed payload raises
+  :class:`~repro.exceptions.TransportError`.
 
 The whole ingest path is batched end to end: ``ingest()`` partitions records
 per shard (hashing each distinct key once per chunk),
@@ -65,10 +64,12 @@ The apply path has an optional vectorized kernel layer on top of the
 batching above, kept strictly additive to the bit-exact reference:
 
 * :mod:`repro.engine.kernels` holds every numpy-facing routine behind one
-  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` — or
-  ``"auto"``, which resolves to numpy exactly when it is importable —
-  switches the ``fast=True`` draws from per-run python loops to whole-lane
-  array math.  numpy is the
+  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` switches
+  the ``fast=True`` draws from per-run python loops to whole-lane array
+  math.  ``"auto"`` resolves to python in keyed pools
+  (:func:`~repro.engine.kernels.pool_kernel`): a key's lanes are too
+  narrow for numpy to pay off, and standalone samplers keep ``"auto"`` →
+  numpy where it is importable.  numpy is the
   ``[fast]`` optional extra; requesting ``kernel="numpy"`` without it
   raises :class:`~repro.exceptions.ConfigurationError` at sampler/engine
   construction, never mid-stream.  ``"auto"`` travels unresolved inside

@@ -12,7 +12,7 @@ reproduce a failure by hand.
 Every injector is synchronous and deterministic: no random fault schedules,
 no background threads.  The kill-at-point injectors are context managers that
 wrap one coordinator method on the *instance* (never the class), so they
-compose with any transport and never leak across engines::
+compose with any fleet shape and never leak across engines::
 
     with chaos.kill_at_batch(engine, nth=5, worker=1):
         engine.ingest(records)          # worker 1 dies at its 5th sub-batch
@@ -136,7 +136,7 @@ def kill_during_replay(engine: Any, *, nth: int = 1) -> Iterator[None]:
 
     def chaotic_put(process: Any, inbox: Any, message: Any) -> None:
         original(process, inbox, message)
-        if not state["fired"] and message and message[0] == "applyc":
+        if not state["fired"] and message and message[0] == "apply":
             state["count"] += 1
             if state["count"] >= nth:
                 state["fired"] = True

@@ -112,13 +112,7 @@ from .hashing import stable_key_hash
 from .pool import KeyedSamplerPool
 from .querycache import QueryCache
 from .spec import SamplerSpec
-from .transport import (
-    HAS_SHARED_MEMORY,
-    ShmRingReader,
-    ShmRingWriter,
-    decode_batch,
-    encode_batch,
-)
+from .transport import decode_batch, encode_batch
 from .wal import WriteAheadLog
 
 __all__ = ["ProcessEngine", "RestartPolicy"]
@@ -194,20 +188,12 @@ class _ShardWorkerLoop:
 
     Message vocabulary (plain tuples, picklable):
 
-    ``("apply", shard, batch)``
-        Apply one sub-batch of ``(key, value, timestamp)`` records (the
-        ``"pickle"`` transport).  No reply; completion is observed at the
-        next barrier.  Skipped once this worker has failed.
-    ``("applyc", shard, buffer)``
-        Columnar form of ``apply``: the sub-batch travels as one
-        struct-packed buffer (see :mod:`repro.engine.transport`) and is
-        decoded worker-side, which cuts pickling freight.
-    ``("applym", shard, start, length, end_counter)``
-        Shared-memory form of ``applyc``: the columnar buffer sits at
-        ``[start, start+length)`` of this worker's payload ring and only
-        this descriptor travels through the queue.  The worker copies the
-        payload out, publishes ``end_counter`` as consumed (releasing ring
-        space back to the coordinator), then decodes and applies.
+    ``("apply", shard, payload)``
+        Apply one sub-batch of ``(key, value, timestamp)`` records, carried
+        as one columnar :func:`~repro.engine.transport.encode_batch` payload
+        (the form the write-ahead log journals) and decoded worker-side.  No
+        reply; completion is observed at the next barrier.  Skipped once
+        this worker has failed.
     ``("shutdown",)``
         Exit the loop.
     ``("barrier", rid)``
@@ -244,8 +230,6 @@ class _ShardWorkerLoop:
         self.clocked = spec.is_timestamp
         #: The first apply failure; reported by every later barrier reply.
         self.failure: Optional[BaseException] = None
-        #: Reader half of this worker's payload ring (shm transport only).
-        self.shm_reader: Optional[ShmRingReader] = None
         # Per-stage transport accounting, reported through the "perf" op.
         self.decode_seconds = 0.0
         self.apply_seconds = 0.0
@@ -271,29 +255,8 @@ class _ShardWorkerLoop:
                 continue
             kind = message[0]
             if kind == "apply":
-                self._apply(message[1], message[2])
-                continue
-            if kind == "applyc":
                 started = time.perf_counter()
                 batch = decode_batch(message[2])
-                elapsed = time.perf_counter() - started
-                self.decode_seconds += elapsed
-                self._m_decode_seconds.inc(elapsed)
-                self._apply(message[1], batch)
-                continue
-            if kind == "applym":
-                started = time.perf_counter()
-                # Zero-copy decode: parse straight out of the ring mapping
-                # and only then release the slot — the coordinator must not
-                # reuse these bytes while they are being parsed.  The view
-                # itself is released before the ring release so a teardown
-                # never trips the exported-buffer guard in shm close().
-                view = self.shm_reader.view(message[2], message[3])
-                try:
-                    batch = decode_batch(view)
-                finally:
-                    view.release()
-                    self.shm_reader.release(message[4])
                 elapsed = time.perf_counter() - started
                 self.decode_seconds += elapsed
                 self._m_decode_seconds.inc(elapsed)
@@ -422,22 +385,16 @@ def _process_worker_main(config: Dict[str, Any], inbox: Any, replies: Any) -> No
         for shard in config["shard_indexes"]
     }
     loop = _ShardWorkerLoop(pools, spec, registry)
-    ring = config.get("shm_ring")
-    if ring is not None:
-        loop.shm_reader = ShmRingReader(*ring)
     logger.info(
-        "shard worker online: pid=%s shards=%s transport=%s",
+        "shard worker online: pid=%s shards=%s",
         os.getpid(),
         list(config["shard_indexes"]),
-        "shm" if ring is not None else "queue",
     )
     try:
         loop.run(inbox, replies, config["parent_pid"])
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - torn pipes
         pass
     finally:
-        if loop.shm_reader is not None:
-            loop.shm_reader.close()
         logger.info("shard worker exiting: pid=%s", os.getpid())
 
 
@@ -455,14 +412,6 @@ def _reap_processes(processes: List[Any]) -> None:
                 process.kill()
 
 
-def _cleanup_fleet(processes: List[Any], rings: List[ShmRingWriter]) -> None:
-    """GC-finalizer cleanup: reap the workers, then unlink their payload
-    rings (in that order — a live worker may still hold its mapping)."""
-    _reap_processes(processes)
-    for ring in rings:
-        ring.close()
-
-
 class ProcessEngine(ShardedEngine):
     """A :class:`ShardedEngine` whose shards are *resident in worker
     processes* — the executor that clears the GIL ceiling.
@@ -475,6 +424,13 @@ class ProcessEngine(ShardedEngine):
     pools are never pickled on the hot path.  Because shard ownership,
     per-shard ordering and per-key seeding are identical to the serial
     engine, process ingest is bit-identical to it.
+
+    Every sub-batch crosses to its worker as one columnar payload
+    (:func:`~repro.engine.transport.encode_batch`): the queue pickles a
+    single ``bytes`` object instead of thousands of small tuples, and the
+    write-ahead log journals the same bytes, so recovery replays exactly
+    what the live path sent.  :meth:`transport_report` breaks the cost down
+    per stage (encode / dispatch / decode / apply).
 
     Parameters
     ----------
@@ -511,23 +467,6 @@ class ProcessEngine(ShardedEngine):
 
     ``mp_context`` selects the multiprocessing start method (``"fork"``,
     ``"spawn"``, ``"forkserver"``; default: the platform default).
-
-    ``transport`` selects how record sub-batches cross the process boundary:
-    ``"columnar"`` (the default) struct-packs each sub-batch into one
-    compact buffer (:mod:`repro.engine.transport`) so the queue pickles a
-    single ``bytes`` object instead of thousands of small tuples;
-    ``"shm"`` additionally maps that buffer into a per-worker
-    ``multiprocessing.shared_memory`` ring so the queue carries only a tiny
-    descriptor — eliminating the feeder-thread pickle and pipe copy, the
-    dominant dispatch cost of the columnar transport (payloads larger than
-    the ring, sized by ``shm_ring_bytes``, fall back to the queue; on
-    interpreters without ``multiprocessing.shared_memory`` the whole engine
-    silently downgrades to ``"columnar"`` — check ``transport_report()`` for
-    the effective transport); ``"pickle"`` ships the raw tuple list (the
-    pre-columnar wire form, kept for comparison and as an escape hatch).
-    Results are bit-identical whichever transport carries the records;
-    :meth:`transport_report` breaks the cost down per stage (encode /
-    dispatch / decode / apply).
     """
 
     def __init__(
@@ -538,8 +477,6 @@ class ProcessEngine(ShardedEngine):
         queue_depth: int = 8,
         max_batch: int = 4096,
         mp_context: Optional[str] = None,
-        transport: str = "columnar",
-        shm_ring_bytes: int = 1 << 20,
         shards: int = 4,
         seed: int = 0,
         max_keys_per_shard: Optional[int] = None,
@@ -570,12 +507,6 @@ class ProcessEngine(ShardedEngine):
             raise ConfigurationError("queue_depth must be positive")
         if max_batch <= 0:
             raise ConfigurationError("max_batch must be positive")
-        if transport not in ("columnar", "pickle", "shm"):
-            raise ConfigurationError(
-                f"transport must be 'columnar', 'shm' or 'pickle', got {transport!r}"
-            )
-        if shm_ring_bytes <= 0:
-            raise ConfigurationError("shm_ring_bytes must be positive")
         if supervise and wal_dir is None:
             raise ConfigurationError(
                 "supervise=True requires wal_dir: recovery restores from the"
@@ -595,15 +526,7 @@ class ProcessEngine(ShardedEngine):
             )
             for index in range(self._workers)
         ]
-        context = multiprocessing.get_context(mp_context)
-        self._mp_context = context
-        self._requested_transport = transport
-        if transport == "shm" and not HAS_SHARED_MEMORY:
-            # Documented fallback: same results, one more copy per sub-batch.
-            transport = "columnar"
-        self._transport = transport
-        self._shm_ring_bytes = int(shm_ring_bytes)
-        self._rings: List[ShmRingWriter] = []
+        self._mp_context = multiprocessing.get_context(mp_context)
         self._failure: Optional[str] = None
         self._request_counter = 0
         self._unbarriered = False
@@ -620,7 +543,6 @@ class ProcessEngine(ShardedEngine):
         self._m_encode_seconds = self._tobs.counter("transport.encode.seconds")
         self._m_encoded_bytes = self._tobs.counter("transport.encoded.bytes")
         self._m_dispatch_seconds = self._tobs.counter("transport.dispatch.seconds")
-        self._m_ring_fallbacks = self._tobs.counter("transport.ring.fallbacks")
         self._m_dispatched_batches = self._tobs.counter("executor.dispatched.batches")
         self._m_dispatched_records = self._tobs.counter("executor.dispatched.records")
         self._m_backpressure_seconds = self._tobs.counter("executor.backpressure.seconds")
@@ -669,22 +591,17 @@ class ProcessEngine(ShardedEngine):
         self._processes = []
         try:
             for index in range(self._workers):
-                inbox, replies, ring, process = self._spawn_worker(index)
+                inbox, replies, process = self._spawn_worker(index)
                 self._inboxes.append(inbox)
                 self._replies.append(replies)
                 self._processes.append(process)
-                if ring is not None:
-                    self._rings.append(ring)
         except BaseException:
             _reap_processes(self._processes)
-            for ring in self._rings:
-                ring.close()
             raise
-        # Belt and braces against orphans and leaked shm segments: clean up
-        # the fleet even if the engine is garbage-collected (or the
-        # interpreter exits) without a close() call.
+        # Belt and braces against orphans: reap the fleet even if the engine
+        # is garbage-collected (or the interpreter exits) without close().
         self._finalizer = weakref.finalize(
-            self, _cleanup_fleet, list(self._processes), list(self._rings)
+            self, _reap_processes, list(self._processes)
         )
         if self._supervise:
             self._supervisor = threading.Thread(
@@ -694,12 +611,10 @@ class ProcessEngine(ShardedEngine):
             )
             self._supervisor.start()
 
-    def _spawn_worker(
-        self, index: int
-    ) -> Tuple[Any, Any, Optional[ShmRingWriter], Any]:
-        """Build one worker's channels (plus an shm ring under that
-        transport) and start its process; the caller wires the pieces into
-        the fleet lists (initial spawn) or swaps them in (recovery)."""
+    def _spawn_worker(self, index: int) -> Tuple[Any, Any, Any]:
+        """Build one worker's channels and start its process; the caller
+        wires the pieces into the fleet lists (initial spawn) or swaps them
+        in (recovery)."""
         context = self._mp_context
         inbox = context.Queue(maxsize=self._queue_depth)
         replies = context.Queue()
@@ -707,23 +622,14 @@ class ProcessEngine(ShardedEngine):
             **self._worker_config,
             "shard_indexes": self._shard_sets[index],
         }
-        ring: Optional[ShmRingWriter] = None
-        if self._transport == "shm":
-            ring = ShmRingWriter(context, self._shm_ring_bytes)
-            worker_config["shm_ring"] = ring.worker_config()
         process = context.Process(
             target=_process_worker_main,
             args=(worker_config, inbox, replies),
             name=f"swsample-shard-worker-{index}",
             daemon=True,
         )
-        try:
-            process.start()
-        except BaseException:
-            if ring is not None:
-                ring.close()
-            raise
-        return inbox, replies, ring, process
+        process.start()
+        return inbox, replies, process
 
     def _create_pools(self) -> List[KeyedSamplerPool]:
         # The shards live in the worker processes; the coordinator keeps
@@ -823,7 +729,7 @@ class ProcessEngine(ShardedEngine):
         return total
 
     #: Ops that cannot change any shard's generation.  Everything else
-    #: ("apply", "applyc", "advance", "set_state") invalidates the
+    #: ("apply", "advance", "set_state") invalidates the
     #: generation memo, and so does "qbatch" on timestamp windows, whose
     #: sample/frequent ops advance clocks lazily.
     _NONMUTATING_OPS = frozenset(
@@ -997,22 +903,10 @@ class ProcessEngine(ShardedEngine):
 
     def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
         perf = time.perf_counter
-        transport = self._transport
-        payload: Optional[bytes] = None
-        message: Optional[Tuple[Any, ...]] = None
-        if transport == "pickle":
-            message = ("apply", shard, batch)
-            if self._wal is not None:
-                # The journal always holds the columnar wire form, whatever
-                # the live transport: replay goes through the exact codec.
-                payload = encode_batch(batch)
-        else:
-            started = perf()
-            payload = encode_batch(batch)
-            self._m_encode_seconds.inc(perf() - started)
-            self._m_encoded_bytes.inc(len(payload))
-            if transport != "shm":
-                message = ("applyc", shard, payload)
+        started = perf()
+        payload = encode_batch(batch)
+        self._m_encode_seconds.inc(perf() - started)
+        self._m_encoded_bytes.inc(len(payload))
         self._m_dispatched_batches.inc()
         self._m_dispatched_records.inc(len(batch))
         worker = self._worker_of(shard)
@@ -1022,16 +916,14 @@ class ProcessEngine(ShardedEngine):
         # Journal-before-send: once appended, the sub-batch survives worker
         # death — the supervisor's tail read is serialised behind this
         # ingest's API lock, so it replays exactly the journaled prefix.
+        # The journal and the queue carry the same payload bytes.
         if self._wal is not None:
             self._wal.append(shard, payload, records=len(batch))
-        # The dispatch stage covers the whole hand-off: for shm that is the
-        # ring write (and any ring-backpressure stall) plus the descriptor
-        # put, keeping the stage comparable across transports.
+        # The dispatch stage covers the whole hand-off, including any
+        # backpressure stall on a full inbox.
         started = perf()
         try:
-            if message is None:
-                message = self._ring_message(worker, shard, payload)
-            self._send(worker, message)
+            self._send(worker, ("apply", shard, payload))
         except ShardRecovering:
             # The worker died under our feet, after the journal append:
             # abandon the send — the record is in the tail the supervisor
@@ -1041,60 +933,23 @@ class ProcessEngine(ShardedEngine):
             self._m_dispatch_seconds.inc(perf() - started)
         self._unbarriered = True
 
-    def _ring_message(
-        self, worker: int, shard: int, payload: bytes
-    ) -> Tuple[Any, ...]:
-        """Place ``payload`` in the worker's ring and build its descriptor
-        message; payloads too large for the ring fall back to the queue."""
-        ring = self._rings[worker]
-        if not ring.fits(len(payload)):
-            self._m_ring_fallbacks.inc()
-            return ("applyc", shard, payload)
-        waited = 0.0
-        stalled = 0.0
-        try:
-            while True:
-                slot = ring.offer(payload)
-                if slot is not None:
-                    return ("applym", shard, slot[0], len(payload), slot[1])
-                # Ring full: the worker is behind — byte-level backpressure.
-                time.sleep(0.001)
-                waited += 0.001
-                stalled += 0.001
-                if waited >= _POLL_INTERVAL:
-                    self._ensure_alive(worker)  # raises once the worker is gone
-                    waited = 0.0
-        finally:
-            if stalled:
-                self._m_backpressure_seconds.inc(stalled)
-
     def transport_report(self) -> Dict[str, Any]:
         """Cumulative per-stage transport cost of this fleet's ingest path.
 
         Returns a dict with the coordinator-side stages (``encode_seconds``
         — columnar packing; ``dispatch_seconds`` — time spent handing
-        messages to the workers, which includes ring writes and any
-        backpressure stalls) and the worker-side stages summed over the
-        fleet (``decode_seconds``, ``apply_seconds``), plus
-        batch/record/byte counters.  ``workers`` breaks the worker-side
-        stages down per worker (in worker order, each entry carrying
-        ``worker``/``decode_seconds``/``apply_seconds``/``batches``/
-        ``records``), so a straggler hiding inside a healthy fleet-wide sum
-        is visible directly.  ``transport`` is the *effective* transport
-        (``"shm"`` downgrades to ``"columnar"`` where
-        ``multiprocessing.shared_memory`` is unavailable;
-        ``requested_transport`` preserves what the caller asked for);
-        ``ring_fallbacks`` counts shm payloads that exceeded the ring and
-        travelled through the queue instead.  ``encoded_bytes`` is 0 under
-        the ``"pickle"`` transport.  ``kernel`` is the *resolved*
-        batched-ingest kernel running in the workers (``"auto"`` already
-        resolved per host): it says which apply-path implementation
-        produced ``apply_seconds``.
+        payloads to the workers, backpressure stalls included) and the
+        worker-side stages summed over the fleet (``decode_seconds``,
+        ``apply_seconds``), plus batch/record/byte counters.  ``workers``
+        breaks the worker-side stages down per worker (in worker order, each
+        entry carrying ``worker``/``decode_seconds``/``apply_seconds``/
+        ``batches``/``records``), so a straggler hiding inside a healthy
+        fleet-wide sum is visible directly.  ``kernel`` is the *resolved*
+        batched-ingest kernel running in the workers: it says which
+        apply-path implementation produced ``apply_seconds``.
 
         All of these numbers live and die with the engine instance: they
-        are not checkpointed, and ``close()`` discards them — in particular
-        ``ring_fallbacks`` resets to 0 on every fresh engine, so a restart
-        after heavy fallback traffic starts the count over.
+        are not checkpointed, and ``close()`` discards them.
         """
         with self._api_lock:
             self._check_query()
@@ -1108,8 +963,6 @@ class ProcessEngine(ShardedEngine):
                 apply_seconds += partial["apply_seconds"]
                 workers.append({"worker": index, **partial})
             return {
-                "transport": self._transport,
-                "requested_transport": self._requested_transport,
                 "kernel": self._kernel,
                 "batches": self._m_dispatched_batches.value,
                 "records": self._m_dispatched_records.value,
@@ -1118,7 +971,6 @@ class ProcessEngine(ShardedEngine):
                 "dispatch_seconds": self._m_dispatch_seconds.value,
                 "decode_seconds": decode_seconds,
                 "apply_seconds": apply_seconds,
-                "ring_fallbacks": self._m_ring_fallbacks.value,
                 "workers": workers,
             }
 
@@ -1195,8 +1047,6 @@ class ProcessEngine(ShardedEngine):
         for process in self._processes:
             process.join(timeout=_JOIN_TIMEOUT)
         _reap_processes(self._processes)
-        for ring in self._rings:
-            ring.close()  # unlink after the workers are gone
         self._finalizer.detach()  # fleet reaped; nothing left for GC to do
         for channel in self._inboxes + self._replies:
             channel.close()
@@ -1311,13 +1161,8 @@ class ProcessEngine(ShardedEngine):
                 channel.cancel_join_thread()
             except (OSError, ValueError):  # pragma: no cover - already torn
                 pass
-        if self._transport == "shm":
-            try:
-                self._rings[index].close()
-            except (OSError, ValueError):  # pragma: no cover - already torn
-                pass
         # Phase 3 — spawn the replacement and rebuild its shard state.
-        inbox, replies, ring, process = self._spawn_worker(index)
+        inbox, replies, process = self._spawn_worker(index)
         swapped = False
         try:
             states: Dict[int, Any] = {}
@@ -1331,7 +1176,7 @@ class ProcessEngine(ShardedEngine):
             # Phase 4 — replay the journal tail in original dispatch order.
             for shard in shard_set:
                 for payload in tails.get(shard, ()):
-                    self._recovery_put(process, inbox, ("applyc", shard, payload))
+                    self._recovery_put(process, inbox, ("apply", shard, payload))
             self._recovery_put(process, inbox, ("barrier", -2))
             reply = self._recovery_get(process, replies, -2)
             if reply[2] is not None:
@@ -1344,8 +1189,6 @@ class ProcessEngine(ShardedEngine):
                 self._processes[index] = process
                 self._inboxes[index] = inbox
                 self._replies[index] = replies
-                if ring is not None:
-                    self._rings[index] = ring
                 swapped = True
             self._rebuild_finalizer()
         except BaseException:
@@ -1357,8 +1200,6 @@ class ProcessEngine(ShardedEngine):
                         channel.cancel_join_thread()
                     except (OSError, ValueError):  # pragma: no cover
                         pass
-                if ring is not None:
-                    ring.close()
             raise
         # Phase 6 — drain parked dispatches, then mark the worker healthy.
         self._drain_pending(index, process, inbox)
@@ -1425,7 +1266,7 @@ class ProcessEngine(ShardedEngine):
                 self._wal.append(shard, payload)
                 pending.pop(0)
                 self._recover_cond.notify_all()
-            self._recovery_put(process, inbox, ("applyc", shard, payload))
+            self._recovery_put(process, inbox, ("apply", shard, payload))
 
     def _give_up(self, index: int, reason: str) -> None:
         logger.error("giving up on worker %d: %s", index, reason)
@@ -1439,10 +1280,10 @@ class ProcessEngine(ShardedEngine):
 
     def _rebuild_finalizer(self) -> None:
         """Re-arm the GC finalizer over the post-recovery fleet (the old one
-        captured the dead process and its ring)."""
+        captured the dead process)."""
         self._finalizer.detach()
         self._finalizer = weakref.finalize(
-            self, _cleanup_fleet, list(self._processes), list(self._rings)
+            self, _reap_processes, list(self._processes)
         )
 
     def _park_dispatch(self, worker: int, shard: int, payload: bytes) -> bool:
@@ -1536,7 +1377,7 @@ class ProcessEngine(ShardedEngine):
                         stamp = batch[-1][2]
                         if stamp is not None and (max_ts is None or stamp > max_ts):
                             max_ts = stamp
-                    self._send(worker, ("applyc", shard, payload))
+                    self._send(worker, ("apply", shard, payload))
                     self._unbarriered = True
             if max_ts is not None and max_ts > self._now:
                 self._now = max_ts

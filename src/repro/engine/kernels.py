@@ -33,7 +33,9 @@ the reference default path, so engine results stay byte-identical.
 numpy is an *optional* extra (``pip install repro[fast]``): import is
 guarded, ``kernel="auto"`` downgrades to ``"python"`` when numpy is missing,
 and ``kernel="numpy"`` fails loudly with
-:class:`~repro.exceptions.ConfigurationError`.
+:class:`~repro.exceptions.ConfigurationError`.  In keyed pools ``"auto"``
+resolves to ``"python"`` on every host (:func:`pool_kernel`): each key's
+lanes are too narrow for the vectorized kernels to pay off.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "HAS_NUMPY",
     "KERNELS",
     "resolve_kernel",
+    "pool_kernel",
     "make_generator",
     "seq_wr_process_batch",
     "seq_wor_process_batch",
@@ -88,6 +91,23 @@ def resolve_kernel(requested: str) -> str:
             " or use kernel='python'/'auto'"
         )
     return name
+
+
+def pool_kernel(requested: str) -> str:
+    """The kernel every sampler of a keyed pool runs for a
+    :class:`~repro.engine.SamplerSpec` ``kernel`` request.
+
+    As :func:`resolve_kernel`, except that ``"auto"`` resolves to
+    ``"python"`` even where numpy is installed.  A key's sampler sees a few
+    records per sub-batch, so the numpy kernels lose in the keyed engine
+    (E11 with ``fast=True``, 300k records over 10k keys, serial engine on
+    2 vCPUs: 147–170 krec/s against python's 165–227), and each numpy
+    generator adds ~860 B per key.  ``SamplerSpec.build`` and the kernel
+    the engines report both go through here; an explicit ``"numpy"`` is
+    honoured.
+    """
+    name = str(requested).lower()
+    return resolve_kernel("python" if name == "auto" else name)
 
 
 def make_generator(root: random.Random) -> Any:

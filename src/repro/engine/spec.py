@@ -17,6 +17,7 @@ from ..core.facade import sliding_window_sampler
 from ..core.tracking import CandidateObserver
 from ..exceptions import ConfigurationError
 from ..rng import RngLike
+from .kernels import pool_kernel
 
 __all__ = ["SamplerSpec"]
 
@@ -46,10 +47,12 @@ class SamplerSpec:
     #: Batched-ingest kernel: ``"python"`` (the bit-identity reference),
     #: ``"numpy"`` (the vectorized ``fast``-path kernels of
     #: :mod:`repro.engine.kernels`; requires the optional ``[fast]`` extra and
-    #: fails loudly without it), or ``"auto"`` (numpy when available).  Only
-    #: the ``fast=True`` path changes behaviour; ``fast=False`` ingest stays
-    #: bit-identical to the python kernel.  ``"auto"`` is resolved at sampler
-    #: construction, per host — a checkpointed spec stays portable.
+    #: fails loudly without it), or ``"auto"``, which resolves to python here
+    #: (see :func:`~repro.engine.kernels.pool_kernel`: numpy loses on a
+    #: keyed pool's narrow per-key lanes).  Only the ``fast=True`` path
+    #: changes behaviour; ``fast=False`` ingest stays bit-identical to the
+    #: python kernel.  The request is resolved at sampler construction, per
+    #: host — a checkpointed spec stays portable.
     kernel: str = "python"
     #: Normalised to a sorted tuple of ``(name, value)`` pairs so the frozen
     #: spec stays hashable (usable in sets / as dict keys); accepts a mapping.
@@ -113,7 +116,7 @@ class SamplerSpec:
             rng=rng,
             observer=observer,
             fast=self.fast,
-            kernel=self.kernel,
+            kernel=pool_kernel(self.kernel),
             **dict(self.options),
         )
 

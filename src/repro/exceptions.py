@@ -81,10 +81,11 @@ class CheckpointError(ConfigurationError):
 
 class TransportError(SWSampleError, ValueError):
     """Raised when a columnar transport payload cannot be decoded: a bad
-    magic, an unknown column tag, or a truncated/corrupt buffer.
+    magic, an unknown column tag, a column that does not hold the header's
+    record count, trailing bytes, or a truncated/corrupt buffer.
 
-    Carries enough context (byte offset, column index) to diagnose a corrupt
-    shared-memory frame or a torn queue message.  Subclasses
+    Carries enough context (byte offset, column name) to diagnose a corrupt
+    write-ahead-log record or a torn queue message.  Subclasses
     :class:`ValueError` because the codec historically raised bare
     ``ValueError`` for bad magics — existing ``except ValueError`` handlers
     keep working.

@@ -243,17 +243,19 @@ class TestEngineBatchedIngest:
         assert engine.total_arrivals == 2
         assert "a" in engine and "b" in engine and "c" not in engine
 
-    @pytest.mark.parametrize("transport", ["columnar", "pickle", "shm"])
-    def test_executors_stay_bit_identical_under_batched_path(self, transport):
+    @pytest.mark.parametrize(
+        "fleet", ["columnar", "supervised-wal", "one-worker", "small-batch"]
+    )
+    def test_executors_stay_bit_identical_under_batched_path(self, fleet, fleet_options):
         spec = SamplerSpec(window="sequence", n=64, k=4)
         records = self.records()
         serial = ShardedEngine(spec, shards=8, seed=3)
         serial.ingest(records)
         with ProcessEngine(
-            spec, shards=8, seed=3, workers=3, max_batch=256, transport=transport
-        ) as fleet:
-            fleet.ingest(records)
-            assert fleet.state_dict() == serial.state_dict()
+            spec, **fleet_options(fleet, shards=8, seed=3, workers=3, max_batch=256)
+        ) as engine:
+            engine.ingest(records)
+            assert engine.state_dict() == serial.state_dict()
 
     def test_eviction_engine_matches_across_executors(self):
         """Capped engines route through the per-record fallback everywhere,
@@ -473,9 +475,9 @@ class TestTimestampFastEngineGating:
 
     The skip-sampling merge coins must keep every per-key timestamp sampler
     uniform over its active window whichever engine hosts the pool — serial
-    or worker processes, over every transport (they share the batched
-    `extend_batch` path, so one biased coin stream would show up in all of
-    them; separate seeds keep the gates independent)."""
+    or worker processes (they share the batched `extend_batch` path, so one
+    biased coin stream would show up in both; separate seeds keep the gates
+    independent)."""
 
     WINDOW = 20
     STREAM = 50
@@ -509,16 +511,4 @@ class TestTimestampFastEngineGating:
 
     def test_process_engine(self):
         with ProcessEngine(self.spec(), shards=8, seed=303, workers=2) as engine:
-            self._gate(self._observations(engine))
-
-    def test_process_engine_shm_transport(self):
-        with ProcessEngine(
-            self.spec(), shards=8, seed=404, workers=2, transport="shm"
-        ) as engine:
-            self._gate(self._observations(engine))
-
-    def test_process_engine_pickle_transport(self):
-        with ProcessEngine(
-            self.spec(), shards=8, seed=505, workers=2, transport="pickle"
-        ) as engine:
             self._gate(self._observations(engine))

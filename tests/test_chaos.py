@@ -6,10 +6,10 @@ because shard routing, per-shard FIFO order and key-derived sampler seeds
 are all deterministic the recovered fleet is **bit-identical** to one that
 never crashed — same candidates, same counters, same generator positions.
 These tests drive every scheduled fault the :mod:`repro.engine.chaos`
-helpers can stage (kill mid-ingest across all three transports, kill during
-a checkpoint write, kill the *replacement* mid-replay, a corrupted segment
-that exhausts the restart budget) and pin the degraded-mode query contract
-while a restart is in flight.
+helpers can stage (kill mid-ingest at the first, an early and a late
+sub-batch, kill during a checkpoint write, kill the *replacement* mid-replay,
+a corrupted segment that exhausts the restart budget) and pin the
+degraded-mode query contract while a restart is in flight.
 
 Bit-identity is asserted through ``state_dict()``, which captures candidate
 sets, counters and generator positions without consuming any randomness —
@@ -80,12 +80,16 @@ def ingest_chunked(engine, records, chunk=500):
 
 
 class TestKillMidIngest:
-    @pytest.mark.parametrize("transport", ["pickle", "columnar", "shm"])
-    def test_recovers_bit_identical(self, tmp_path, transport):
+    #: (nth sub-batch routed to the worker, worker) — the worker's first
+    #: sub-batch, an early one, and one late in the 4,000-record stream.
+    @pytest.mark.parametrize(
+        "nth, worker", [(1, 1), (3, 1), (25, 0)], ids=["first-batch", "early-batch", "late-batch"]
+    )
+    def test_recovers_bit_identical(self, tmp_path, nth, worker):
         records = keyed_records(4_000)
         registry = MetricsRegistry()
-        with supervised(tmp_path, transport=transport, registry=registry) as engine:
-            with chaos.kill_at_batch(engine, 3, worker=1):
+        with supervised(tmp_path, registry=registry) as engine:
+            with chaos.kill_at_batch(engine, nth, worker=worker):
                 ingest_chunked(engine, records)
             chaos.wait_until_healthy(engine)
             assert engine.state_dict() == oracle_state(records)

@@ -6,8 +6,9 @@ FIFO order and key-derived sampler seeds are all identical, ingest through
 worker *processes* must be bit-identical to the serial engine — same
 samples, same generator positions, same future randomness — while the pools
 themselves never leave their workers on the query hot path.  These tests
-pin the equivalence for all four optimal samplers over every record
-transport and worker count, then exercise the request/reply query
+pin the equivalence for all four optimal samplers over every fleet shape
+on the dispatch path (journaled, one worker, small sub-batches) and worker
+count, then exercise the request/reply query
 protocol, worker-written checkpoint segments, the caller-lock contract
 under concurrent application threads, and the failure model (a killed worker process must surface as a sticky ``WorkerFailure``,
 never a hang, an orphan, or silent data loss).
@@ -24,6 +25,7 @@ from repro.engine import (
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
+    encode_batch,
     load_checkpoint,
     write_checkpoint,
 )
@@ -49,9 +51,11 @@ OPTIMAL_SPECS = [
     pytest.param(SamplerSpec(window="timestamp", t0=60.0, k=3, replacement=False), id="ts-wor"),
 ]
 
-#: Every way a record sub-batch can cross the process boundary; results must
-#: not depend on which one carried it.
-TRANSPORTS = ["columnar", "pickle", "shm"]
+#: The shapes a fleet's dispatch path can take: plain, supervised with a WAL
+#: journal, one worker owning every shard, small sub-batches (the
+#: ``fleet_options`` fixture in conftest.py applies each column).  Results
+#: must not depend on the fleet shape.
+FLEETS = ["columnar", "supervised-wal", "one-worker", "small-batch"]
 
 
 def keyed_records(count, keys=37, seed=5):
@@ -129,15 +133,15 @@ class TestConstruction:
 class TestCrossExecutorEquivalence:
     """Serial and process ingest must be bit-identical per key."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("fleet", FLEETS)
     @pytest.mark.parametrize("spec", OPTIMAL_SPECS)
-    def test_two_executors_one_fleet_state(self, spec, transport):
+    def test_two_executors_one_fleet_state(self, spec, fleet, fleet_options):
         records = spec_records(spec, 6_000)
         serial = ShardedEngine(spec, shards=8, seed=13)
         serial.ingest(records)
         expected = serial.state_dict()
         with ProcessEngine(
-            spec, shards=8, seed=13, workers=3, max_batch=64, transport=transport
+            spec, **fleet_options(fleet, shards=8, seed=13, workers=3, max_batch=64)
         ) as process:
             process.ingest(records)
             # state_dict captures every candidate, counter and generator
@@ -343,12 +347,13 @@ class TestAggregates:
 
 
 class TestClockContract:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_missing_timestamps_stamped_with_engine_clock(self, transport):
-        # The coordinator stamps before encoding, so every transport must
-        # carry the stamped clock, not the caller's missing one.
+    @pytest.mark.parametrize("fleet", FLEETS)
+    def test_missing_timestamps_stamped_with_engine_clock(self, fleet, fleet_options):
+        # The coordinator stamps before encoding, so every payload (and its
+        # journal copy) must carry the stamped clock, not the caller's
+        # missing one.
         with ProcessEngine(
-            TS_SPEC, shards=2, workers=2, seed=1, transport=transport
+            TS_SPEC, **fleet_options(fleet, shards=2, workers=2, seed=1)
         ) as engine:
             engine.ingest([("a", 1, 10.0), ("b", 2)])  # b stamped at 10.0
             assert engine.now == 10.0
@@ -370,14 +375,14 @@ class TestClockContract:
             with pytest.raises(EmptyWindowError):
                 engine.sample("a")
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_advance_time_matches_serial_state(self, transport):
+    @pytest.mark.parametrize("fleet", FLEETS)
+    def test_advance_time_matches_serial_state(self, fleet, fleet_options):
         records = [(f"k{index % 5}", index, index * 1.0) for index in range(500)]
         serial = ShardedEngine(TS_SPEC, shards=2, seed=6)
         serial.ingest(records)
         serial.advance_time(600.0)
         with ProcessEngine(
-            TS_SPEC, shards=2, seed=6, workers=2, transport=transport
+            TS_SPEC, **fleet_options(fleet, shards=2, seed=6, workers=2)
         ) as process:
             process.ingest(records)
             process.advance_time(600.0)
@@ -385,13 +390,15 @@ class TestClockContract:
 
 
 class TestBackpressureAndBarrier:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_tiny_queues_lose_nothing(self, transport):
+    @pytest.mark.parametrize("fleet", FLEETS)
+    def test_tiny_queues_lose_nothing(self, fleet, fleet_options):
         # queue_depth=1 and max_batch=8 force constant producer blocking on
         # the bounded multiprocessing inboxes.
         with ProcessEngine(
-            SEQ_SPEC, shards=4, workers=2, seed=3, queue_depth=1, max_batch=8,
-            transport=transport,
+            SEQ_SPEC,
+            **fleet_options(
+                fleet, shards=4, workers=2, seed=3, queue_depth=1, max_batch=8
+            ),
         ) as engine:
             records = keyed_records(5_000, keys=50)
             assert engine.ingest(records) == 5_000
@@ -435,18 +442,21 @@ class TestBackpressureAndBarrier:
             engine.close()
 
     def test_worker_side_apply_error_is_sticky(self):
-        engine = ProcessEngine(SEQ_SPEC, shards=2, workers=2, seed=3)
+        engine = ProcessEngine(TS_SPEC, shards=2, workers=2, seed=3)
         try:
-            engine.ingest([("a", 1), ("b", 2)])
+            engine.ingest([("a", 1, 5.0), ("b", 2, 6.0)])
             engine.flush()
-            # White-box fault injection: a malformed sub-batch makes the
-            # worker's apply path raise (records are 3-tuples by contract).
-            engine._send(0, ("apply", 0, [("only-a-key",)]))
+            # White-box fault injection: a well-formed payload the pool
+            # rejects — its timestamps run backwards, which the coordinator's
+            # clock contract would never let through.
+            payload = encode_batch([("a", 3, 9.0), ("a", 4, 1.0)])
+            shard = engine.shard_of("a")
+            engine._send(engine._worker_of(shard), ("apply", shard, payload))
             engine._unbarriered = True
             with pytest.raises(WorkerFailure):
                 engine.flush()
             with pytest.raises(WorkerFailure):
-                engine.ingest([("c", 3)])
+                engine.ingest([("c", 3, 10.0)])
             with pytest.raises(WorkerFailure):
                 engine.sample("a")
         finally:
@@ -459,18 +469,19 @@ class TestBackpressureAndBarrier:
 
 
 class TestThreadedStress:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_concurrent_ingest_sample_advance_loses_nothing(self, transport):
+    @pytest.mark.parametrize("fleet", FLEETS)
+    def test_concurrent_ingest_sample_advance_loses_nothing(self, fleet, fleet_options):
         """Four producer threads, a sampler thread and a clock thread share
         one engine through its caller lock; every arrival must land and
-        nothing may deadlock, whichever transport the producers encode
-        into."""
+        nothing may deadlock, whatever the fleet's shape."""
         producers = 4
         batches = 30
         batch_size = 100
         engine = ProcessEngine(
-            TS_SPEC, shards=8, workers=4, seed=11, queue_depth=2, max_batch=64,
-            transport=transport,
+            TS_SPEC,
+            **fleet_options(
+                fleet, shards=8, workers=4, seed=11, queue_depth=2, max_batch=64
+            ),
         )
         errors = []
         stop = threading.Event()

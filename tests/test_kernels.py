@@ -3,7 +3,8 @@
 Three contracts are pinned here:
 
 1. **Kernel selection.**  ``kernel="python"`` never imports numpy,
-   ``"auto"`` resolves per host, ``"numpy"`` on a numpy-free host raises
+   ``"auto"`` resolves per host for standalone samplers and to python in
+   keyed pools, ``"numpy"`` on a numpy-free host raises
    :class:`~repro.exceptions.ConfigurationError` loudly — at spec
    validation, sampler construction and engine construction alike.
 2. **Bit-identity of the default path.**  ``kernel="numpy"`` with
@@ -211,10 +212,22 @@ class TestKernelStructuralInvariants:
 @needs_numpy
 class TestEngineKernelReporting:
     def test_serial_stats_report_resolved_kernel(self):
+        # "auto" means python in a keyed pool, numpy installed or not.
         spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="auto")
         engine = ShardedEngine(spec, shards=2)
         engine.ingest([("a", value) for value in range(40)])
-        assert engine.stats()["kernel"] == "numpy"
+        assert engine.stats()["kernel"] == "python"
+        assert engine.sampler_for("a").kernel == "python"
+
+    def test_process_auto_kernel_resolves_to_python(self):
+        registry = MetricsRegistry()
+        spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="auto")
+        with ProcessEngine(spec, shards=2, workers=2, registry=registry) as engine:
+            engine.ingest([(f"key-{value % 5}", value) for value in range(200)])
+            assert engine.stats()["kernel"] == "python"
+            assert engine.transport_report()["kernel"] == "python"
+            assert engine.sampler_for("key-0").kernel == "python"
+            assert engine.metrics_snapshot()["gauges"]["engine.kernel.numpy"] == 0.0
 
     def test_parallel_stats_and_gauge(self):
         registry = MetricsRegistry()

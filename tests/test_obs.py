@@ -33,7 +33,6 @@ from repro.engine import (
     write_checkpoint,
 )
 from repro.engine.pool import KeyedSamplerPool
-from repro.engine.transport import HAS_SHARED_MEMORY
 from repro.exceptions import ExecutorError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -576,8 +575,6 @@ class TestExecutorEquivalence:
         expected = reference.state_dict()
 
         flavours = [(ShardedEngine, {}), (ProcessEngine, {})]
-        if HAS_SHARED_MEMORY:
-            flavours.append((ProcessEngine, {"transport": "shm"}))
         for engine_class, kwargs in flavours:
             state, snapshot = self._state_and_counters(
                 engine_class, records, MetricsRegistry(), **kwargs

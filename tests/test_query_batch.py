@@ -2,7 +2,7 @@
 
 The contract under test: a batch of ``(name, *args)`` ops resolves to exactly
 the same answers as the scalar query methods, on the serial engine and on
-process workers over each record transport — one outcome per op, per-op
+process workers in every fleet shape — one outcome per op, per-op
 runtime failures captured inline (a missing key never aborts the batch),
 malformed shapes refused up front.  Ranked reports (``hottest``, ``frequent``) break count ties on a
 stable byte encoding of the key, so the serial path and the worker-merged
@@ -19,17 +19,16 @@ from repro.streams.workloads import build_keyed_workload
 SEQ_SPEC = SamplerSpec(window="sequence", n=32, k=4, replacement=True)
 TS_SPEC = SamplerSpec(window="timestamp", t0=64.0, k=3, replacement=False)
 
+#: Engine columns, built by the ``factory`` fixture in conftest.py: the
+#: serial engine, a plain two-worker fleet, and that fleet varied along what
+#: still differs on the dispatch path (journaled under supervision, one
+#: worker, small sub-batches).
 EXECUTORS = [
-    pytest.param(lambda spec, **kw: ShardedEngine(spec, **kw), id="serial"),
-    pytest.param(lambda spec, **kw: ProcessEngine(spec, workers=2, **kw), id="process"),
-    pytest.param(
-        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="pickle", **kw),
-        id="process-pickle",
-    ),
-    pytest.param(
-        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="shm", **kw),
-        id="process-shm",
-    ),
+    "serial",
+    "process",
+    "process-supervised-wal",
+    "process-one-worker",
+    "process-small-batch",
 ]
 
 
@@ -61,7 +60,7 @@ QUERY_OPS = [
 
 
 class TestBatchVersusScalar:
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_batch_outcomes_match_scalar_calls(self, factory):
         engine = factory(SEQ_SPEC, shards=3, seed=11, track_occurrences=True)
         try:
@@ -81,7 +80,7 @@ class TestBatchVersusScalar:
         finally:
             close(engine)
 
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_timestamp_spec_batch_matches_scalar(self, factory):
         engine = factory(TS_SPEC, shards=2, seed=3)
         oracle = ShardedEngine(TS_SPEC, shards=2, seed=3)
@@ -144,7 +143,7 @@ class TestBatchVersusScalar:
 
 
 class TestShapeValidation:
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_malformed_ops_fail_the_whole_batch(self, factory):
         engine = factory(SEQ_SPEC, shards=2, seed=1)
         try:

@@ -7,7 +7,7 @@ invalidation, counters (both the plain mirrors and the
 Engine level: the load-bearing property from the issue — *any* interleaving
 of ingest / eviction / snapshot-restore with cached queries answers
 bit-identically to an uncached oracle, on the serial engine and on process
-workers over each record transport.  The per-shard ``generation`` counter
+workers in every fleet shape.  The per-shard ``generation`` counter
 bumps on every mutation (appends, LRU/TTL eviction, ``load_state_dict``), so
 a stale cache entry can never survive a state change.
 """
@@ -16,28 +16,22 @@ import random
 
 import pytest
 
-from repro.engine import (
-    ProcessEngine,
-    QueryCache,
-    SamplerSpec,
-    ShardedEngine,
-)
+from repro.engine import QueryCache, SamplerSpec, ShardedEngine
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
 
 SPEC = SamplerSpec(window="sequence", n=24, k=4, replacement=True)
 
+#: Engine columns, built by the ``factory`` fixture in conftest.py: the
+#: serial engine, a plain two-worker fleet, and that fleet varied along what
+#: still differs on the dispatch path (journaled under supervision, one
+#: worker, small sub-batches).
 EXECUTORS = [
-    pytest.param(lambda spec, **kw: ShardedEngine(spec, **kw), id="serial"),
-    pytest.param(lambda spec, **kw: ProcessEngine(spec, workers=2, **kw), id="process"),
-    pytest.param(
-        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="pickle", **kw),
-        id="process-pickle",
-    ),
-    pytest.param(
-        lambda spec, **kw: ProcessEngine(spec, workers=2, transport="shm", **kw),
-        id="process-shm",
-    ),
+    "serial",
+    "process",
+    "process-supervised-wal",
+    "process-one-worker",
+    "process-small-batch",
 ]
 
 
@@ -120,7 +114,7 @@ class TestUnit:
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_hit_serves_without_recompute_and_ingest_invalidates(self, factory):
         cache = QueryCache()
         engine = factory(SPEC, shards=2, seed=13, query_cache=cache)
@@ -140,7 +134,7 @@ class TestEngineIntegration:
         finally:
             close(engine)
 
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_cache_hits_are_copies(self, factory):
         engine = factory(SPEC, shards=2, seed=13, query_cache=QueryCache())
         try:
@@ -154,7 +148,7 @@ class TestEngineIntegration:
         finally:
             close(engine)
 
-    @pytest.mark.parametrize("factory", EXECUTORS)
+    @pytest.mark.parametrize("factory", EXECUTORS, indirect=True)
     def test_any_interleaving_matches_an_uncached_oracle(self, factory):
         """The issue's property test: ingest / LRU+TTL eviction / restore
         interleaved with cached queries stays bit-identical to an uncached

@@ -1,12 +1,14 @@
 """The columnar record transport: exact round-trips and real freight savings.
 
-:class:`~repro.engine.ProcessEngine` ships record sub-batches as one
-struct-packed buffer per sub-batch (:mod:`repro.engine.transport`).  Two
-things must hold for the engine's bit-identity story to survive the wire:
-``decode(encode(batch)) == batch`` for every batch the engine can dispatch,
-and the engine's results must not depend on which transport carried the
-records.  The freight claim (fewer bytes per record than pickling the tuple
-list) is asserted for the engine's typical record shapes.
+:class:`~repro.engine.ProcessEngine` ships every record sub-batch as one
+struct-packed buffer (:mod:`repro.engine.transport`).  Three things must
+hold for the engine's bit-identity and durability stories to survive the
+wire: ``decode(encode(batch)) == batch`` for every batch the engine can
+dispatch, a fleet fed through the codec must end bit-identical to the serial
+engine, and every malformed payload (the WAL reads them back from disk) must
+raise :class:`~repro.exceptions.TransportError`.  The freight claim (fewer
+bytes per record than pickling the tuple list) is asserted for the engine's
+typical record shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 import pytest
 
 from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine, decode_batch, encode_batch
-from repro.exceptions import ConfigurationError, TransportError
+from repro.exceptions import TransportError
 
 
 def round_trip(batch):
@@ -118,6 +120,12 @@ class TestRoundTrip:
             with pytest.raises(TransportError):
                 decode_batch(payload[: len(payload) - cut])
 
+    def test_malformed_payload_raises_transport_error(self, malformed_payload):
+        # Never a bare ValueError/MemoryError/TypeError out of the pickle
+        # fallback, and never a silently different batch.
+        with pytest.raises(TransportError):
+            decode_batch(malformed_payload)
+
 
 class TestFreight:
     def test_int_records_beat_pickle_by_2x(self):
@@ -140,20 +148,20 @@ class TestProcessEngineTransport:
     def records(self):
         return [(f"key-{index % 97}", index % 512) for index in range(8000)]
 
-    def test_both_transports_bit_identical_to_serial(self):
+    def test_columnar_fleet_bit_identical_to_serial(self):
         serial = ShardedEngine(self.SPEC, shards=4, seed=7)
         serial.ingest(self.records())
-        reference = serial.state_dict()
-        for transport in ("columnar", "pickle"):
-            with ProcessEngine(
-                self.SPEC, shards=4, seed=7, workers=2, max_batch=512, transport=transport
-            ) as engine:
-                engine.ingest(self.records())
-                assert engine.state_dict() == reference, transport
+        with ProcessEngine(
+            self.SPEC, shards=4, seed=7, workers=2, max_batch=512
+        ) as engine:
+            engine.ingest(self.records())
+            assert engine.state_dict() == serial.state_dict()
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="transport"):
-            ProcessEngine(self.SPEC, shards=2, workers=1, transport="carrier-pigeon")
+    @pytest.mark.parametrize("transport", ["columnar", "shm", "pickle"])
+    def test_transport_option_is_gone(self, transport):
+        # Columnar is the only wire form: there is nothing left to select.
+        with pytest.raises(TypeError):
+            ProcessEngine(self.SPEC, shards=2, workers=1, transport=transport)
 
     def test_transport_report_breaks_down_stages(self):
         with ProcessEngine(
@@ -161,208 +169,13 @@ class TestProcessEngineTransport:
         ) as engine:
             engine.ingest(self.records())
             report = engine.transport_report()
-        assert report["transport"] == "columnar"
+        assert set(report) == {
+            "kernel", "batches", "records", "encoded_bytes", "encode_seconds",
+            "dispatch_seconds", "decode_seconds", "apply_seconds", "workers",
+        }
         assert report["records"] == 8000
         assert report["batches"] >= 4  # 8000 records / 512 max_batch over shards
         assert report["encoded_bytes"] > 0
         for stage in ("encode_seconds", "dispatch_seconds", "decode_seconds", "apply_seconds"):
             assert report[stage] >= 0.0
         assert report["apply_seconds"] > 0.0
-
-    def test_pickle_transport_reports_no_encoded_bytes(self):
-        with ProcessEngine(
-            self.SPEC, shards=2, seed=7, workers=1, transport="pickle"
-        ) as engine:
-            engine.ingest(self.records()[:1000])
-            report = engine.transport_report()
-        assert report["encoded_bytes"] == 0
-        assert report["encode_seconds"] == 0.0
-        assert report["records"] == 1000
-
-
-class TestShmRing:
-    """The shared-memory payload ring under a single process: space
-    accounting, wraparound padding, and byte-level backpressure."""
-
-    def setup_method(self):
-        import multiprocessing
-
-        self.context = multiprocessing.get_context()
-
-    def make_pair(self, capacity):
-        from repro.engine.transport import ShmRingReader, ShmRingWriter
-
-        writer = ShmRingWriter(self.context, capacity)
-        reader = ShmRingReader(*writer.worker_config())
-        return writer, reader
-
-    def test_shared_memory_available_here(self):
-        from repro.engine.transport import HAS_SHARED_MEMORY
-
-        assert HAS_SHARED_MEMORY  # CI and the bench container both have it
-
-    def test_round_trip_through_the_mapping(self):
-        writer, reader = self.make_pair(256)
-        try:
-            payload = bytes(range(100))
-            slot = writer.offer(payload)
-            assert slot is not None
-            start, end_counter = slot
-            assert reader.read(start, len(payload)) == payload
-            reader.release(end_counter)
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_backpressure_then_release_frees_space(self):
-        writer, reader = self.make_pair(64)
-        try:
-            first = writer.offer(b"a" * 40)
-            assert first is not None
-            # 24 bytes left and the next payload would straddle the end, so
-            # the ring is effectively full until the reader releases.
-            assert writer.offer(b"b" * 40) is None
-            reader.release(first[1])
-            second = writer.offer(b"b" * 40)
-            assert second is not None
-            assert reader.read(second[0], 40) == b"b" * 40
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_wraparound_pads_to_the_start(self):
-        writer, reader = self.make_pair(64)
-        try:
-            for cycle in range(20):  # > capacity/payload cycles force wraps
-                payload = bytes([cycle]) * 24
-                slot = writer.offer(payload)
-                assert slot is not None, cycle
-                start, end_counter = slot
-                # Payloads are stored contiguously: never split by the end.
-                assert start + len(payload) <= 64
-                assert reader.read(start, len(payload)) == payload
-                reader.release(end_counter)
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_fits_and_oversize_payloads(self):
-        writer, reader = self.make_pair(64)
-        try:
-            assert writer.fits(64)
-            assert not writer.fits(65)
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_writer_close_is_idempotent(self):
-        writer, reader = self.make_pair(64)
-        reader.close()
-        writer.close()
-        writer.close()
-
-    def test_invalid_capacity_rejected(self):
-        from repro.engine.transport import ShmRingWriter
-
-        with pytest.raises(ValueError):
-            ShmRingWriter(self.context, 0)
-
-
-class TestShmEngineTransport:
-    """transport="shm" end to end: bit-identity, fallback, and reporting."""
-
-    SEQ_SPEC = SamplerSpec(window="sequence", n=64, k=3)
-    TS_SPEC = SamplerSpec(window="timestamp", t0=40.0, k=3)
-
-    def records(self, clocked=False):
-        if clocked:
-            return [
-                (f"key-{index % 97}", index % 512, index * 0.25) for index in range(8000)
-            ]
-        return [(f"key-{index % 97}", index % 512) for index in range(8000)]
-
-    @pytest.mark.parametrize("clocked", [False, True], ids=["sequence", "timestamp"])
-    def test_shm_bit_identical_to_serial(self, clocked):
-        spec = self.TS_SPEC if clocked else self.SEQ_SPEC
-        serial = ShardedEngine(spec, shards=4, seed=7)
-        serial.ingest(self.records(clocked))
-        with ProcessEngine(
-            spec, shards=4, seed=7, workers=2, max_batch=512, transport="shm"
-        ) as engine:
-            engine.ingest(self.records(clocked))
-            assert engine.state_dict() == serial.state_dict()
-            report = engine.transport_report()
-        assert report["transport"] == "shm"
-        assert report["requested_transport"] == "shm"
-        assert report["ring_fallbacks"] == 0
-
-    def test_oversize_payloads_fall_back_to_the_queue(self):
-        serial = ShardedEngine(self.SEQ_SPEC, shards=4, seed=7)
-        serial.ingest(self.records())
-        with ProcessEngine(
-            self.SEQ_SPEC,
-            shards=4,
-            seed=7,
-            workers=2,
-            max_batch=512,
-            transport="shm",
-            shm_ring_bytes=64,  # smaller than any encoded sub-batch
-        ) as engine:
-            engine.ingest(self.records())
-            assert engine.state_dict() == serial.state_dict()
-            report = engine.transport_report()
-        assert report["ring_fallbacks"] == report["batches"] > 0
-
-    def test_shm_ring_bytes_validated(self):
-        with pytest.raises(ConfigurationError, match="shm_ring_bytes"):
-            ProcessEngine(self.SEQ_SPEC, shards=2, workers=1, shm_ring_bytes=0)
-
-    def test_unavailable_shared_memory_downgrades_to_columnar(self, monkeypatch):
-        import repro.engine.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "HAS_SHARED_MEMORY", False)
-        with ProcessEngine(
-            self.SEQ_SPEC, shards=2, seed=7, workers=1, transport="shm"
-        ) as engine:
-            engine.ingest(self.records()[:1000])
-            report = engine.transport_report()
-        assert report["transport"] == "columnar"
-        assert report["requested_transport"] == "shm"
-
-    def test_rings_are_unlinked_on_close(self):
-        engine = ProcessEngine(
-            self.SEQ_SPEC, shards=2, seed=7, workers=2, transport="shm"
-        )
-        engine.ingest(self.records()[:2000])
-        engine.flush()
-        names = [ring._shm.name for ring in engine._rings]
-        assert len(names) == 2
-        engine.close()
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_killed_worker_surfaces_not_hangs(self):
-        import os
-        import signal
-
-        from repro.exceptions import WorkerFailure
-
-        engine = ProcessEngine(
-            self.SEQ_SPEC, shards=2, seed=7, workers=2, transport="shm"
-        )
-        try:
-            engine.ingest(self.records()[:2000])
-            engine.flush()
-            victim = engine._processes[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            with pytest.raises(WorkerFailure):
-                for _ in range(200):  # enough dispatches to hit the dead inbox
-                    engine.ingest(self.records())
-                    engine.flush()
-        finally:
-            with pytest.raises(WorkerFailure):
-                engine.close()

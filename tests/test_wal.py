@@ -179,7 +179,7 @@ class TestCorruption:
             reopened.tail(5)
         reopened.close()
 
-    def test_checksum_valid_but_undecodable_record_raises(self, tmp_path):
+    def test_checksum_valid_but_undecodable_record_raises(self, tmp_path, malformed_payload):
         wal = WriteAheadLog(str(tmp_path))
         good = batch_payload(0, 4)
         wal.append(1, good)
@@ -187,7 +187,7 @@ class TestCorruption:
         path = os.path.join(str(tmp_path), shard_wal_name(1))
         offset = os.path.getsize(path)
         with open(path, "ab") as handle:
-            handle.write(frame_record(b"definitely not SWT1"))
+            handle.write(frame_record(malformed_payload))
         reopened = WriteAheadLog(str(tmp_path))
         with pytest.raises(TransportError, match=f"offset {offset}"):
             reopened.tail(1)
