@@ -18,7 +18,8 @@ checkpoint serialisation — and the scaling layers:
   the serial fleet.
 * a **batched-path comparison**: the serial 1M-record ingest through the
   per-record reference loop, the grouped batched path (bit-identical), and
-  the ``fast=True`` skip-sampling path — the three numbers
+  the ``fast=True`` path (the same python code as batched since the
+  per-acceptance reservoirs) — the three numbers
   ``benchmarks/record.py`` tracks in ``BENCH_E11.json``.
 * **incremental checkpoints**: a second save after touching ~1% of keys
   (clustered on ≤10% of shards) must rewrite ≤10% of the shard segments.
@@ -89,11 +90,12 @@ def test_e11_engine_ingest_1m_records(benchmark, records):
 
 
 def test_e11_engine_fast_ingest_1m_records(benchmark, records):
-    """The same fleet with ``SamplerSpec(fast=True)``: skip-sampling ingest.
+    """The same fleet with ``SamplerSpec(fast=True)`` (python kernel: the
+    batched path).
 
-    Not bit-identical to the default path (by design), so the assertion is
-    structural: same arrivals, same keys, valid per-key samples.  The
-    statistical guarantees are gated in ``tests/test_batched_ingest.py``.
+    The assertion is structural: same arrivals, same keys, valid per-key
+    samples.  The statistical guarantees are gated in
+    ``tests/test_batched_ingest.py``.
     """
 
     def ingest():

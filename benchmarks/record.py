@@ -7,7 +7,8 @@ writes ``BENCH_E7.json`` / ``BENCH_E11.json``:
 * **E7** — per-element ingest cost of the four optimal samplers, measured
   three ways: the per-element ``append`` loop (the *before*), the batched
   default ``process_batch`` path (bit-identical), and the ``fast=True``
-  skip-sampling path.  Each path is timed best-of-3 on a fresh sampler,
+  path (since the per-acceptance reservoirs, the same python code as
+  batched; it differs only with ``--kernel numpy``).  Each path is timed best-of-3 on a fresh sampler,
   with the three paths interleaved within each round — single-shot
   timings taken seconds apart made the guarded ratios flaky on 1-core CI
   runners (see ``timed_best_grouped``).
@@ -105,10 +106,9 @@ GUARDED_METRICS: Dict[str, List[tuple]] = {
         ("seq-wr.speedup_batched", "min"),
         ("seq-wr.speedup_fast", "min"),
         ("seq-wor.speedup_batched", "min"),
-        # seq-wor.speedup_fast is recorded but not guarded: the skip-search
-        # vs reference-loop ratio moves with stream length, so quick-vs-full
-        # comparisons exceed any honest tolerance.  Its correctness is gated
-        # statistically and its floor is tested in tests/test_perf_baseline.py.
+        # seq-wor.speedup_fast is recorded but not guarded: the
+        # per-acceptance vs reference-loop ratio moves with stream length, so
+        # quick-vs-full comparisons exceed any honest tolerance.
         ("ts-wr.speedup_batched", "min"),
         ("ts-wr.speedup_fast", "min"),
         ("ts-wor.speedup_batched", "min"),
@@ -123,6 +123,10 @@ GUARDED_METRICS: Dict[str, List[tuple]] = {
     "BENCH_E11.json": [
         ("serial.speedup_batched", "min"),
         ("serial.speedup_fast", "min"),
+        # Pickled sampler state per live key: what a key costs on disk.  A
+        # fatter per-key state (a generator vector per stream was ~3 KB)
+        # trips this before it reaches a checkpoint.
+        ("serial.state_bytes_per_key", "max"),
         ("transport.columnar_bytes_per_record", "max"),
         ("transport.pickle_over_columnar", "min"),
         ("obs.enabled_over_disabled", "cap", 1.05),
@@ -294,9 +298,12 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
     if kernel == "numpy":
         kern = ShardedEngine(e11_spec(fast=True, kernel="numpy"), shards=8, seed=3)
         t_kernel = timed(lambda: kern.ingest(records))
+    keys = batched.key_count
+    state_bytes = len(pickle.dumps(batched.state_dict(), pickle.HIGHEST_PROTOCOL))
     result = {
         "records": count,
-        "keys": batched.key_count,
+        "keys": keys,
+        "state_bytes_per_key": round(state_bytes / keys, 1),
         "per_record_krps": round(count / t_before / 1e3, 1),
         "batched_krps": round(count / t_batched / 1e3, 1),
         "fast_krps": round(count / t_fast / 1e3, 1),
@@ -314,6 +321,7 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
         f"[E11] serial: per-record {result['per_record_krps']} krec/s"
         f" | batched {result['batched_krps']} krec/s ({result['speedup_batched']:.2f}x)"
         f" | fast {result['fast_krps']} krec/s ({result['speedup_fast']:.2f}x)"
+        f" | state {result['state_bytes_per_key']} B/key"
     )
     if t_kernel:
         line += f" | kernel {result['kernel_krps']} krec/s ({result['speedup_numpy']:.2f}x over fast)"

@@ -107,24 +107,28 @@ Performance
 The ingest hot path is batched at every layer, with the per-element code
 kept only as the reference semantics:
 
-* **Samplers** expose ``process_batch(values, timestamps)``.  The default
-  mode hoists attribute lookups and generator bindings out of the inner
-  loop while consuming randomness exactly like an ``append`` loop — states,
-  samples and checkpoints are bit-identical.  The timestamp samplers —
-  the paper's flagship machinery — batch the covering automata themselves:
-  the ``Incr`` merge cascade runs in place off a single O(1) merge probe
-  and window expiry pays one cached-threshold comparison per element with
-  a full Lemma 3.5 scan only at actual transitions, which takes
-  ``boz-ts-wr``/``boz-ts-wor`` ingest from ~1x to 4–5x over the append
-  loop while staying bit-identical.  Constructing a sampler (or a
-  :class:`~repro.engine.SamplerSpec`) with ``fast=True`` switches the
-  sequence samplers to skip-counting (the Vitter Algorithm-Z lineage: one
-  geometric skip per reservoir *acceptance* instead of one coin per
-  element) and the timestamp samplers to pooled bucket-merge coins (the
-  fair merge coin makes the geometric skip a run length of a fair-bit
-  stream, so one draw buys a slab of coins) — distributionally exact
-  (gated by χ² and KS suites), but not bit-identical, and rejected by the
-  baseline algorithms.
+* **Samplers** expose ``process_batch(values, timestamps)``, which hoists
+  attribute lookups out of the inner loop while consuming randomness
+  exactly like an ``append`` loop — states, samples and checkpoints are
+  bit-identical.  The reservoirs of the sequence samplers store the offer
+  number of their next acceptance (Vitter's skip form; Li's Algorithm L for
+  the k-reservoir), so both paths draw once per *acceptance*, not once per
+  element.  The timestamp samplers — the paper's flagship machinery — batch
+  the covering automata themselves: the ``Incr`` merge cascade runs in
+  place off a single O(1) merge probe, takes its fair merge coins 64 to a
+  generator draw, and window expiry pays one cached-threshold comparison
+  per element with a full Lemma 3.5 scan only at actual transitions, which
+  takes ``boz-ts-wr``/``boz-ts-wor`` ingest from ~1x to 4–5x over the
+  append loop while staying bit-identical.
+* **Per-key state.**  Every random stream of an optimal sampler is a
+  :class:`~repro.rng.LaneRng` — splitmix64 used as a counter-based
+  generator — derived from the sampler's one 64-bit seed and a stream id,
+  so a stream costs a counter and a coin cursor instead of a ~2.5 KB
+  Mersenne-Twister state, and a key's birth seeds nothing.  A sequence-WR
+  key with k=4 and 3 records holds ~1.6 KB resident (tracemalloc) and
+  pickles to ~0.5 KB; a timestamp-WR key ~4.3 KB and ~1.4 KB (they were
+  16–21 KB and 19–20 KB).  Candidates are ``__slots__`` records whose
+  observer ``state`` dict exists only once an observer writes to it.
 * **Engines** group each ingest batch per key in a single pass (hashing
   each distinct key once per chunk) and feed every key's run through its
   sampler's batched path; engines with an eviction policy fall back to
@@ -135,14 +139,15 @@ kept only as the reference semantics:
   sampler or :class:`~repro.engine.SamplerSpec` with ``kernel="numpy"``
   (or, for a standalone sampler, ``"auto"``, which detects numpy; keyed
   engines resolve ``"auto"`` to python, where numpy measured slower; CLI:
-  ``swsample engine/serve --kernel``) vectorizes the ``fast=True`` draws
-  across whole lanes —
+  ``swsample engine/serve --kernel``) and ``fast=True`` — which selects
+  these kernels and does nothing else — vectorizes the batch draws across
+  whole lanes —
   closed-form reservoir-transition draws for seq-WR, hypergeometric
   splits for WOR, width-weighted canonical rebuilds plus searchsorted
   run-splitting for the timestamp automata.  The default
   ``kernel="python"`` is the bit-identity reference and the only path
-  tier-1 CI needs; numpy results are distributionally exact (the same
-  χ²+KS gates as ``fast=True``) but draw different randomness, and
+  tier-1 CI needs; numpy results are distributionally exact (gated by
+  χ²+KS suites) but draw different randomness, and
   ``kernel="numpy"`` without numpy fails loudly at construction.  Engines
   report the active kernel in ``stats()`` / ``transport_report()`` and as
   the ``engine.kernel.numpy`` gauge.

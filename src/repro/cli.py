@@ -77,9 +77,9 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fast", action="store_true",
-        help="use the skip-sampling batched ingest path (optimal algorithm only:"
-        " geometric skips instead of per-element coins; statistically exact but"
-        " not bit-identical to the default path)",
+        help="use the numpy batched-ingest kernels when --kernel resolves to numpy"
+        " (optimal algorithm only; statistically exact but not bit-identical);"
+        " no effect on the python kernel",
     )
     parser.add_argument(
         "--kernel", choices=["python", "numpy", "auto"], default="python",

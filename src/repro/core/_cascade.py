@@ -3,8 +3,8 @@
 This is the innermost loop of :meth:`~repro.core.covering.WindowCoverage.
 observe_batch`, factored out so it can optionally be compiled with
 `mypyc <https://mypyc.readthedocs.io/>`_ — the module deliberately sticks to
-the mypyc-supported subset (plain functions, a ``__slots__``-free final class,
-no dynamic attribute tricks, fully annotated signatures) so that
+the mypyc-supported subset (plain functions, no dynamic attribute tricks,
+fully annotated signatures) so that
 
 .. code-block:: console
 
@@ -13,15 +13,12 @@ no dynamic attribute tricks, fully annotated signatures) so that
 produces a drop-in extension.  Nothing in the repository builds or
 requires the compiled form: the interpreted module is the reference.
 
-Both entry points mutate the bucket list **in place** and consume randomness
-exactly as the historical inline loop did, preserving the batched path's
-bit-identity contract:
-
-* :func:`merge_cascade` draws two ``rng_random() < 0.5`` coins per merge, in
-  cascade order — byte-identical to the per-element ``Incr`` walk;
-* :func:`merge_cascade_fast` takes its coins from a :class:`CoinSlab`
-  (one ``randbytes(512)`` slab buys 512 fair coins, the high bit of each
-  byte), matching the ``fast=True`` trajectory.
+:func:`merge_cascade` mutates the bucket list **in place** and takes two
+fair coins per merge, ``getrandbits(2)``, in front-to-back cascade order —
+exactly the coins :meth:`~repro.core.bucket_structure.BucketStructure.merge`
+takes in the per-element ``Incr`` walk, which keeps the batched path
+bit-identical to it.  On a :class:`~repro.rng.LaneRng` the coins are bits of
+its 64-bit draws, so one draw pays for 32 merges.
 
 The callers keep the O(1) "does this arrival merge at all?" probe inline —
 ``n >= 3 and buckets[n - 3].start == index - 3`` — because most arrivals fail
@@ -34,31 +31,7 @@ from typing import Callable, List
 
 from .bucket_structure import BucketStructure
 
-__all__ = ["CoinSlab", "merge_cascade", "merge_cascade_fast"]
-
-
-class CoinSlab:
-    """Fair coins carved out of 512-byte ``randbytes`` slabs.
-
-    Each byte of generator output is one coin (its high bit: ``byte < 128``),
-    refilled lazily so the unconsumed tail of the final slab is simply
-    discarded — exact, because the coins are i.i.d.  One instance lives for
-    one ``observe_batch`` chunk so consecutive merge runs share a slab.
-    """
-
-    def __init__(self, randbytes: Callable[[int], bytes]) -> None:
-        self._randbytes = randbytes
-        self._slab = b""
-        self._pos = 0
-
-    def flip(self) -> bool:
-        """One fair coin; ``True`` keeps the left bucket's sample."""
-        if self._pos == len(self._slab):
-            self._slab = self._randbytes(512)
-            self._pos = 0
-        coin = self._slab[self._pos] < 128
-        self._pos += 1
-        return coin
+__all__ = ["merge_cascade"]
 
 
 def _run_start(buckets: List[BucketStructure], index: int) -> int:
@@ -82,13 +55,14 @@ def _run_start(buckets: List[BucketStructure], index: int) -> int:
 def merge_cascade(
     buckets: List[BucketStructure],
     index: int,
-    rng_random: Callable[[], float],
+    getrandbits: Callable[[int], int],
 ) -> None:
-    """Run the in-place merge cascade for arrival ``index`` (default coins).
+    """Run the in-place merge cascade for arrival ``index``.
 
-    Draws two ``rng_random() < 0.5`` coins per merge in front-to-back cascade
-    order, exactly as the per-element ``Incr`` walk does, so the resulting
-    bucket list *and* generator position are bit-identical to the reference.
+    Takes two coins per merge (``getrandbits(2)``: R, then Q; a set bit keeps
+    the left sample) in front-to-back cascade order, exactly as the
+    per-element ``Incr`` walk does, so the resulting bucket list *and*
+    generator position are bit-identical to the reference.
     """
     n = len(buckets)
     first = _run_start(buckets, index)
@@ -98,36 +72,9 @@ def merge_cascade(
     while read <= n - 3:
         bucket = buckets[read]
         right = buckets[read + 1]
-        r_sample = bucket.r_sample if rng_random() < 0.5 else right.r_sample
-        q_sample = bucket.q_sample if rng_random() < 0.5 else right.q_sample
-        buckets[write] = merged(bucket, right, r_sample, q_sample)
-        read += 2
-        write += 1
-    buckets[write] = buckets[n - 1]
-    del buckets[write + 1 :]
-
-
-def merge_cascade_fast(
-    buckets: List[BucketStructure],
-    index: int,
-    coins: CoinSlab,
-) -> None:
-    """Run the in-place merge cascade for arrival ``index`` (slab coins).
-
-    Identical structure to :func:`merge_cascade` but takes its fair coins
-    from a chunk-lived :class:`CoinSlab`, matching the ``fast=True`` path's
-    randomness trajectory byte for byte.
-    """
-    n = len(buckets)
-    first = _run_start(buckets, index)
-    merged = BucketStructure.merge_fast
-    read = first
-    write = first
-    while read <= n - 3:
-        bucket = buckets[read]
-        right = buckets[read + 1]
-        r_sample = bucket.r_sample if coins.flip() else right.r_sample
-        q_sample = bucket.q_sample if coins.flip() else right.q_sample
+        coins = getrandbits(2)
+        r_sample = bucket.r_sample if coins & 1 else right.r_sample
+        q_sample = bucket.q_sample if coins & 2 else right.q_sample
         buckets[write] = merged(bucket, right, r_sample, q_sample)
         read += 2
         write += 1

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-def init_sampler_kernel(kernel: str, root: Any) -> tuple:
+def init_sampler_kernel(kernel: str, seed: int) -> tuple:
     """Resolve a sampler's ``kernel`` argument into ``(name, numpy_gen)``.
 
     ``"python"`` (the default) resolves without touching
@@ -52,9 +52,8 @@ def init_sampler_kernel(kernel: str, root: Any) -> tuple:
     any engine/numpy import.  ``"numpy"`` and ``"auto"`` are resolved there
     (``"numpy"`` raises :class:`~repro.exceptions.ConfigurationError` on a
     numpy-free host; ``"auto"`` downgrades) and, when numpy wins, a
-    dedicated ``numpy.random.Generator`` is seeded from the sampler's root
-    generator.  Callers must invoke this *after* every stdlib ``spawn`` so
-    the python lanes' streams are unchanged by the kernel choice.
+    dedicated ``numpy.random.Generator`` is seeded from the sampler seed's
+    kernel stream, so the kernel choice never moves the lanes' streams.
     """
     name = str(kernel).lower()
     if name == "python":
@@ -64,7 +63,7 @@ def init_sampler_kernel(kernel: str, root: Any) -> tuple:
     name = resolve_kernel(name)
     if name == "python":
         return "python", None
-    return "numpy", make_generator(root)
+    return "numpy", make_generator(seed)
 
 
 def check_batch_lengths(
@@ -130,7 +129,15 @@ def candidate_to_element(candidate: SampleCandidate) -> StreamElement:
 
 
 class WindowSampler(abc.ABC):
-    """Common interface of every sliding-window sampler in the library."""
+    """Common interface of every sliding-window sampler in the library.
+
+    The optimal samplers are per-key state in a keyed engine, so their
+    classes declare ``__slots__`` down the hierarchy and an instance holds
+    its fields inline, without a per-instance dict.  Subclasses without
+    ``__slots__`` — the baselines — keep a ``__dict__``.
+    """
+
+    __slots__ = ("_k", "_observer", "_arrivals")
 
     #: Human-readable algorithm name (used by the harness and the CLI).
     algorithm: str = "abstract"
@@ -214,13 +221,13 @@ class WindowSampler(abc.ABC):
 
         This base implementation simply loops :meth:`append`; the optimal
         samplers override it with a batched fast path that hoists attribute
-        lookups out of the inner loop (and, for the timestamp samplers,
-        amortises the covering automata's merge walks and expiry scans
-        across the batch) and — with ``fast=True`` at construction —
-        replaces per-element coin flips with geometric skip draws.  The
-        default (``fast=False``) overrides are **bit-identical** to the
-        equivalent ``append`` loop: same retained candidates, same
-        generator positions, same checkpoints.
+        lookups out of the inner loop, jumps from one reservoir acceptance
+        to the next (and, for the timestamp samplers, amortises the covering
+        automata's merge walks and expiry scans across the batch).  The
+        overrides are **bit-identical** to the equivalent ``append`` loop:
+        same retained candidates, same generator positions, same
+        checkpoints — except with ``fast=True`` on the numpy kernel, which
+        is distributionally exact instead.
         """
         check_batch_lengths(values, timestamps)
         if timestamps is None:
@@ -335,6 +342,8 @@ class WindowSampler(abc.ABC):
 class SequenceWindowSampler(WindowSampler):
     """Sampler over a sequence-based (fixed-size) window of the last ``n`` arrivals."""
 
+    __slots__ = ("_n",)
+
     def __init__(self, n: int, k: int, observer: Optional[CandidateObserver] = None) -> None:
         super().__init__(k, observer)
         if n <= 0:
@@ -359,6 +368,8 @@ class TimestampWindowSampler(WindowSampler):
     ``now - T(p) < t0``.  The logical clock advances via ``advance_time`` or
     implicitly when an element with a larger timestamp is appended.
     """
+
+    __slots__ = ("_t0",)
 
     def __init__(self, t0: float, k: int, observer: Optional[CandidateObserver] = None) -> None:
         super().__init__(k, observer)

@@ -14,12 +14,13 @@ keeping them independent is what makes the final combination uniform.
 
 Two bucket structures of equal width can be *merged* (used by the ``Incr``
 operator): the merged sample is either constituent's sample with probability
-1/2, which is again uniform because the widths are equal.
+1/2, which is again uniform because the widths are equal.  The two fair coins
+of a merge (R first, then Q; a set bit keeps the left sample) are the next
+two bits of the generator's coin stream, ``getrandbits(2)``.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, Iterator, Optional
 
 from ..memory import MemoryMeter, WORD_MODEL
@@ -64,9 +65,11 @@ class BucketStructure:
         observer: Optional[CandidateObserver] = None,
     ) -> "BucketStructure":
         """``BS(index, index+1)``: a bucket holding exactly one element, whose
-        R and Q samples are necessarily that element."""
-        r_candidate = SampleCandidate(value=value, index=index, timestamp=timestamp)
-        q_candidate = SampleCandidate(value=value, index=index, timestamp=timestamp)
+        R and Q samples are necessarily that element (two candidate records,
+        since an observer keeps separate scratch state on each; the batched
+        observer-free path builds its singletons with one shared record)."""
+        r_candidate = SampleCandidate(value, index, timestamp)
+        q_candidate = SampleCandidate(value, index, timestamp)
         if observer is not None:
             observer.on_select(r_candidate)
             observer.on_select(q_candidate)
@@ -108,7 +111,7 @@ class BucketStructure:
         cls,
         left: "BucketStructure",
         right: "BucketStructure",
-        rng: random.Random,
+        rng: Any,
         observer: Optional[CandidateObserver] = None,
     ) -> "BucketStructure":
         """Merge two adjacent, equal-width bucket structures into one.
@@ -116,7 +119,9 @@ class BucketStructure:
         Implements the unification step of the ``Incr`` operator: because
         ``|B(a,c)| == |B(c,d)|``, picking either constituent's uniform sample
         with probability 1/2 yields a uniform sample of ``B(a,d)``.  The R and
-        Q choices use independent coins so the merged samples stay independent.
+        Q choices use independent coins — ``rng.getrandbits(2)``, the same two
+        coins :func:`~repro.core._cascade.merge_cascade` takes per merge — so
+        the merged samples stay independent.
         """
         if left.end != right.start:
             raise ValueError(f"buckets are not adjacent: {left} and {right}")
@@ -124,8 +129,9 @@ class BucketStructure:
             raise ValueError(
                 f"only equal-width buckets may be merged: widths {left.width} and {right.width}"
             )
-        keep_left_r = rng.random() < 0.5
-        keep_left_q = rng.random() < 0.5
+        coins = rng.getrandbits(2)
+        keep_left_r = bool(coins & 1)
+        keep_left_q = bool(coins & 2)
         r_sample = left.r_sample if keep_left_r else right.r_sample
         q_sample = left.q_sample if keep_left_q else right.q_sample
         if observer is not None:
@@ -196,9 +202,7 @@ class BucketStructure:
     def first_candidate(self) -> SampleCandidate:
         """The bucket's first element ``p_start`` as a candidate record
         (needed by Lemma 3.6, where ``Y`` may land on ``p_a``)."""
-        return SampleCandidate(
-            value=self.first_value, index=self.start, timestamp=self.first_timestamp
-        )
+        return SampleCandidate(self.first_value, self.start, self.first_timestamp)
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
         yield self.r_sample

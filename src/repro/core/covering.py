@@ -29,15 +29,14 @@ Both states use ``O(log n(t))`` memory words.
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import EmptyWindowError, StreamOrderError
 from ..memory import MemoryMeter, WORD_MODEL
 from ..rng import ensure_rng
-from ._cascade import CoinSlab, merge_cascade, merge_cascade_fast
+from ._cascade import merge_cascade
 from .bucket_structure import BucketStructure
-from .serialization import decode_rng_into, encode_rng, require_state_fields
+from .serialization import require_state_fields
 from .tracking import CandidateObserver, SampleCandidate
 
 __all__ = [
@@ -101,9 +100,13 @@ class CoveringDecomposition:
     The decomposition is stored as a list of :class:`BucketStructure`, oldest
     first.  ``incr`` must be called with consecutive stream elements
     (index ``covered_end + 1``); ``Incr`` costs ``O(log(b - a))`` time.
+    ``rng`` is any generator with ``getrandbits`` (the merge coins) and
+    ``randrange`` (:meth:`draw_uniform`).
     """
 
-    def __init__(self, rng: random.Random, observer: Optional[CandidateObserver] = None) -> None:
+    __slots__ = ("_rng", "_observer", "_buckets")
+
+    def __init__(self, rng: Any, observer: Optional[CandidateObserver] = None) -> None:
         self._rng = rng
         self._observer = observer
         self._buckets: List[BucketStructure] = []
@@ -116,7 +119,7 @@ class CoveringDecomposition:
         value: Any,
         index: int,
         timestamp: float,
-        rng: random.Random,
+        rng: Any,
         observer: Optional[CandidateObserver] = None,
     ) -> "CoveringDecomposition":
         """``ζ(index, index)``: a decomposition holding a single element."""
@@ -128,7 +131,7 @@ class CoveringDecomposition:
     def from_buckets(
         cls,
         buckets: List[BucketStructure],
-        rng: random.Random,
+        rng: Any,
         observer: Optional[CandidateObserver] = None,
     ) -> "CoveringDecomposition":
         """Wrap an existing (already canonical) suffix of bucket structures."""
@@ -243,7 +246,7 @@ class CoveringDecomposition:
 
     # -- sampling ----------------------------------------------------------------------
 
-    def draw_uniform(self, rng: Optional[random.Random] = None) -> SampleCandidate:
+    def draw_uniform(self, rng: Any = None) -> SampleCandidate:
         """A uniform sample of all covered elements.
 
         Chooses a bucket with probability proportional to its width and
@@ -313,10 +316,12 @@ class WindowCoverage:
     §3.3 sampling rule: the straddler (if any) and the suffix decomposition.
     """
 
+    __slots__ = ("_t0", "_rng", "_observer", "_straddler", "_decomposition", "_now")
+
     def __init__(
         self,
         t0: float,
-        rng: random.Random,
+        rng: Any,
         observer: Optional[CandidateObserver] = None,
     ) -> None:
         if t0 <= 0:
@@ -333,6 +338,12 @@ class WindowCoverage:
     @property
     def t0(self) -> float:
         return self._t0
+
+    @property
+    def rng(self) -> Any:
+        """The generator the merge coins come from (owned and snapshotted by
+        the enclosing sampler)."""
+        return self._rng
 
     @property
     def now(self) -> float:
@@ -398,7 +409,6 @@ class WindowCoverage:
         base_index: int,
         stamps: Sequence[float],
         clocks: Optional[Sequence[float]] = None,
-        fast: bool = False,
     ) -> None:
         """Process a whole chunk of arrivals: element ``p`` has stream index
         ``base_index + p`` and timestamp ``stamps[p]``; ``clocks[p]`` (default
@@ -419,17 +429,12 @@ class WindowCoverage:
           step?" test collapses to a single power-of-two bit trick per bucket;
         * observer/attribute lookups are hoisted out of the loop.
 
-        With ``fast=False`` the generator is consumed exactly as the
-        per-element path consumes it (two coins per merge, in cascade order),
-        so the resulting state — buckets, straddler, clock *and* generator
-        position — is bit-identical.  ``fast=True`` replaces the per-merge
-        coins with skip-sampling (the counterpart of PR 4's reservoir fast
-        path, specialised to the merge coin's ``p = 1/2``: the geometric skip
-        between right-keeps is exactly the run length of a fair-coin stream,
-        so one generator draw buys a whole slab of merge coins) and shares
-        one candidate record between a fresh singleton's R and Q slots (they
-        are deterministically the same element): distributionally exact,
-        memoryless per-chunk redraws, but a different generator trajectory.
+        The generator is consumed exactly as the per-element path consumes it
+        (two coins per merge, in cascade order), so the resulting state —
+        buckets, straddler, clock *and* generator position — is
+        bit-identical.  A fresh singleton's R and Q share one candidate record
+        here (they are deterministically the same element, and no observer
+        keeps state on them).
 
         Observer-carrying coverages fall back to the per-element path so the
         selection/discard callbacks keep firing.
@@ -445,7 +450,7 @@ class WindowCoverage:
             return
         t0 = self._t0
         now = self._now
-        rng_random = self._rng.random
+        getrandbits = self._rng.getrandbits
         new_bucket = BucketStructure.__new__
         bucket_cls = BucketStructure
         candidate_cls = SampleCandidate
@@ -454,12 +459,6 @@ class WindowCoverage:
         # ``now - front_first_ts < t0`` (the exact per-element comparison, so
         # float rounding matches the reference path bit for bit).
         front_ts = buckets[0].first_timestamp if buckets else math.inf
-        # Fast-mode coin slab: each byte of ``randbytes`` output is one fair
-        # merge coin (its high bit), so one generator call buys 512 coins.
-        # The unconsumed tail is discarded at the end of the chunk, which is
-        # exact because the coins are i.i.d.
-        if fast:
-            coins = CoinSlab(self._rng.randbytes)
         for position in range(count):
             ts = stamps[position]
             clock = ts if clocks is None else clocks[position]
@@ -492,28 +491,20 @@ class WindowCoverage:
                 n = len(buckets)
                 if n >= 3 and buckets[n - 3].start == index - 3:
                     # Delegate the cascade itself to repro.core._cascade
-                    # (optionally mypyc-compiled); both variants consume the
-                    # generator exactly as the historical inline loop did.
-                    if fast:
-                        merge_cascade_fast(buckets, index, coins)
-                    else:
-                        merge_cascade(buckets, index, rng_random)
+                    # (optionally mypyc-compiled); it takes the same coins
+                    # as the per-element walk.
+                    merge_cascade(buckets, index, getrandbits)
             else:
                 front_ts = ts
             # Append the new singleton BS(index, index+1), inlined (this runs
             # once per active arrival — the hottest allocation in the path).
-            # The default mode creates distinct R and Q candidates exactly
-            # like BucketStructure.singleton; fast mode shares one record.
+            # R and Q share one record (no observer keeps state on them).
             appended = new_bucket(bucket_cls)
             appended.start = index
             appended.end = index + 1
             appended.first_value = value
             appended.first_timestamp = ts
-            if fast:
-                appended.r_sample = appended.q_sample = candidate_cls(value, index, ts)
-            else:
-                appended.r_sample = candidate_cls(value, index, ts)
-                appended.q_sample = candidate_cls(value, index, ts)
+            appended.r_sample = appended.q_sample = candidate_cls(value, index, ts)
             buckets.append(appended)
         self._now = now
 
@@ -559,7 +550,7 @@ class WindowCoverage:
 
     # -- sampling ---------------------------------------------------------------------------------
 
-    def draw_sample(self, rng: Optional[random.Random] = None) -> SampleCandidate:
+    def draw_sample(self, rng: Any = None) -> SampleCandidate:
         """A uniform sample of the currently active elements (Theorem 3.9's rule).
 
         In case 1 the decomposition covers exactly the active elements, so a
@@ -587,21 +578,20 @@ class WindowCoverage:
     # -- bookkeeping ------------------------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: clock, straddler, suffix decomposition, generator."""
+        """Snapshot: clock, straddler, suffix decomposition.  The generator
+        belongs to the enclosing sampler, which snapshots it."""
         return {
             "now": self._now,
             "straddler": None if self._straddler is None else self._straddler.state_dict(),
             "decomposition": self._decomposition.state_dict(),
-            "rng": encode_rng(self._rng),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        require_state_fields(state, ("now", "straddler", "decomposition", "rng"), "WindowCoverage")
+        require_state_fields(state, ("now", "straddler", "decomposition"), "WindowCoverage")
         self._now = float(state["now"])
         self._straddler = (
             None if state["straddler"] is None else BucketStructure.from_state_dict(state["straddler"])
         )
-        decode_rng_into(self._rng, state["rng"])
         self._decomposition = CoveringDecomposition(self._rng, self._observer)
         self._decomposition.load_state_dict(state["decomposition"])
 

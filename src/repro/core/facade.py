@@ -101,16 +101,19 @@ def sliding_window_sampler(
         ``"optimal"`` (the paper's algorithms) or one of the baseline names in
         :data:`ALGORITHMS`.
     rng:
-        Seed or ``random.Random`` for reproducibility.
+        Seed or ``random.Random`` for reproducibility.  The optimal samplers
+        derive every random stream from one 64-bit seed (an ``int`` seed
+        itself, or one draw of the generator); see :class:`repro.rng.LaneRng`.
     observer:
         Optional :class:`~repro.core.tracking.CandidateObserver` for the
         Section-5 applications.
     fast:
-        Enable the skip-sampling batched ingest mode on the optimal samplers
-        (``process_batch`` draws geometric skips instead of per-element
-        coins — distributionally exact, but not bit-identical to the default
-        path).  Baselines do not support it and raise
-        :class:`~repro.exceptions.ConfigurationError`.
+        Select the numpy batched-ingest kernels of the optimal samplers when
+        ``kernel`` resolves to numpy (distributionally exact, not
+        bit-identical).  On the python kernel it changes nothing: batched
+        ingest already draws once per reservoir acceptance and is
+        bit-identical to per-element ingest.  Baselines do not support it
+        and raise :class:`~repro.exceptions.ConfigurationError`.
     kernel:
         Batched-ingest kernel for the optimal samplers: ``"python"`` (the
         default bit-identity reference), ``"numpy"`` (the vectorized
@@ -148,7 +151,7 @@ def sliding_window_sampler(
 
     if fast:
         raise ConfigurationError(
-            f"fast (skip-sampling) batched ingest is only supported by the optimal"
+            f"fast (numpy-kernel) batched ingest is only supported by the optimal"
             f" samplers, not by algorithm={algorithm!r}"
         )
     if kernel not in ("python", "auto"):

@@ -13,6 +13,14 @@ sampling method)" [Vitter 1985].  Two flavours are needed:
 Both are exact (not approximate), use O(1) / O(k) words and support the
 candidate-observer hook of :mod:`repro.core.tracking`.
 
+Both draw randomness once per *acceptance*, not once per offer: they store
+the offer number of their next acceptance (Vitter's skip form of reservoir
+sampling, *Random Sampling with a Reservoir*, TOMS 1985) and an offer that
+does not reach it costs a counter increment.  :meth:`offer` and the batched
+:meth:`offer_slice` read the same stored value and make the same draws in
+the same order, so a per-element feed and a batched one leave bit-identical
+states.
+
 The crucial property used by §1.3.4 (independence of disjoint windows) also
 holds here: the sample held after ``i`` offers is independent of which of the
 later offers replace it, because each replacement decision uses fresh
@@ -21,8 +29,7 @@ randomness.
 
 from __future__ import annotations
 
-import math
-import random
+from math import log, log1p
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError, EmptyWindowError
@@ -31,15 +38,15 @@ from ..rng import ensure_rng
 from .serialization import (
     decode_candidate,
     decode_optional_candidate,
-    decode_rng_into,
     encode_candidate,
     encode_optional_candidate,
-    encode_rng,
     require_state_fields,
 )
 from .tracking import CandidateObserver, SampleCandidate
 
 __all__ = ["SingleReservoir", "ReservoirWithoutReplacement"]
+
+_SPAN64 = 1 << 64
 
 
 def _slice_timestamp(
@@ -59,19 +66,22 @@ def _slice_timestamp(
 class SingleReservoir:
     """A uniform single sample over an append-only stream of offers.
 
-    Classic Algorithm R with ``k = 1``: the ``m``-th offered element replaces
-    the current sample with probability ``1/m``.
+    Algorithm R with ``k = 1`` — the ``m``-th offer replaces the sample with
+    probability ``1/m`` — in skip form: after an acceptance at offer ``m``
+    the next acceptance is at offer ``J`` with ``P(J > j) = m / j``, drawn as
+    ``floor(m / u) + 1`` for ``u ~ U(0, 1]``.  The law depends on ``m``
+    alone, so a caller that moves the reservoir to a new count (the numpy
+    kernels) redraws the stored value with :meth:`redraw_next`.
     """
 
-    def __init__(
-        self,
-        rng: Optional[random.Random] = None,
-        observer: Optional[CandidateObserver] = None,
-    ) -> None:
+    __slots__ = ("_rng", "_observer", "_count", "_candidate", "_next")
+
+    def __init__(self, rng: Any = None, observer: Optional[CandidateObserver] = None) -> None:
         self._rng = ensure_rng(rng)
         self._observer = observer
         self._count = 0
         self._candidate: Optional[SampleCandidate] = None
+        self._next = 1  # the first offer is always accepted
 
     @property
     def count(self) -> int:
@@ -89,9 +99,17 @@ class SingleReservoir:
 
     def offer(self, value: Any, index: int, timestamp: float = 0.0) -> None:
         """Offer one element to the reservoir."""
-        self._count += 1
-        if self._rng.random() < 1.0 / self._count:
-            self._replace(SampleCandidate(value=value, index=index, timestamp=timestamp))
+        count = self._count + 1
+        self._count = count
+        if count == self._next:
+            self._replace(SampleCandidate(value, index, timestamp))
+            self._next = int(count / (1.0 - self._rng.random())) + 1
+
+    def redraw_next(self) -> None:
+        """Redraw the next acceptance for the current count (exact: the skip
+        law is memoryless given the count)."""
+        count = self._count
+        self._next = int(count / (1.0 - self._rng.random())) + 1 if count else 1
 
     def _replace(self, candidate: SampleCandidate) -> None:
         if self._candidate is not None and self._observer is not None:
@@ -107,77 +125,41 @@ class SingleReservoir:
         lo: int,
         hi: int,
         timestamps: Optional[Sequence[Optional[float]]] = None,
-        fast: bool = False,
     ) -> None:
         """Offer ``values[lo:hi]`` (stream indexes ``base_index + lo`` on) in
         one call — the batched form of :meth:`offer`.
 
-        The default mode consumes the generator exactly like per-element
-        :meth:`offer` calls would (one coin per offer), so the resulting
-        state — candidate, count *and* generator position — is bit-identical
-        to the per-element path.  ``fast=True`` instead draws one inverse-CDF
-        skip per *acceptance* (Vitter's skip-counting idea specialised to
-        k = 1: the next accepted offer number is ``ceil(m / u)`` for
-        ``u ~ U(0, 1)``), which is distributionally exact but advances the
-        generator differently.  A redrawn skip that overshoots the slice is
-        simply discarded: the conditional law of the next acceptance given
-        "none so far" is the fresh-draw law, so per-slice redraws stay exact.
-
-        With an observer attached the per-element path is used regardless of
-        ``fast`` so selection/discard notifications keep firing.
+        Jumps from acceptance to acceptance, making exactly the draws the
+        per-element :meth:`offer` calls would make, so the resulting state —
+        candidate, count, next acceptance *and* generator position — is
+        bit-identical to the per-element path.  With an observer attached the
+        per-element path runs so selection/discard notifications keep firing.
         """
         if self._observer is not None:
             for position in range(lo, hi):
                 index = base_index + position
                 self.offer(values[position], index, _slice_timestamp(timestamps, position, index))
             return
-        rng_random = self._rng.random
         count = self._count
-        candidate = self._candidate
-        if fast:
-            position = lo
-            if count == 0 and position < hi:
-                # The first offer is accepted with probability 1/1.
+        end = count + hi - lo  # offer number of the slice's last element
+        accept = self._next
+        if accept <= end:
+            rng_random = self._rng.random
+            shift = lo - count - 1  # offer number -> slice position
+            while True:
+                position = accept + shift
                 index = base_index + position
                 candidate = SampleCandidate(
-                    value=values[position],
-                    index=index,
-                    timestamp=_slice_timestamp(timestamps, position, index),
+                    values[position],
+                    index,
+                    float(index) if timestamps is None else _slice_timestamp(timestamps, position, index),
                 )
-                count = 1
-                position += 1
-            ceil = math.ceil
-            while position < hi:
-                u = rng_random()
-                if u <= 0.0:
-                    count += hi - position
+                accept = int(accept / (1.0 - rng_random())) + 1
+                if accept > end:
                     break
-                accept_at = ceil(count / u)  # offer number of the next acceptance
-                target = position + (accept_at - count - 1)  # its slice position
-                if target >= hi:
-                    count += hi - position  # whole remainder skipped
-                    break
-                count = accept_at
-                position = target
-                index = base_index + position
-                candidate = SampleCandidate(
-                    value=values[position],
-                    index=index,
-                    timestamp=_slice_timestamp(timestamps, position, index),
-                )
-                position += 1
-        else:
-            for position in range(lo, hi):
-                count += 1
-                if rng_random() < 1.0 / count:
-                    index = base_index + position
-                    candidate = SampleCandidate(
-                        value=values[position],
-                        index=index,
-                        timestamp=_slice_timestamp(timestamps, position, index),
-                    )
-        self._count = count
-        self._candidate = candidate
+            self._candidate = candidate
+            self._next = accept
+        self._count = end
 
     def sample(self) -> SampleCandidate:
         """The current uniform sample of all offered elements."""
@@ -204,20 +186,25 @@ class SingleReservoir:
             self._observer.on_discard(self._candidate)
         self._candidate = None
         self._count = 0
+        self._next = 1
 
     def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: offer count, retained candidate, generator position."""
+        """Snapshot: offer count, retained candidate, next acceptance.  The
+        generator belongs to the enclosing sampler, which snapshots it."""
         return {
             "count": self._count,
             "candidate": encode_optional_candidate(self._candidate),
-            "rng": encode_rng(self._rng),
+            "next": self._next,
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        require_state_fields(state, ("count", "candidate", "rng"), "SingleReservoir")
-        self._count = int(state["count"])
+        require_state_fields(state, ("count", "candidate", "next"), "SingleReservoir")
+        count, accept = int(state["count"]), int(state["next"])
+        if accept <= count:
+            raise ConfigurationError(f"snapshot's next acceptance {accept} is not after count {count}")
+        self._count = count
         self._candidate = decode_optional_candidate(state["candidate"])
-        decode_rng_into(self._rng, state["rng"])
+        self._next = accept
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SingleReservoir(count={self._count}, candidate={self._candidate})"
@@ -226,18 +213,31 @@ class SingleReservoir:
 class ReservoirWithoutReplacement:
     """A uniform ``k``-subset of an append-only stream of offers.
 
-    Classic Algorithm R: the first ``k`` offers fill the reservoir; the
-    ``m``-th offer (``m > k``) enters with probability ``k/m``, evicting a
-    uniformly chosen slot.  When fewer than ``k`` elements have been offered
-    the reservoir simply holds all of them — exactly the behaviour §2.2 relies
-    on for partial buckets ("either X_B = C, if |C| < k, or X_B is a k-sample
-    of C").
+    The first ``k`` offers fill the reservoir; afterwards the ``m``-th offer
+    enters with probability ``k/m``, evicting a uniformly chosen slot.  When
+    fewer than ``k`` elements have been offered the reservoir simply holds
+    all of them — exactly the behaviour §2.2 relies on for partial buckets
+    ("either X_B = C, if |C| < k, or X_B is a k-sample of C").
+
+    The acceptances are drawn with Li's Algorithm L (*Reservoir-Sampling
+    Algorithms of Time Complexity O(n(1 + log(N/n)))*, TOMS 1994): with
+    ``W`` distributed as the largest of the ``k`` smallest of ``m`` uniform
+    keys, the gap to the next acceptance is geometric with parameter ``W``,
+    and each acceptance evicts a uniform slot and shrinks ``W`` by a factor
+    ``U^(1/k)``.  One 64-bit draw ``d`` (redrawn in the rare top range that
+    is not a multiple of ``k``) gives both the slot, ``d mod k``, and that
+    ``U``, from ``d div k``; a second draw gives the gap.  The stored state
+    is ``W`` and the next acceptance's offer number.  At count ``m`` the law
+    of ``W`` is ``Beta(k, m - k + 1)``, so a caller that moves the reservoir
+    to a new count redraws both with :meth:`redraw_next`.
     """
+
+    __slots__ = ("_k", "_rng", "_observer", "_count", "_slots", "_next", "_w")
 
     def __init__(
         self,
         k: int,
-        rng: Optional[random.Random] = None,
+        rng: Any = None,
         observer: Optional[CandidateObserver] = None,
     ) -> None:
         if k <= 0:
@@ -247,6 +247,8 @@ class ReservoirWithoutReplacement:
         self._observer = observer
         self._count = 0
         self._slots: List[SampleCandidate] = []
+        self._next = 0  # armed when the fill phase ends
+        self._w = 1.0
 
     @property
     def k(self) -> int:
@@ -262,21 +264,57 @@ class ReservoirWithoutReplacement:
         """Number of candidates currently held (``min(k, count)``)."""
         return len(self._slots)
 
+    def _arm(self) -> None:
+        """The fill phase just ended (count == k): draw ``W ~ Beta(k, 1)``
+        and the first acceptance."""
+        rng_random = self._rng.random
+        w = (1.0 - rng_random()) ** (1.0 / self._k)
+        self._w = w
+        self._next = self._count + int(log(1.0 - rng_random()) / log1p(-w)) + 1
+
+    def _accept(self) -> int:
+        """Draw the evicted slot and advance ``W`` and the next acceptance
+        (the step :meth:`offer_slice` inlines)."""
+        k = self._k
+        span = _SPAN64 // k
+        limit = span * k
+        draw = self._rng.getrandbits(64)
+        while draw >= limit:
+            draw = self._rng.getrandbits(64)
+        w = self._w * ((draw // k + 0.5) / span) ** (1.0 / k)
+        self._w = w
+        self._next += int(log(1.0 - self._rng.random()) / log1p(-w)) + 1
+        return draw % k
+
+    def redraw_next(self, w: float) -> None:
+        """Set ``W = w`` — a ``Beta(k, count - k + 1)`` draw made by the
+        caller — and draw the next acceptance for the current count."""
+        if self._count < self._k:
+            return
+        self._w = w
+        self._next = self._count + int(log(1.0 - self._rng.random()) / log1p(-w)) + 1
+
     def offer(self, value: Any, index: int, timestamp: float = 0.0) -> None:
         """Offer one element to the reservoir."""
-        self._count += 1
-        candidate = SampleCandidate(value=value, index=index, timestamp=timestamp)
-        if len(self._slots) < self._k:
+        count = self._count + 1
+        self._count = count
+        k = self._k
+        if count <= k:
+            candidate = SampleCandidate(value, index, timestamp)
             self._slots.append(candidate)
             if self._observer is not None:
                 self._observer.on_select(candidate)
+            if count == k:
+                self._arm()
             return
-        if self._rng.random() < self._k / self._count:
-            victim = self._rng.randrange(self._k)
-            if self._observer is not None:
-                self._observer.on_discard(self._slots[victim])
-                self._observer.on_select(candidate)
-            self._slots[victim] = candidate
+        if count != self._next:
+            return
+        candidate = SampleCandidate(value, index, timestamp)
+        victim = self._accept()
+        if self._observer is not None:
+            self._observer.on_discard(self._slots[victim])
+            self._observer.on_select(candidate)
+        self._slots[victim] = candidate
 
     def offer_slice(
         self,
@@ -285,25 +323,16 @@ class ReservoirWithoutReplacement:
         lo: int,
         hi: int,
         timestamps: Optional[Sequence[Optional[float]]] = None,
-        fast: bool = False,
     ) -> None:
         """Offer ``values[lo:hi]`` (stream indexes ``base_index + lo`` on) in
         one call — the batched form of :meth:`offer`.
 
-        The default mode consumes the generator exactly like per-element
-        :meth:`offer` calls (one coin per offer past the fill phase, plus one
-        victim draw per acceptance), so the resulting state is bit-identical
-        to the per-element path.  ``fast=True`` draws one skip per
-        *acceptance* instead (the skip-counting of Vitter's Algorithm Z
-        lineage): the number of rejected offers before the next acceptance
-        has survival function ``q(j) = prod_{i=m+1}^{j} (1 - k/i)``, inverted
-        here by an exponential-then-binary search on its log-gamma closed
-        form.  Distributionally exact, but the generator advances
-        differently.  Skips that overshoot the slice are discarded, which is
-        exact because the skip law is memoryless across redraws.
-
-        With an observer attached the per-element path is used regardless of
-        ``fast`` so selection/discard notifications keep firing.
+        Fills the reservoir without randomness, then jumps from acceptance
+        to acceptance making exactly the draws per-element :meth:`offer`
+        calls would make (victim, ``W`` update, next gap), so the resulting
+        state is bit-identical to the per-element path.  With an observer
+        attached the per-element path runs so selection/discard
+        notifications keep firing.
         """
         if self._observer is not None:
             for position in range(lo, hi):
@@ -314,83 +343,48 @@ class ReservoirWithoutReplacement:
         k = self._k
         count = self._count
         position = lo
-        # Fill phase: the first k offers enter without randomness, exactly as
-        # in :meth:`offer`.
-        while position < hi and len(slots) < k:
+        while count < k and position < hi:
             count += 1
             index = base_index + position
-            slots.append(
-                SampleCandidate(
-                    value=values[position],
-                    index=index,
-                    timestamp=_slice_timestamp(timestamps, position, index),
-                )
-            )
+            slots.append(SampleCandidate(values[position], index, _slice_timestamp(timestamps, position, index)))
             position += 1
-        if position >= hi:
-            # The slice ended inside the fill phase (count may still be < k,
-            # where the survival function below is undefined).
-            self._count = count
-            return
-        rng_random = self._rng.random
-        randrange = self._rng.randrange
-        if fast:
-            log = math.log
-            lgamma = math.lgamma
-            # G(x) = ln Gamma(x+1-k) - ln Gamma(x+1); q(j) = exp(G(j) - G(m)).
-            g_count = lgamma(count + 1 - k) - lgamma(count + 1)
-            while position < hi:
-                u = rng_random()
-                if u <= 0.0:
-                    count += hi - position
-                    break
-                target_log = g_count + log(u)
-                # Smallest j > count with G(j) < target_log: exponential
-                # bracketing then bisection (G is strictly decreasing).
-                low = count
-                high = count + 1
-                step = 1
-                while lgamma(high + 1 - k) - lgamma(high + 1) >= target_log:
-                    low = high
-                    step += step
-                    high = count + step
-                while high - low > 1:
-                    mid = (low + high) >> 1
-                    if lgamma(mid + 1 - k) - lgamma(mid + 1) >= target_log:
-                        low = mid
-                    else:
-                        high = mid
-                target = position + (high - count - 1)  # slice position of acceptance
-                if target >= hi:
-                    count += hi - position  # whole remainder skipped
-                    break
-                count = high
-                position = target
+            if count == k:
+                self._count = count
+                self._arm()
+        end = count + hi - position  # offer number of the slice's last element
+        accept = self._next
+        if count >= k and accept <= end:
+            rng_random = self._rng.random
+            getrandbits = self._rng.getrandbits
+            span = _SPAN64 // k
+            limit = span * k
+            inv_k = 1.0 / k
+            shift = position - count - 1  # offer number -> slice position
+            w = self._w
+            while True:
+                position = accept + shift
                 index = base_index + position
-                slots[randrange(k)] = SampleCandidate(
-                    value=values[position],
-                    index=index,
-                    timestamp=_slice_timestamp(timestamps, position, index),
+                draw = getrandbits(64)
+                while draw >= limit:
+                    draw = getrandbits(64)
+                slots[draw % k] = SampleCandidate(
+                    values[position],
+                    index,
+                    float(index) if timestamps is None else _slice_timestamp(timestamps, position, index),
                 )
-                position += 1
-                g_count = lgamma(count + 1 - k) - lgamma(count + 1)
-        else:
-            for position in range(position, hi):
-                count += 1
-                if rng_random() < k / count:
-                    index = base_index + position
-                    slots[randrange(k)] = SampleCandidate(
-                        value=values[position],
-                        index=index,
-                        timestamp=_slice_timestamp(timestamps, position, index),
-                    )
-        self._count = count
+                w *= ((draw // k + 0.5) / span) ** inv_k
+                accept += int(log(1.0 - rng_random()) / log1p(-w)) + 1
+                if accept > end:
+                    break
+            self._w = w
+            self._next = accept
+        self._count = end
 
     def sample(self) -> List[SampleCandidate]:
         """The current uniform k-subset (or everything, if count < k)."""
         return list(self._slots)
 
-    def subsample(self, size: int, rng: Optional[random.Random] = None) -> List[SampleCandidate]:
+    def subsample(self, size: int, rng: Any = None) -> List[SampleCandidate]:
         """A uniform ``size``-subset of the held k-subset.
 
         A uniform subset of a uniform-without-replacement sample is itself a
@@ -423,23 +417,33 @@ class ReservoirWithoutReplacement:
                 self._observer.on_discard(candidate)
         self._slots.clear()
         self._count = 0
+        self._next = 0
+        self._w = 1.0
 
     def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: offer count, held slots (in order), generator position."""
+        """Snapshot: offer count, held slots (in order), ``W`` and the next
+        acceptance.  The generator belongs to the enclosing sampler."""
         return {
             "k": self._k,
             "count": self._count,
             "slots": [encode_candidate(candidate) for candidate in self._slots],
-            "rng": encode_rng(self._rng),
+            "next": self._next,
+            "w": self._w,
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        require_state_fields(state, ("k", "count", "slots", "rng"), "ReservoirWithoutReplacement")
+        require_state_fields(state, ("k", "count", "slots", "next", "w"), "ReservoirWithoutReplacement")
         if int(state["k"]) != self._k:
             raise ConfigurationError(f"snapshot has k={state['k']}, reservoir has k={self._k}")
-        self._count = int(state["count"])
+        count, accept, w = int(state["count"]), int(state["next"]), float(state["w"])
+        if count >= self._k and (accept <= count or not 0.0 < w <= 1.0):
+            raise ConfigurationError(
+                f"snapshot's next acceptance {accept} / W {w} is invalid at count {count}"
+            )
+        self._count = count
         self._slots = [decode_candidate(encoded) for encoded in state["slots"]]
-        decode_rng_into(self._rng, state["rng"])
+        self._next = accept
+        self._w = w
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReservoirWithoutReplacement(k={self._k}, count={self._count}, held={len(self._slots)})"

@@ -21,21 +21,19 @@ and never fail: a valid sample is available whenever the window is non-empty.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError, EmptyWindowError
 from ..memory import MemoryMeter, WORD_MODEL
-from ..rng import RngLike, ensure_rng, spawn
+from ..rng import QUERY_STREAM, LaneRng, RngLike, sampler_seed
 from .base import SequenceWindowSampler, check_batch_lengths, init_sampler_kernel
 from .reservoir import ReservoirWithoutReplacement, SingleReservoir
 from .serialization import (
     decode_candidate,
     decode_optional_candidate,
-    decode_rng_into,
     encode_candidate,
     encode_optional_candidate,
-    encode_rng,
+    load_stream,
     require_state_fields,
 )
 from .tracking import CandidateObserver, SampleCandidate
@@ -53,7 +51,7 @@ class _SingleSampleLane:
 
     __slots__ = ("rng", "observer", "active_sample", "active_bucket", "partial", "partial_bucket")
 
-    def __init__(self, rng: random.Random, observer: Optional[CandidateObserver]) -> None:
+    def __init__(self, rng: LaneRng, observer: Optional[CandidateObserver]) -> None:
         self.rng = rng
         self.observer = observer
         self.active_sample: Optional[SampleCandidate] = None
@@ -94,19 +92,22 @@ class _SingleSampleLane:
         return meter.total
 
     def state_dict(self) -> Dict[str, Any]:
-        # The lane's generator is the partial reservoir's generator (the same
-        # object), so it travels inside the reservoir's snapshot.
+        # The lane's generator is also its partial reservoir's generator.
         return {
+            "rng": self.rng.get_state(),
             "active_sample": encode_optional_candidate(self.active_sample),
             "active_bucket": self.active_bucket,
             "partial": self.partial.state_dict(),
             "partial_bucket": self.partial_bucket,
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(self, state: Dict[str, Any], seed: int, stream: int) -> None:
         require_state_fields(
-            state, ("active_sample", "active_bucket", "partial", "partial_bucket"), "_SingleSampleLane"
+            state,
+            ("rng", "active_sample", "active_bucket", "partial", "partial_bucket"),
+            "_SingleSampleLane",
         )
+        load_stream(self.rng, seed, stream, state["rng"])
         self.active_sample = decode_optional_candidate(state["active_sample"])
         self.active_bucket = None if state["active_bucket"] is None else int(state["active_bucket"])
         self.partial = SingleReservoir(rng=self.rng, observer=self.observer)
@@ -127,6 +128,8 @@ class SequenceSamplerWR(SequenceWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
+    __slots__ = ("_seed", "_fast", "_lanes", "_kernel", "_np_gen")
+
     def __init__(
         self,
         n: int,
@@ -137,13 +140,13 @@ class SequenceSamplerWR(SequenceWindowSampler):
         kernel: str = "python",
     ) -> None:
         super().__init__(n, k, observer)
-        root = ensure_rng(rng)
+        # Lane i draws from stream i of the sampler seed.  Reads draw
+        # nothing (the window sample is a lookup), so there is no query
+        # stream.
+        self._seed = seed = sampler_seed(rng)
         self._fast = bool(fast)
-        self._lanes = [_SingleSampleLane(spawn(root, lane), observer) for lane in range(self._k)]
-        self._query_rng = spawn(root, self._k + 1)
-        # Resolved last: the numpy generator seed is drawn from the root
-        # *after* every spawn, so kernel choice never perturbs the lanes.
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
+        self._lanes = [_SingleSampleLane(LaneRng(seed, lane), observer) for lane in range(self._k)]
+        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -165,12 +168,13 @@ class SequenceSamplerWR(SequenceWindowSampler):
 
         Each lane owns an independent generator, so feeding the whole batch
         through lane 0, then lane 1, ... consumes every generator exactly as
-        the element-major ``append`` loop would — the default path is
-        bit-identical to it.  With ``fast=True`` each lane's reservoir draws
-        geometric skips instead of per-element coins (see
-        :meth:`SingleReservoir.offer_slice`).  Observer-carrying samplers
-        fall back to the per-element loop so arrival notifications keep
-        their element-major order.
+        the element-major ``append`` loop would, and each lane's reservoir
+        jumps from acceptance to acceptance (see
+        :meth:`SingleReservoir.offer_slice`) — bit-identical to ``append``.
+        ``fast=True`` with the numpy kernel runs
+        :func:`repro.engine.kernels.seq_wr_process_batch` instead.
+        Observer-carrying samplers fall back to the per-element loop so
+        arrival notifications keep their element-major order.
         """
         check_batch_lengths(values, timestamps)
         count = len(values)
@@ -178,10 +182,9 @@ class SequenceSamplerWR(SequenceWindowSampler):
             return 0
         if self._observer is not None:
             return super().process_batch(values, timestamps)
-        fast = self._fast
-        if fast and self._np_gen is not None:
+        if self._fast and self._np_gen is not None:
             # Vectorized kernel: whole-batch closed-form lane updates
-            # (distributionally exact, like the python fast path; see
+            # (distributionally exact; see
             # repro.engine.kernels.seq_wr_process_batch).
             from ..engine.kernels import seq_wr_process_batch
 
@@ -199,7 +202,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
                 elif bucket != lane.partial_bucket:
                     lane.roll_over(bucket)
                 segment_end = min(count, position + n - index % n)
-                lane.partial.offer_slice(values, start, position, segment_end, timestamps, fast)
+                lane.partial.offer_slice(values, start, position, segment_end, timestamps)
                 position = segment_end
         self._arrivals = start + count
         return count
@@ -250,21 +253,22 @@ class SequenceSamplerWR(SequenceWindowSampler):
     def _encode_state(self) -> Dict[str, Any]:
         return {
             "n": self._n,
+            "seed": self._seed,
             "lanes": [lane.state_dict() for lane in self._lanes],
-            "query_rng": encode_rng(self._query_rng),
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
-        require_state_fields(payload, ("n", "lanes", "query_rng"), type(self).__name__)
+        require_state_fields(payload, ("n", "seed", "lanes"), type(self).__name__)
         if int(payload["n"]) != self._n:
             raise ConfigurationError(f"snapshot has n={payload['n']}, sampler has n={self._n}")
         if len(payload["lanes"]) != len(self._lanes):
             raise ConfigurationError(
                 f"snapshot has {len(payload['lanes'])} lanes, sampler has {len(self._lanes)}"
             )
-        for lane, lane_state in zip(self._lanes, payload["lanes"]):
-            lane.load_state_dict(lane_state)
-        decode_rng_into(self._query_rng, payload["query_rng"])
+        seed = int(payload["seed"])
+        for stream, (lane, lane_state) in enumerate(zip(self._lanes, payload["lanes"])):
+            lane.load_state_dict(lane_state, seed, stream)
+        self._seed = seed
 
 
 class SequenceSamplerWOR(SequenceWindowSampler):
@@ -285,6 +289,11 @@ class SequenceSamplerWOR(SequenceWindowSampler):
     with_replacement = False
     deterministic_memory = True
 
+    __slots__ = (
+        "_seed", "_allow_partial", "_fast", "_reservoir_rng", "_query_rng", "_kernel",
+        "_np_gen", "_active_slots", "_active_bucket", "_partial", "_partial_bucket",
+    )
+
     def __init__(
         self,
         n: int,
@@ -296,13 +305,12 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         kernel: str = "python",
     ) -> None:
         super().__init__(n, k, observer)
-        root = ensure_rng(rng)
+        self._seed = seed = sampler_seed(rng)
         self._allow_partial = bool(allow_partial)
         self._fast = bool(fast)
-        self._reservoir_rng = spawn(root, 0)
-        self._query_rng = spawn(root, 1)
-        # Resolved after both spawns so kernel choice never perturbs them.
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
+        self._reservoir_rng = LaneRng(seed, 0)
+        self._query_rng = LaneRng(seed, QUERY_STREAM)
+        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
         self._active_slots: List[SampleCandidate] = []
         self._active_bucket: Optional[int] = None
         self._partial = ReservoirWithoutReplacement(self._k, rng=self._reservoir_rng, observer=observer)
@@ -329,11 +337,12 @@ class SequenceSamplerWOR(SequenceWindowSampler):
     ) -> int:
         """Batched :meth:`append` over per-bucket slices of the batch.
 
-        The default path is bit-identical to the ``append`` loop (same coins,
-        same victims, same generator position); ``fast=True`` switches the
-        bucket reservoir to skip-counting (see
-        :meth:`ReservoirWithoutReplacement.offer_slice`).  Observer-carrying
-        samplers fall back to the per-element loop.
+        Bit-identical to the ``append`` loop (same acceptances, same victims,
+        same generator position; see
+        :meth:`ReservoirWithoutReplacement.offer_slice`).  ``fast=True`` with
+        the numpy kernel runs
+        :func:`repro.engine.kernels.seq_wor_process_batch` instead.
+        Observer-carrying samplers fall back to the per-element loop.
         """
         check_batch_lengths(values, timestamps)
         count = len(values)
@@ -341,8 +350,7 @@ class SequenceSamplerWOR(SequenceWindowSampler):
             return 0
         if self._observer is not None:
             return super().process_batch(values, timestamps)
-        fast = self._fast
-        if fast and self._np_gen is not None:
+        if self._fast and self._np_gen is not None:
             # Vectorized kernel: one hypergeometric split per reservoir
             # transition instead of per-element/per-skip loops (see
             # repro.engine.kernels.seq_wor_process_batch).
@@ -361,7 +369,7 @@ class SequenceSamplerWOR(SequenceWindowSampler):
             elif bucket != self._partial_bucket:
                 self._roll_over(bucket)
             segment_end = min(count, position + n - index % n)
-            self._partial.offer_slice(values, start, position, segment_end, timestamps, fast)
+            self._partial.offer_slice(values, start, position, segment_end, timestamps)
             position = segment_end
         self._arrivals = start + count
         return count
@@ -430,13 +438,15 @@ class SequenceSamplerWOR(SequenceWindowSampler):
             "active_bucket": self._active_bucket,
             "partial": self._partial.state_dict(),
             "partial_bucket": self._partial_bucket,
-            "query_rng": encode_rng(self._query_rng),
+            "seed": self._seed,
+            "rng": self._reservoir_rng.get_state(),
+            "query_rng": self._query_rng.get_state(),
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
         require_state_fields(
             payload,
-            ("n", "active_slots", "active_bucket", "partial", "partial_bucket", "query_rng"),
+            ("n", "active_slots", "active_bucket", "partial", "partial_bucket", "seed", "rng", "query_rng"),
             type(self).__name__,
         )
         if int(payload["n"]) != self._n:
@@ -445,8 +455,10 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         self._active_bucket = (
             None if payload["active_bucket"] is None else int(payload["active_bucket"])
         )
-        # The partial reservoir shares ``_reservoir_rng``; loading its snapshot
-        # also restores that shared generator's position.
+        seed = int(payload["seed"])
+        load_stream(self._reservoir_rng, seed, 0, payload["rng"])
+        load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
+        self._seed = seed
         self._partial = ReservoirWithoutReplacement(
             self._k, rng=self._reservoir_rng, observer=self._observer
         )
@@ -454,4 +466,3 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         self._partial_bucket = (
             None if payload["partial_bucket"] is None else int(payload["partial_bucket"])
         )
-        decode_rng_into(self._query_rng, payload["query_rng"])

@@ -3,35 +3,40 @@
 Samplers expose ``state_dict()`` / ``load_state_dict()`` (mirroring the
 familiar torch convention) so that a keyed engine can checkpoint thousands of
 per-key samplers and a restarted process can resume with *identical* sample
-state — including the exact position of every pseudo-random generator, so the
-restored sampler's future coin flips match the original's flip for flip.
+state — including the exact position of every pseudo-random stream, so the
+restored sampler's future draws match the original's draw for draw.
 
 The helpers below encode the two primitives every snapshot is built from:
 
-* ``random.Random`` generator states (a Mersenne-Twister state vector), and
+* :class:`~repro.rng.LaneRng` stream positions.  A sampler stores its 64-bit
+  seed once; each stream is ``[draw counter, coin cursor]``, two small ints,
+  and is rebuilt from ``(seed, stream id, position)``.
 * :class:`~repro.core.tracking.SampleCandidate` records, including the
-  observer scratch ``state`` dict so application estimators (occurrence
-  counters, triangle watchers) survive a restore.
+  observer scratch ``state`` dict (omitted when empty) so application
+  estimators (occurrence counters, triangle watchers) survive a restore.
 
 Encoded states are plain Python containers (lists, dicts, numbers, plus the
 stream element values themselves), so a snapshot can be pickled, msgpacked or
 JSON-encoded by whatever persistence layer sits on top.  Observers themselves
 are *not* part of a snapshot — they are wiring, reattached by the caller that
 rebuilds the sampler — only the per-candidate state they accumulated is.
+
+Format 1 held a 625-int Mersenne-Twister vector per stream; format 2 holds
+counters.  A format-1 snapshot is refused, never converted: its streams
+cannot be continued by the counter generator.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional
 
 from ..exceptions import ConfigurationError
+from ..rng import LaneRng
 from .tracking import SampleCandidate
 
 __all__ = [
     "STATE_FORMAT",
-    "encode_rng",
-    "decode_rng_into",
+    "load_stream",
     "encode_candidate",
     "decode_candidate",
     "encode_optional_candidate",
@@ -40,41 +45,34 @@ __all__ = [
 ]
 
 #: Version tag stamped into every ``state_dict`` (bump on incompatible change).
-STATE_FORMAT = 1
+STATE_FORMAT = 2
 
 
-def encode_rng(rng: random.Random) -> List[Any]:
-    """Encode a generator's internal state as plain lists."""
-    version, internal, gauss_next = rng.getstate()
-    return [version, list(internal), gauss_next]
-
-
-def decode_rng_into(rng: random.Random, encoded: List[Any]) -> None:
-    """Restore a generator's state in place from :func:`encode_rng` output."""
+def load_stream(rng: LaneRng, seed: Any, stream: int, encoded: List[Any]) -> None:
+    """Move ``rng`` to the snapshot position ``encoded`` of stream
+    ``(seed, stream)``; a malformed position is a configuration error."""
     try:
-        version, internal, gauss_next = encoded
-        rng.setstate((version, tuple(internal), gauss_next))
+        rng.set_state(int(seed), stream, encoded)
     except (TypeError, ValueError) as error:
         raise ConfigurationError(f"invalid rng state in snapshot: {error}") from error
 
 
 def encode_candidate(candidate: SampleCandidate) -> Dict[str, Any]:
-    """Encode a retained candidate, including its observer scratch state."""
-    return {
-        "value": candidate.value,
-        "index": candidate.index,
-        "timestamp": candidate.timestamp,
-        "state": dict(candidate.state),
-    }
+    """Encode a retained candidate, with its observer scratch state if any."""
+    encoded = {"value": candidate.value, "index": candidate.index, "timestamp": candidate.timestamp}
+    if candidate._state:
+        encoded["state"] = dict(candidate._state)
+    return encoded
 
 
 def decode_candidate(encoded: Dict[str, Any]) -> SampleCandidate:
     """Rebuild a candidate from :func:`encode_candidate` output."""
+    state = encoded.get("state")
     return SampleCandidate(
-        value=encoded["value"],
-        index=int(encoded["index"]),
-        timestamp=float(encoded["timestamp"]),
-        state=dict(encoded.get("state", {})),
+        encoded["value"],
+        int(encoded["index"]),
+        float(encoded["timestamp"]),
+        dict(state) if state else None,
     )
 
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError, EmptyWindowError, StreamOrderError
 from ..memory import MemoryMeter, WORD_MODEL
-from ..rng import RngLike, ensure_rng, spawn
+from ..rng import QUERY_STREAM, LaneRng, RngLike, sampler_seed
 from .base import (
     TimestampWindowSampler,
     check_batch_lengths,
@@ -30,7 +30,7 @@ from .base import (
     init_sampler_kernel,
 )
 from .covering import WindowCoverage, estimate_active_count
-from .serialization import decode_rng_into, encode_rng, require_state_fields
+from .serialization import load_stream, require_state_fields
 from .tracking import CandidateObserver, SampleCandidate
 
 __all__ = ["TimestampSamplerWR"]
@@ -49,6 +49,8 @@ class TimestampSamplerWR(TimestampWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
+    __slots__ = ("_seed", "_fast", "_coverages", "_query_rng", "_kernel", "_np_gen", "_now")
+
     def __init__(
         self,
         t0: float,
@@ -59,16 +61,16 @@ class TimestampSamplerWR(TimestampWindowSampler):
         kernel: str = "python",
     ) -> None:
         super().__init__(t0, k, observer)
-        root = ensure_rng(rng)
-        #: ``fast=True`` switches the batched path's bucket-merge coins to
-        #: geometric skip draws (distributionally exact, not bit-identical to
-        #: the ``append`` loop); the default consumes randomness exactly like
-        #: per-element appends.
+        self._seed = seed = sampler_seed(rng)
+        #: ``fast=True`` selects the numpy kernel for batches when
+        #: ``kernel`` resolves to numpy; otherwise batches consume randomness
+        #: exactly like per-element appends.
         self._fast = bool(fast)
-        self._coverages = [WindowCoverage(self._t0, spawn(root, lane), observer) for lane in range(self._k)]
-        self._query_rng = spawn(root, self._k + 1)
-        # Resolved after every spawn so kernel choice never perturbs them.
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
+        self._coverages = [
+            WindowCoverage(self._t0, LaneRng(seed, lane), observer) for lane in range(self._k)
+        ]
+        self._query_rng = LaneRng(seed, QUERY_STREAM)
+        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
         self._now = float("-inf")
 
     # -- clock -----------------------------------------------------------------
@@ -108,10 +110,10 @@ class TimestampSamplerWR(TimestampWindowSampler):
         """Batched :meth:`append`: timestamps are validated up front, then the
         batch is fed lane-major through
         :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
-        covering automaton owns an independent generator, so the default mode
-        is bit-identical to the ``append`` loop; ``fast=True`` switches the
-        merge coins to geometric skip draws — distributionally exact, but a
-        different generator trajectory).
+        covering automaton owns an independent generator, so this is
+        bit-identical to the ``append`` loop).  ``fast=True`` with the numpy
+        kernel runs :func:`repro.engine.kernels.coverage_observe_batch`
+        instead.
 
         Unlike per-element appends, an out-of-order timestamp raises
         *before* any element is applied.  Observer-carrying samplers fall
@@ -125,8 +127,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
             return super().process_batch(values, timestamps)
         stamps = coerce_batch_timestamps(count, timestamps, self._now)
         start = self._arrivals
-        fast = self._fast
-        if fast and self._np_gen is not None:
+        if self._fast and self._np_gen is not None:
             # Vectorized kernel: per expiry run, the covering decomposition
             # is rebuilt structurally instead of cascading per element (see
             # repro.engine.kernels.coverage_observe_batch).
@@ -139,7 +140,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
                 )
         else:
             for coverage in self._coverages:
-                coverage.observe_batch(values, start, stamps, fast=fast)
+                coverage.observe_batch(values, start, stamps)
         self._now = stamps[-1]
         self._arrivals = start + count
         return count
@@ -193,11 +194,15 @@ class TimestampSamplerWR(TimestampWindowSampler):
             "t0": self._t0,
             "now": self._now,
             "coverages": [coverage.state_dict() for coverage in self._coverages],
-            "query_rng": encode_rng(self._query_rng),
+            "seed": self._seed,
+            "rngs": [coverage.rng.get_state() for coverage in self._coverages],
+            "query_rng": self._query_rng.get_state(),
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
-        require_state_fields(payload, ("t0", "now", "coverages", "query_rng"), type(self).__name__)
+        require_state_fields(
+            payload, ("t0", "now", "coverages", "seed", "rngs", "query_rng"), type(self).__name__
+        )
         if float(payload["t0"]) != self._t0:
             raise ConfigurationError(f"snapshot has t0={payload['t0']}, sampler has t0={self._t0}")
         if len(payload["coverages"]) != len(self._coverages):
@@ -205,6 +210,13 @@ class TimestampSamplerWR(TimestampWindowSampler):
                 f"snapshot has {len(payload['coverages'])} coverages, sampler has {len(self._coverages)}"
             )
         self._now = float(payload["now"])
-        for coverage, coverage_state in zip(self._coverages, payload["coverages"]):
-            coverage.load_state_dict(coverage_state)
-        decode_rng_into(self._query_rng, payload["query_rng"])
+        if len(payload["rngs"]) != len(self._coverages):
+            raise ConfigurationError(
+                f"snapshot has {len(payload['rngs'])} lane streams, sampler has {len(self._coverages)}"
+            )
+        seed = int(payload["seed"])
+        for stream, coverage in enumerate(self._coverages):
+            load_stream(coverage.rng, seed, stream, payload["rngs"][stream])
+            coverage.load_state_dict(payload["coverages"][stream])
+        load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
+        self._seed = seed

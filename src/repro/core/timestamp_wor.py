@@ -24,7 +24,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError, EmptyWindowError, InsufficientSampleError, StreamOrderError
 from ..memory import MemoryMeter, WORD_MODEL
-from ..rng import RngLike, ensure_rng, spawn
+from ..rng import QUERY_STREAM, LaneRng, RngLike, sampler_seed
 from .base import (
     TimestampWindowSampler,
     check_batch_lengths,
@@ -35,9 +35,8 @@ from .covering import WindowCoverage, estimate_active_count
 from .reduction import build_k_sample
 from .serialization import (
     decode_candidate,
-    decode_rng_into,
     encode_candidate,
-    encode_rng,
+    load_stream,
     require_state_fields,
 )
 from .tracking import CandidateObserver, SampleCandidate
@@ -58,6 +57,11 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     with_replacement = False
     deterministic_memory = True
 
+    __slots__ = (
+        "_seed", "_allow_partial", "_fast", "_coverages", "_query_rng", "_kernel", "_np_gen",
+        "_recent", "_now",
+    )
+
     def __init__(
         self,
         t0: float,
@@ -69,18 +73,18 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         kernel: str = "python",
     ) -> None:
         super().__init__(t0, k, observer)
-        root = ensure_rng(rng)
+        self._seed = seed = sampler_seed(rng)
         self._allow_partial = bool(allow_partial)
-        #: ``fast=True`` switches the batched path's bucket-merge coins to
-        #: geometric skip draws (distributionally exact, not bit-identical to
-        #: the ``append`` loop); the default consumes randomness exactly like
-        #: per-element appends.
+        #: ``fast=True`` selects the numpy kernel for batches when
+        #: ``kernel`` resolves to numpy; otherwise batches consume randomness
+        #: exactly like per-element appends.
         self._fast = bool(fast)
         # Coverage i receives elements delayed by i arrivals (Lemma 4.1).
-        self._coverages = [WindowCoverage(self._t0, spawn(root, lane), observer) for lane in range(self._k)]
-        self._query_rng = spawn(root, self._k + 1)
-        # Resolved after every spawn so kernel choice never perturbs them.
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, root)
+        self._coverages = [
+            WindowCoverage(self._t0, LaneRng(seed, lane), observer) for lane in range(self._k)
+        ]
+        self._query_rng = LaneRng(seed, QUERY_STREAM)
+        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
         # Auxiliary array of the last k arrived elements (§4: "we maintain an
         # auxiliary array with the last i elements ... we can use the same
         # array for every i").
@@ -139,10 +143,10 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         :meth:`~repro.core.covering.WindowCoverage.observe_batch`, with the
         *arrival* timestamps as its clock track: each automaton owns an
         independent generator and sees exactly the per-element sequence,
-        making the default mode bit-identical to the ``append`` loop
-        (``fast=True`` draws geometric merge skips instead — distributionally
-        exact, different generator trajectory).  Timestamps are validated up
-        front (an out-of-order one raises before any element is applied);
+        making this bit-identical to the ``append`` loop (``fast=True`` with
+        the numpy kernel runs
+        :func:`repro.engine.kernels.coverage_observe_batch` instead).
+        Timestamps are validated up front (an out-of-order one raises before any element is applied);
         observer-carrying samplers fall back to the per-element loop.
         """
         check_batch_lengths(values, timestamps)
@@ -159,8 +163,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         combined_values.extend(values)
         combined_stamps = [candidate.timestamp for candidate in held]
         combined_stamps.extend(stamps)
-        fast = self._fast
-        use_kernel = fast and self._np_gen is not None
+        use_kernel = self._fast and self._np_gen is not None
         if use_kernel:
             from ..engine.kernels import as_float_array, coverage_observe_batch
 
@@ -192,7 +195,6 @@ class TimestampSamplerWOR(TimestampWindowSampler):
                 start + first - delay,
                 combined_stamps[base + first - delay : base + count - delay],
                 clocks=stamps if first == 0 else stamps[first:],
-                fast=fast,
             )
         self._recent.extend(
             SampleCandidate(value=values[position], index=start + position, timestamp=stamps[position])
@@ -270,12 +272,16 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             "now": self._now,
             "recent": [encode_candidate(candidate) for candidate in self._recent],
             "coverages": [coverage.state_dict() for coverage in self._coverages],
-            "query_rng": encode_rng(self._query_rng),
+            "seed": self._seed,
+            "rngs": [coverage.rng.get_state() for coverage in self._coverages],
+            "query_rng": self._query_rng.get_state(),
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
         require_state_fields(
-            payload, ("t0", "now", "recent", "coverages", "query_rng"), type(self).__name__
+            payload,
+            ("t0", "now", "recent", "coverages", "seed", "rngs", "query_rng"),
+            type(self).__name__,
         )
         if float(payload["t0"]) != self._t0:
             raise ConfigurationError(f"snapshot has t0={payload['t0']}, sampler has t0={self._t0}")
@@ -287,6 +293,13 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         self._recent = deque(
             (decode_candidate(encoded) for encoded in payload["recent"]), maxlen=self._k
         )
-        for coverage, coverage_state in zip(self._coverages, payload["coverages"]):
-            coverage.load_state_dict(coverage_state)
-        decode_rng_into(self._query_rng, payload["query_rng"])
+        if len(payload["rngs"]) != len(self._coverages):
+            raise ConfigurationError(
+                f"snapshot has {len(payload['rngs'])} lane streams, sampler has {len(self._coverages)}"
+            )
+        seed = int(payload["seed"])
+        for stream, coverage in enumerate(self._coverages):
+            load_stream(coverage.rng, seed, stream, payload["rngs"][stream])
+            coverage.load_state_dict(payload["coverages"][stream])
+        load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
+        self._seed = seed

@@ -21,29 +21,67 @@ instead of at a whole-stream reservoir.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 __all__ = ["SampleCandidate", "CandidateObserver", "NullObserver", "OccurrenceCounter"]
 
 
-@dataclass
 class SampleCandidate:
     """An element currently retained by a sampler.
 
     ``state`` is a scratch dictionary owned by the observer attached to the
-    sampler (if any); the samplers themselves never read it.
+    sampler (if any); the samplers themselves never read it.  It is allocated
+    on first access, so the observer-free samplers — nearly every keyed
+    sampler — carry three fields per candidate and no dict.
     """
 
-    value: Any
-    index: int
-    timestamp: float
-    state: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("value", "index", "timestamp", "_state")
+
+    def __init__(
+        self,
+        value: Any,
+        index: int,
+        timestamp: float,
+        state: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.value = value
+        self.index = index
+        self.timestamp = timestamp
+        self._state = state
+
+    @property
+    def state(self) -> Dict[str, Any]:
+        state = self._state
+        if state is None:
+            state = self._state = {}
+        return state
+
+    @state.setter
+    def state(self, value: Dict[str, Any]) -> None:
+        self._state = value
 
     def clone(self) -> "SampleCandidate":
         """A shallow copy sharing nothing with the original (state is copied)."""
         return SampleCandidate(
-            value=self.value, index=self.index, timestamp=self.timestamp, state=dict(self.state)
+            self.value, self.index, self.timestamp, dict(self._state) if self._state else None
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SampleCandidate:
+            return NotImplemented
+        return (
+            self.value == other.value  # type: ignore[attr-defined]
+            and self.index == other.index  # type: ignore[attr-defined]
+            and self.timestamp == other.timestamp  # type: ignore[attr-defined]
+            and (self._state or {}) == (other._state or {})  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable: observers write ``state``
+
+    def __repr__(self) -> str:
+        return (
+            f"SampleCandidate(value={self.value!r}, index={self.index!r},"
+            f" timestamp={self.timestamp!r}, state={self._state or {}!r})"
         )
 
 

@@ -49,10 +49,10 @@ The whole ingest path is batched end to end: ``ingest()`` partitions records
 per shard (hashing each distinct key once per chunk),
 :meth:`KeyedSamplerPool.extend_batch` groups each shard sub-batch per key,
 and every optimal sampler applies a key's run through its ``process_batch``
-fast path — bit-identical to per-record appends by default, and with
-``SamplerSpec(fast=True)`` switching the sequence samplers to geometric
-skip-sampling and the timestamp samplers' covering automata to pooled
-bucket-merge coins (statistically exact, χ²/KS-gated, not bit-identical).
+fast path — bit-identical to per-record appends, drawing once per
+reservoir acceptance and taking bucket-merge coins 64 to a draw (with
+``SamplerSpec(fast=True, kernel="numpy")`` the numpy kernels run instead:
+statistically exact, χ²/KS-gated, not bit-identical).
 
 Sharding is by a *stable* hash (:func:`stable_key_hash`), never Python's
 salted ``hash()``, so routing — and therefore every per-key sampler's
@@ -64,9 +64,9 @@ The apply path has an optional vectorized kernel layer on top of the
 batching above, kept strictly additive to the bit-exact reference:
 
 * :mod:`repro.engine.kernels` holds every numpy-facing routine behind one
-  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` switches
-  the ``fast=True`` draws from per-run python loops to whole-lane array
-  math.  ``"auto"`` resolves to python in keyed pools
+  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy",
+  fast=True)`` switches batched ingest from per-acceptance python loops to
+  whole-lane array math; ``fast`` does nothing else.  ``"auto"`` resolves to python in keyed pools
   (:func:`~repro.engine.kernels.pool_kernel`): a key's lanes are too
   narrow for numpy to pay off, and standalone samplers keep ``"auto"`` →
   numpy where it is importable.  numpy is the
@@ -75,12 +75,18 @@ batching above, kept strictly additive to the bit-exact reference:
   construction, never mid-stream.  ``"auto"`` travels unresolved inside
   specs and checkpoints, so one checkpoint restores on hosts with and
   without numpy.
-* The contract is layered exactly like ``fast``: ``kernel="python"`` (the
-  default) is byte-identical to the seed reference; ``kernel="numpy"``
-  with ``fast=False`` is *also* bit-identical (the kernel only re-routes
-  fast-path draws); ``fast=True`` under either kernel is distributionally
-  exact, gated by the χ²+KS suites.  Baseline algorithms reject
+* The contract: ``kernel="python"`` (the default) is the bit-identity
+  reference, with or without ``fast``; ``kernel="numpy"`` with
+  ``fast=False`` is *also* bit-identical (the numpy generator has a stream
+  of its own); ``kernel="numpy", fast=True`` is distributionally exact,
+  gated by the χ²+KS suites.  Baseline algorithms reject
   ``kernel="numpy"``.
+* A key's sampler is a few small objects: its random streams are
+  :class:`~repro.rng.LaneRng` counters derived from the key's seed, so a
+  birth seeds no generator and a checkpoint stores two ints per stream.
+  The scalar totals (``key_count``, ``total_arrivals``, ``evictions``)
+  read the pools' counters; only ``stats()``, ``memory_words()`` and the
+  ``engine.memory.words`` gauge walk every sampler for its words.
 * The timestamp merge cascade (the Lemma 3.4 ``Incr`` step) is factored
   into :mod:`repro.core._cascade`.  ``transport_report()`` reports the
   resolved ``kernel``, which also appears in ``stats()`` and as the

@@ -25,7 +25,7 @@ be ``-Infinity`` before any timestamped record, which ``json`` round-trips):
     ``spec`` (the :meth:`~repro.engine.SamplerSpec.to_dict` recipe),
     ``shards``, ``seed``, ``max_keys_per_shard``, ``idle_ttl``,
     ``track_occurrences``, ``now`` (the logical clock) and ``format`` (the
-    sampler ``state_dict`` format version).  Worker count is deliberately
+    sampler ``state_dict`` format version, see below).  Worker count is deliberately
     **not** recorded: workers drive shards but own no state, so a manifest
     written with 4 workers loads into 1 or 16.
 ``segments``
@@ -81,6 +81,17 @@ generation's segments also protects a concurrent reader that parsed the old
 manifest just before the swap; a reader racing two consecutive saves can
 still observe a missing segment, so serialise loads against saves if that
 window matters.
+
+Sampler state format
+--------------------
+``format`` is :data:`~repro.core.serialization.STATE_FORMAT`, currently 2:
+each sampler stores its 64-bit seed once and a ``[draw counter, coin
+cursor]`` pair per random stream, a few dozen bytes per key.  Format 1
+stored a 625-int Mersenne-Twister vector per stream (~19 KB per key).  Its
+streams cannot be continued by the counter generator, so a format-1
+checkpoint fails to load with :class:`~repro.exceptions.CheckpointError`
+naming both formats — checked on the manifest, before any segment is read
+or any worker is started.
 
 Single-file checkpoints
 -----------------------
@@ -531,6 +542,12 @@ def _load_directory_checkpoint(
     missing = [field for field in ("spec", "shards", "seed", "now") if meta.get(field) is None]
     if missing:
         raise CheckpointError(f"{manifest_path} engine metadata is missing {missing}")
+    if meta.get("format", STATE_FORMAT) != STATE_FORMAT:
+        raise CheckpointError(
+            f"{path} holds sampler state format {meta['format']!r}; this version reads"
+            f" format {STATE_FORMAT} only (format 1 stored Mersenne-Twister generator"
+            f" vectors, format {STATE_FORMAT} stores counter-based streams)"
+        )
     shards = int(meta["shards"])
     entries = manifest.get("segments")
     if not isinstance(entries, list) or len(entries) != shards:

@@ -267,11 +267,13 @@ def _sum_rows(rows: Iterable[Sequence[int]]) -> List[int]:
     return [sum(column) for column in zip(*rows)] or [0] * 6
 
 
-def _stats_partial(pools: Iterable[KeyedSamplerPool]) -> List[int]:
+def _stats_partial(pools: Iterable[KeyedSamplerPool], words: bool) -> List[int]:
     """The ``stats`` totals over ``pools``: live keys, arrivals, memory
-    words, and evictions (total, LRU, TTL) — additive across pool sets."""
+    words, and evictions (total, LRU, TTL) — additive across pool sets.
+    Memory words walk every live sampler, so without ``words`` they read 0
+    and the totals cost O(pools)."""
     return _sum_rows(
-        (len(pool), pool.ticks, pool.memory_words(), pool.evictions,
+        (len(pool), pool.ticks, pool.memory_words() if words else 0, pool.evictions,
          pool.evictions_lru, pool.evictions_ttl)
         for pool in pools
     )
@@ -312,8 +314,8 @@ def _evaluate_ops(
                 value = _frequent_partial(shard_pools, now, frequent_clocked)
             elif kind == "moments":
                 value = _moment_partial(shard_pools, op[1])
-            else:  # "stats"
-                value = _stats_partial(shard_pools)
+            else:  # "stats"; the internal ("stats", False) skips the word walk
+                value = _stats_partial(shard_pools, len(op) == 1)
         except Exception as error:
             outcomes.append(("error", error))
         else:
@@ -755,10 +757,17 @@ class ShardedEngine:
 
     def _fleet_total(self, field: str) -> Any:
         """One field of the ``stats`` op.  A bare total cannot say that it
-        is partial, so unlike :meth:`stats` it refuses a degraded fleet."""
+        is partial, so unlike :meth:`stats` it refuses a degraded fleet.
+        Only ``memory_words`` walks the samplers; the other totals are read
+        from the pools' counters through the internal ``("stats", False)``
+        plan, which the public op vocabulary cannot spell."""
+        plan = ("stats",) if field == "memory_words" else ("stats", False)
         with self._read_guard():
             self._check_fleet_ready()
-            return self.query(("stats",))[field]
+            ((status, value),) = self._answer_plans([plan])
+        if status == "error":
+            raise value
+        return value[field]
 
     @property
     def key_count(self) -> int:
@@ -1038,7 +1047,11 @@ class ShardedEngine:
         duration of a query).  Errors are never cached; values handed out
         are copies, so callers cannot mutate cache contents.
         """
-        plans = [self._normalize_query_op(op) for op in ops]
+        return self._answer_plans([self._normalize_query_op(op) for op in ops])
+
+    def _answer_plans(self, plans: List[Tuple[Any, ...]]) -> List[Tuple[Any, Any]]:
+        """:meth:`_query_outcomes` after validation: the guard, the flush,
+        the cache and the computation of normalised plans."""
         with self._read_guard():
             cache = self._read_cache()
             if cache is None:

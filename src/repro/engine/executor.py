@@ -96,6 +96,7 @@ from ..exceptions import (
     ConfigurationError,
     ExecutorError,
     ShardRecovering,
+    TransportError,
     WorkerFailure,
 )
 from ..obs import MetricsRegistry, NULL_REGISTRY, merge_snapshots, span
@@ -256,7 +257,14 @@ class _ShardWorkerLoop:
             kind = message[0]
             if kind == "apply":
                 started = time.perf_counter()
-                batch = decode_batch(message[2])
+                try:
+                    batch = decode_batch(message[2])
+                except TransportError as error:
+                    # A payload this worker cannot read fails it like an
+                    # apply error would: sticky, reported at the next
+                    # barrier, with the process left alive.
+                    self._record_failure(error)
+                    continue
                 elapsed = time.perf_counter() - started
                 self.decode_seconds += elapsed
                 self._m_decode_seconds.inc(elapsed)
@@ -286,9 +294,7 @@ class _ShardWorkerLoop:
                 # records per key and feeds each sampler's batched path.
                 self.pools[shard].extend_batch(batch)
         except BaseException as error:  # surfaced at the next barrier
-            if self.failure is None:
-                self.failure = error
-            self._m_failures.inc()
+            self._record_failure(error)
         finally:
             elapsed = time.perf_counter() - started
             self.apply_seconds += elapsed
@@ -297,6 +303,11 @@ class _ShardWorkerLoop:
             self._m_apply_seconds.inc(elapsed)
             self._m_applied_batches.inc()
             self._m_applied_records.inc(len(batch))
+
+    def _record_failure(self, error: BaseException) -> None:
+        if self.failure is None:
+            self.failure = error
+        self._m_failures.inc()
 
     # -- request/reply operations (the worker-side query surface) ------------
 

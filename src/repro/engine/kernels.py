@@ -1,11 +1,12 @@
 """Vectorized (numpy) kernels for the batched sampler hot path.
 
 The pure-python samplers in :mod:`repro.core` remain the *bit-identity
-reference*: their default (``fast=False``) batched path consumes the stdlib
-generator exactly like per-element appends and is byte-identical across every
+reference*: their batched path consumes each lane's counter-based generator
+exactly like per-element appends and is byte-identical across every
 executor.  This module adds an optional second implementation of the
-``fast=True`` batched path that replaces the per-element / per-skip Python
-loops with closed-form whole-batch draws:
+batched path, run for ``fast=True`` with ``kernel="numpy"``, that replaces
+the per-acceptance / per-merge Python loops with closed-form whole-batch
+draws:
 
 * **seq-WR** (:func:`seq_wr_process_batch`) — after a batch only the *last
   completed* bucket and the current partial bucket matter, so each lane's
@@ -24,11 +25,13 @@ loops with closed-form whole-batch draws:
   ``searchsorted`` over the (sorted) clock track plus an exact-predicate
   fixup, so Lemma 3.5 transitions fire at exactly the reference positions.
 
-All of these are *distributionally* exact (gated by the same χ²+KS suites as
-the python ``fast`` path) but consume a separate numpy generator, so they are
-not bit-identical to either python path.  ``kernel="python"`` (the default)
-never touches this module; ``kernel="numpy"`` with ``fast=False`` still runs
-the reference default path, so engine results stay byte-identical.
+All of these are *distributionally* exact (gated by χ²+KS suites) but
+consume a separate numpy generator, so they are not bit-identical to the
+python path.  After a kernel writes a reservoir's count and sample directly,
+the reservoir's stored next acceptance is redrawn for the new count, which is
+exact because its law depends on the count alone.  ``kernel="python"`` (the
+default) never touches this module; ``kernel="numpy"`` with ``fast=False``
+still runs the reference path, so engine results stay byte-identical.
 
 numpy is an *optional* extra (``pip install repro[fast]``): import is
 guarded, ``kernel="auto"`` downgrades to ``"python"`` when numpy is missing,
@@ -40,10 +43,10 @@ lanes are too narrow for the vectorized kernels to pay off.
 
 from __future__ import annotations
 
-import random
 from typing import Any, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError
+from ..rng import KERNEL_STREAM, stream_seed
 
 try:  # pragma: no cover - exercised via HAS_NUMPY in both CI lanes
     import numpy as _np
@@ -110,18 +113,17 @@ def pool_kernel(requested: str) -> str:
     return resolve_kernel("python" if name == "auto" else name)
 
 
-def make_generator(root: random.Random) -> Any:
-    """A numpy ``Generator`` seeded from the sampler's root stdlib generator.
+def make_generator(seed: int) -> Any:
+    """A numpy ``Generator`` seeded from the sampler seed's dedicated kernel
+    stream (:data:`repro.rng.KERNEL_STREAM`).
 
-    Called *after* every stdlib ``spawn`` in a sampler's constructor, so
-    requesting ``kernel="numpy"`` leaves the python lanes' streams untouched
-    (drawing more bits from the root after spawning does not perturb the
-    already-derived child generators) — ``kernel="numpy", fast=False`` stays
-    bit-identical to ``kernel="python"``.
+    The lanes draw from their own streams of the same seed, so requesting
+    ``kernel="numpy"`` leaves them untouched — ``kernel="numpy",
+    fast=False`` stays bit-identical to ``kernel="python"``.
     """
     if _np is None:  # pragma: no cover - callers resolve the kernel first
         raise ConfigurationError("numpy is not installed")
-    return _np.random.default_rng(root.getrandbits(64))
+    return _np.random.default_rng(stream_seed(seed, KERNEL_STREAM))
 
 
 # -- sequence-window kernels --------------------------------------------------
@@ -188,6 +190,7 @@ def seq_wr_process_batch(sampler: Any, values: Sequence[Any], timestamps: Option
                     timestamp=_element_timestamp(timestamps, position, index),
                 )
             partial._count = held + count
+            partial.redraw_next()
             continue
         last_completed = pb_new - 1
         if last_completed == pb_old:
@@ -234,6 +237,7 @@ def seq_wr_process_batch(sampler: Any, values: Sequence[Any], timestamps: Option
             timestamp=_element_timestamp(timestamps, position, index),
         )
         fresh._count = tail_len
+        fresh.redraw_next()
         lane.partial = fresh
         lane.partial_bucket = pb_new
     sampler._arrivals = start + count
@@ -255,7 +259,9 @@ def _wor_extend(
     keep ``k - d`` of the held slots uniformly (the held slots are themselves
     a uniform subset of the old offers) and insert ``d`` distinct uniform new
     positions.  Exactly the reservoir's post-slice law, without the
-    per-element (or per-skip) loop.
+    per-element (or per-acceptance) loop.  Once full, the reservoir's
+    Algorithm L state is redrawn for the new count: ``W ~ Beta(k, c + m - k
+    + 1)``, then the next acceptance.
     """
     from ..core.tracking import SampleCandidate
 
@@ -277,6 +283,8 @@ def _wor_extend(
                 )
             )
         reservoir._count = total
+        if total == k:
+            reservoir.redraw_next(float(gen.beta(k, 1)))
         return
     new_wins = int(gen.hypergeometric(fresh, held_count, k)) if held_count else k
     keep = k - new_wins
@@ -299,6 +307,7 @@ def _wor_extend(
             )
     reservoir._slots = kept + winners
     reservoir._count = total
+    reservoir.redraw_next(float(gen.beta(k, total - k + 1)))
 
 
 def seq_wor_process_batch(sampler: Any, values: Sequence[Any], timestamps: Optional[Sequence[Optional[float]]], count: int) -> None:

@@ -38,11 +38,11 @@ class SamplerSpec:
     t0: Optional[float] = None
     replacement: bool = True
     algorithm: str = "optimal"
-    #: Enable the skip-sampling batched ingest mode (optimal algorithm only):
-    #: ``process_batch`` draws geometric skips instead of per-element coins —
-    #: reservoir-acceptance skips for the sequence samplers, pooled
-    #: bucket-merge coins for the timestamp samplers' covering automata.
-    #: Distributionally exact, but not bit-identical to the default path.
+    #: Select the numpy batched-ingest kernels (optimal algorithm only) when
+    #: ``kernel`` resolves to numpy.  It changes nothing on the python
+    #: kernel: every batched path already draws once per reservoir
+    #: acceptance and takes merge coins 64 to a draw, bit-identical to
+    #: per-element ingest.
     fast: bool = False
     #: Batched-ingest kernel: ``"python"`` (the bit-identity reference),
     #: ``"numpy"`` (the vectorized ``fast``-path kernels of
@@ -76,7 +76,7 @@ class SamplerSpec:
                 raise ConfigurationError("timestamp windows require a positive window span t0")
         if self.fast and self.algorithm != "optimal":
             raise ConfigurationError(
-                f"fast=True (skip-sampling batched ingest) requires algorithm='optimal';"
+                f"fast=True (the numpy batched-ingest kernels) requires algorithm='optimal';"
                 f" the {self.algorithm!r} baseline does not support it"
             )
         object.__setattr__(self, "kernel", str(self.kernel).lower())

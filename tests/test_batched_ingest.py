@@ -14,10 +14,10 @@ Three layers of guarantees are pinned here:
    policy fall back to per-record routing, so batching can never change
    which key an LRU or TTL sweep evicts.
 
-3. **Distributional exactness of ``fast=True``.**  The skip-sampling mode is
-   *not* bit-identical (it draws one geometric skip per acceptance instead
-   of one coin per element), so it is gated statistically: χ² uniformity and
-   a KS test over window positions, for all four optimal samplers.
+3. **Distributional exactness of ``fast=True``.**  The batched path draws
+   once per reservoir acceptance and takes merge coins from a bit stream, so
+   besides the bit-identity above it is gated statistically: χ² uniformity
+   and a KS test over window positions, for all four optimal samplers.
 """
 
 from __future__ import annotations
@@ -306,8 +306,8 @@ class TestFastSpecValidation:
 class TestFastPathStatisticalGating:
     """χ² + KS gates for ``fast=True`` over all four optimal samplers.
 
-    The skip-sampling mode must keep every sampler's output uniform over the
-    active window.  Each case runs many independently seeded samplers, feeds
+    The per-acceptance reservoirs and bit-stream merge coins must keep every
+    sampler's output uniform over the active window.  Each case runs many independently seeded samplers, feeds
     them through ``process_batch``, and pools the drawn window positions.
     """
 
@@ -473,7 +473,7 @@ class TestBatchedExpiry:
 class TestTimestampFastEngineGating:
     """Engine-level χ² + KS gates for fast timestamp specs, per executor.
 
-    The skip-sampling merge coins must keep every per-key timestamp sampler
+    The bit-stream merge coins must keep every per-key timestamp sampler
     uniform over its active window whichever engine hosts the pool — serial
     or worker processes (they share the batched `extend_batch` path, so one
     biased coin stream would show up in both; separate seeds keep the gates

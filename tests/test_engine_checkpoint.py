@@ -396,6 +396,28 @@ class TestCrashRecovery:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_format_1_checkpoint_is_refused_before_any_worker_starts(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """Format 1 held Mersenne-Twister vectors the counter streams cannot
+        continue: the manifest alone refuses it, naming both formats."""
+        engine = make_engine()
+        engine.append("a", 1)
+        path = tmp_path / "engine.ckpt"
+        write_checkpoint(engine, path)
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        assert manifest["engine"]["format"] == 2
+        manifest["engine"]["format"] = 1
+        (path / "MANIFEST.json").write_text(json.dumps(manifest))
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker fleet was started for a refused checkpoint")
+
+        monkeypatch.setattr(ProcessEngine, "__init__", no_workers)
+        with pytest.raises(CheckpointError, match=r"format 1.*format 2"):
+            load_checkpoint(path, workers=workers)
+
     def test_segment_paths_may_not_escape_the_directory(self, tmp_path):
         engine = make_engine()
         engine.append("a", 1)

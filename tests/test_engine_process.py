@@ -468,6 +468,28 @@ class TestBackpressureAndBarrier:
         assert all(not process.is_alive() for process in engine._processes)
 
 
+    def test_undecodable_payload_is_sticky_and_keeps_the_worker(self):
+        """A payload the worker cannot decode becomes its sticky failure,
+        named at the next barrier, instead of killing the process."""
+        engine = ProcessEngine(SEQ_SPEC, shards=2, workers=1, seed=3)
+        try:
+            engine.ingest([("a", 1), ("b", 2)])
+            engine.flush()
+            engine._send(0, ("apply", 0, b"SWT1\x01\x00\x00\x00z"))
+            engine._unbarriered = True
+            with pytest.raises(WorkerFailure, match="TransportError"):
+                engine.flush()
+            assert all(process.is_alive() for process in engine._processes)
+            with pytest.raises(WorkerFailure, match="TransportError"):
+                engine.ingest([("c", 3)])
+        finally:
+            try:
+                engine.close()
+            except ExecutorError:
+                pass
+        assert engine.closed
+
+
 class TestThreadedStress:
     @pytest.mark.parametrize("fleet", FLEETS)
     def test_concurrent_ingest_sample_advance_loses_nothing(self, fleet, fleet_options):

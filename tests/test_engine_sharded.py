@@ -377,3 +377,29 @@ class TestWindowSizeCounters:
         empty = ExponentialHistogramCounter(50.0)
         assert engine._window_size_estimate(sampler, 2, empty) == 2
         assert engine._window_size_estimate(sampler, 2, None) == 2
+
+
+class TestScalarTotals:
+    """The scalar totals read the pools' counters; only the word total walks
+    every live sampler."""
+
+    def test_totals_over_many_keys_never_walk_the_samplers(self, monkeypatch):
+        from repro.engine.pool import KeyedSamplerPool
+
+        engine = ShardedEngine(SamplerSpec(window="sequence", n=256, k=4), shards=8, seed=3)
+        engine.ingest([(f"key-{index}", index) for index in range(20_000)])
+        calls = []
+        original = KeyedSamplerPool.memory_words
+
+        def counted(pool):
+            calls.append(pool)
+            return original(pool)
+
+        monkeypatch.setattr(KeyedSamplerPool, "memory_words", counted)
+        assert engine.key_count == 20_000
+        assert engine.total_arrivals == 20_000
+        assert engine.evictions == 0
+        assert calls == []
+        stats = engine.stats()
+        assert len(calls) == 8
+        assert stats["keys"] == 20_000 and stats["memory_words"] == engine.memory_words() > 0

@@ -10,12 +10,12 @@ Three contracts are pinned here:
 2. **Bit-identity of the default path.**  ``kernel="numpy"`` with
    ``fast=False`` runs the reference python path and must stay
    byte-identical to ``kernel="python"`` — the numpy generator is seeded
-   *after* every stdlib spawn precisely so it cannot perturb the lanes.
+   from its own stream of the sampler seed precisely so it cannot perturb
+   the lanes.
 3. **Distributional exactness.**  The numpy ``fast`` kernels are free to
-   use different exact sampling laws than the python skip path, so every
-   vectorized family is gated by the same χ² + KS suites as the python
-   ``fast`` path (marked ``slow``), plus structural canonicality checks
-   on the covering decompositions.
+   use different exact sampling laws than the python path, so every
+   vectorized family is gated by χ² + KS suites (marked ``slow``), plus
+   structural canonicality checks on the covering decompositions.
 
 Every numpy-dependent test skips cleanly on a numpy-free host (the tier-1
 CI lane); the selection/validation tests run everywhere.
@@ -32,7 +32,6 @@ from repro.core import (
     TimestampSamplerWOR,
     TimestampSamplerWR,
 )
-from repro.core._cascade import CoinSlab
 from repro.core.facade import sliding_window_sampler
 from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine
 from repro.engine import kernels as kernels_module
@@ -125,8 +124,8 @@ class TestSpecAndFacadeValidation:
 @needs_numpy
 class TestDefaultPathBitIdentity:
     """``kernel="numpy", fast=False`` must stay byte-identical to the
-    reference: requesting the kernel only adds generator *seeding*, after
-    every spawn, so the python lanes' streams are untouched."""
+    reference: requesting the kernel only adds generator *seeding*, from a
+    stream of its own, so the python lanes' streams are untouched."""
 
     CASES = [
         ("sequence", lambda kernel: SequenceSamplerWR(n=16, k=3, rng=7, kernel=kernel)),
@@ -149,20 +148,6 @@ class TestDefaultPathBitIdentity:
                 sampler.process_batch(list(range(40, 90)))
         assert kernelled.state_dict() == reference.state_dict()
         assert kernelled.sample() == reference.sample()
-
-
-class TestCascadeModule:
-    def test_coin_slab_consumes_randbytes_like_the_inline_loop(self):
-        rng = random.Random(123)
-        slab = CoinSlab(rng.randbytes)
-        flips = [slab.flip() for _ in range(1300)]  # crosses a 512-byte refill
-        mirror = random.Random(123)
-        expected = []
-        raw = b""
-        while len(expected) < 1300:
-            raw = mirror.randbytes(512)
-            expected.extend(byte < 128 for byte in raw)
-        assert flips == expected[:1300]
 
 
 @needs_numpy

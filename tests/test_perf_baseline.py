@@ -65,13 +65,13 @@ class TestCommittedBaselines:
 
     def test_e7_timestamp_hot_path_headline_claims(self):
         """The PR-5 acceptance headline: the paper's flagship timestamp
-        samplers must be >= 3x batched (bit-identical path), with the
-        skip-sampling fast mode strictly faster still."""
+        samplers must be >= 3x batched (bit-identical path).  The fast rows
+        are reported, not claimed: the batched path takes the same merge
+        coins, so fast only differs where it selects the numpy kernel."""
         results = load_baseline("BENCH_E7.json")["results"]
         for sampler in ("ts-wr", "ts-wor"):
             entry = results[sampler]
             assert entry["speedup_batched"] >= 3.0, (sampler, entry)
-            assert entry["speedup_fast"] > entry["speedup_batched"], (sampler, entry)
 
     def test_e11_baseline_structure_and_headline_claims(self):
         payload = load_baseline("BENCH_E11.json")

@@ -8,6 +8,7 @@ import pytest
 from repro.core.reservoir import ReservoirWithoutReplacement, SingleReservoir
 from repro.core.tracking import CandidateObserver, SampleCandidate
 from repro.exceptions import ConfigurationError, EmptyWindowError
+from repro.rng import LaneRng
 
 
 class RecordingObserver(CandidateObserver):
@@ -159,3 +160,74 @@ class TestReservoirWithoutReplacement:
         reservoir.reset()
         assert reservoir.size == 0
         assert reservoir.count == 0
+
+
+class TestStoredSkipBitIdentity:
+    """``offer`` and ``offer_slice`` read the same stored next acceptance, so
+    any split of a stream into slices leaves the per-element state — also
+    when a slice ends exactly on an acceptance or inside the fill phase."""
+
+    OFFERS = 400
+
+    @staticmethod
+    def state(reservoir):
+        return reservoir.state_dict(), reservoir._rng.get_state()
+
+    @classmethod
+    def per_element(cls, make, stop):
+        reservoir = make()
+        for index in range(stop):
+            reservoir.offer(index, index, float(index))
+        return reservoir
+
+    @classmethod
+    def sliced(cls, make, cuts):
+        reservoir = make()
+        values = list(range(cls.OFFERS))
+        bounds = [0, *cuts, cls.OFFERS]
+        for lo, hi in zip(bounds, bounds[1:]):
+            reservoir.offer_slice(values, 0, lo, hi)
+        return reservoir
+
+    @classmethod
+    def acceptances(cls, make):
+        """Offer numbers at which the per-element reservoir takes an offer
+        after its fill phase."""
+        reservoir = make()
+        hits = []
+        for index in range(cls.OFFERS):
+            before = [candidate.index for candidate in reservoir.iter_candidates()]
+            reservoir.offer(index, index, float(index))
+            after = [candidate.index for candidate in reservoir.iter_candidates()]
+            if len(after) == len(before) and after != before:
+                hits.append(index + 1)
+        return hits
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: SingleReservoir(rng=LaneRng(5, 0)), id="single"),
+            pytest.param(lambda: ReservoirWithoutReplacement(6, rng=LaneRng(5, 0)), id="wor"),
+        ],
+    )
+    def test_slice_ending_exactly_on_an_acceptance(self, make):
+        hits = self.acceptances(make)
+        assert len(hits) >= 4
+        for cut in hits[:4]:
+            # The prefix slice ends on offer `cut`, which is accepted.
+            assert self.state(self.sliced(make, [cut])) == self.state(self.per_element(make, self.OFFERS))
+            prefix = make()
+            prefix.offer_slice(list(range(cut)), 0, 0, cut)
+            assert self.state(prefix) == self.state(self.per_element(make, cut))
+
+    def test_wor_slice_ending_inside_the_fill_phase(self):
+        def make():
+            return ReservoirWithoutReplacement(6, rng=LaneRng(8, 0))
+
+        reference = self.state(self.per_element(make, self.OFFERS))
+        for cuts in ([2], [3, 5], [5, 6, 7], [1, 2, 3, 4, 5, 6]):
+            assert self.state(self.sliced(make, cuts)) == reference
+        partial = make()
+        partial.offer_slice(list(range(4)), 0, 0, 4)
+        assert partial.state_dict()["count"] == 4 and partial.size == 4
+        assert self.state(partial) == self.state(self.per_element(make, 4))
