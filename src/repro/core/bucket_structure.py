@@ -17,17 +17,28 @@ operator): the merged sample is either constituent's sample with probability
 1/2, which is again uniform because the widths are equal.  The two fair coins
 of a merge (R first, then Q; a set bit keeps the left sample) are the next
 two bits of the generator's coin stream, ``getrandbits(2)``.
+
+A bucket structure is never mutated after construction: ``Incr`` replaces
+merged buckets with new ones.  That is what lets the observer-free samplers
+build each arrival's singleton once and append the same object to all ``k``
+covering automata (:func:`build_singletons`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..memory import MemoryMeter, WORD_MODEL
 from .serialization import decode_candidate, encode_candidate, require_state_fields
 from .tracking import CandidateObserver, SampleCandidate
 
-__all__ = ["BucketStructure"]
+__all__ = ["BucketStructure", "SINGLETON_CHUNK", "build_singletons"]
+
+#: Arrivals whose shared singletons the samplers build at a time.  Lanes
+#: consume a chunk lane-major (each lane draws only from its own stream, so
+#: the order across lanes is free), and a long batch never holds all of its
+#: singletons at once.
+SINGLETON_CHUNK = 256
 
 
 class BucketStructure:
@@ -65,12 +76,20 @@ class BucketStructure:
         observer: Optional[CandidateObserver] = None,
     ) -> "BucketStructure":
         """``BS(index, index+1)``: a bucket holding exactly one element, whose
-        R and Q samples are necessarily that element (two candidate records,
-        since an observer keeps separate scratch state on each; the batched
-        observer-free path builds its singletons with one shared record)."""
+        R and Q samples are necessarily that element.
+
+        Who shares what: without an observer, R and Q are one candidate
+        record, and the samplers go further with :func:`build_singletons` —
+        one singleton per arrival, appended to every lane.  With an
+        observer, R and Q are two records (the observer keeps separate
+        scratch state on each, and is told of both selections), and each
+        lane builds its own singleton through this constructor.
+        """
         r_candidate = SampleCandidate(value, index, timestamp)
-        q_candidate = SampleCandidate(value, index, timestamp)
-        if observer is not None:
+        if observer is None:
+            q_candidate = r_candidate
+        else:
+            q_candidate = SampleCandidate(value, index, timestamp)
             observer.on_select(r_candidate)
             observer.on_select(q_candidate)
         return cls(
@@ -91,11 +110,12 @@ class BucketStructure:
         q_sample: SampleCandidate,
     ) -> "BucketStructure":
         """Merge two adjacent equal-width buckets whose R/Q samples the caller
-        has already chosen (the batched ingest path draws the coins itself).
+        has already chosen (the observer-free ``Incr`` cascade draws the
+        coins itself).
 
         Skips the adjacency/width validation — the ``Incr`` cascade only
         merges buckets Lemma 3.4 proves adjacent and equal-width — and the
-        observer notifications (batched ingest only runs observer-free).
+        observer notifications (see :meth:`merge` for the observer form).
         """
         bucket = cls.__new__(cls)
         bucket.start = left.start
@@ -121,7 +141,9 @@ class BucketStructure:
         with probability 1/2 yields a uniform sample of ``B(a,d)``.  The R and
         Q choices use independent coins — ``rng.getrandbits(2)``, the same two
         coins :func:`~repro.core._cascade.merge_cascade` takes per merge — so
-        the merged samples stay independent.
+        the merged samples stay independent.  This is the cascade's merge
+        when an observer is attached: it reports the two losing samples to
+        ``observer.on_discard`` (R's first, then Q's).
         """
         if left.end != right.start:
             raise ValueError(f"buckets are not adjacent: {left} and {right}")
@@ -152,33 +174,53 @@ class BucketStructure:
             q_sample=q_sample,
         )
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot: boundaries, first element, and the R/Q samples."""
-        return {
+    def state_dict(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
+        """Snapshot: boundaries, first element, and the R/Q samples.
+
+        ``memo`` (see :mod:`repro.core.serialization`) makes a structure
+        shared between lanes encode once, as one dict."""
+        if memo is not None:
+            encoded = memo.get(id(self))
+            if encoded is not None:
+                return encoded
+        encoded = {
             "start": self.start,
             "end": self.end,
             "first_value": self.first_value,
             "first_timestamp": self.first_timestamp,
-            "r_sample": encode_candidate(self.r_sample),
-            "q_sample": encode_candidate(self.q_sample),
+            "r_sample": encode_candidate(self.r_sample, memo),
+            "q_sample": encode_candidate(self.q_sample, memo),
         }
+        if memo is not None:
+            memo[id(self)] = encoded
+        return encoded
 
     @classmethod
-    def from_state_dict(cls, state: Dict[str, Any]) -> "BucketStructure":
-        """Rebuild a bucket structure captured by :meth:`state_dict`."""
+    def from_state_dict(
+        cls, state: Dict[str, Any], memo: Optional[Dict[int, Any]] = None
+    ) -> "BucketStructure":
+        """Rebuild a bucket structure captured by :meth:`state_dict`; with a
+        ``memo``, one encoded dict decodes to one (shared) structure."""
+        if memo is not None:
+            decoded = memo.get(id(state))
+            if decoded is not None:
+                return decoded
         require_state_fields(
             state,
             ("start", "end", "first_value", "first_timestamp", "r_sample", "q_sample"),
             "BucketStructure",
         )
-        return cls(
+        decoded = cls(
             start=int(state["start"]),
             end=int(state["end"]),
             first_value=state["first_value"],
             first_timestamp=float(state["first_timestamp"]),
-            r_sample=decode_candidate(state["r_sample"]),
-            q_sample=decode_candidate(state["q_sample"]),
+            r_sample=decode_candidate(state["r_sample"], memo),
+            q_sample=decode_candidate(state["q_sample"], memo),
         )
+        if memo is not None:
+            memo[id(state)] = decoded
+        return decoded
 
     # -- geometry ---------------------------------------------------------------
 
@@ -229,3 +271,35 @@ class BucketStructure:
             f"BS({self.start},{self.end}; first_t={self.first_timestamp}, "
             f"r@{self.r_sample.index}, q@{self.q_sample.index})"
         )
+
+
+def build_singletons(
+    values: Sequence[Any], stamps: Sequence[float], base_index: int, lo: int, hi: int
+) -> List[BucketStructure]:
+    """Observer-free singletons ``BS(i, i+1)`` for positions ``lo .. hi-1``:
+    position ``p`` has value ``values[p]``, timestamp ``stamps[p]`` (a float)
+    and stream index ``base_index + p``.
+
+    Each singleton's R and Q are one candidate record, and the caller
+    appends the same singleton to every lane, so an arrival costs one
+    structure and one record whatever ``k`` is.  Built inline, without
+    :meth:`BucketStructure.singleton`'s validation: this runs once per
+    arrival, the hottest allocation of the timestamp samplers.
+    """
+    new_bucket = BucketStructure.__new__
+    bucket_cls = BucketStructure
+    candidate_cls = SampleCandidate
+    built: List[BucketStructure] = []
+    append = built.append
+    for position in range(lo, hi):
+        value = values[position]
+        index = base_index + position
+        ts = stamps[position]
+        bucket = new_bucket(bucket_cls)
+        bucket.start = index
+        bucket.end = index + 1
+        bucket.first_value = value
+        bucket.first_timestamp = ts
+        bucket.r_sample = bucket.q_sample = candidate_cls(value, index, ts)
+        append(bucket)
+    return built

@@ -10,8 +10,15 @@ that together cover the index range ``[a, b]``, defined inductively
 so the bucket widths shrink roughly geometrically towards the most recent
 element and there are ``O(log(b - a))`` of them.  The ``Incr`` operator
 extends ``ζ(a, b)`` to ``ζ(a, b+1)`` when element ``p_{b+1}`` arrives, merging
-the first two buckets when the widths call for it (Lemma 3.4 proves the result
-is exactly the canonical decomposition).
+equal-width neighbours where the widths call for it (Lemma 3.4 proves the
+result is exactly the canonical decomposition).
+
+There is one ``Incr``: an O(1) probe decides whether the arrival merges at
+all, and if it does, :func:`~repro.core._cascade.merge_cascade` merges the
+stride-2 run in place, two coins per merge in front-to-back order.  Appends,
+batches and observer-carrying automata all run it; with an observer the
+cascade merges through :meth:`BucketStructure.merge`, which reports the
+discarded samples, and each lane builds its own singletons.
 
 :class:`WindowCoverage` implements the Lemma 3.5 maintenance automaton on top:
 at any time it holds either
@@ -99,7 +106,9 @@ class CoveringDecomposition:
 
     The decomposition is stored as a list of :class:`BucketStructure`, oldest
     first.  ``incr`` must be called with consecutive stream elements
-    (index ``covered_end + 1``); ``Incr`` costs ``O(log(b - a))`` time.
+    (index ``covered_end + 1``); ``Incr`` costs ``O(log(b - a))`` time in the
+    worst case and O(1) amortised (each merge removes a bucket each arrival
+    added).
     ``rng`` is any generator with ``getrandbits`` (the merge coins) and
     ``randrange`` (:meth:`draw_uniform`).
     """
@@ -112,20 +121,6 @@ class CoveringDecomposition:
         self._buckets: List[BucketStructure] = []
 
     # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def fresh(
-        cls,
-        value: Any,
-        index: int,
-        timestamp: float,
-        rng: Any,
-        observer: Optional[CandidateObserver] = None,
-    ) -> "CoveringDecomposition":
-        """``ζ(index, index)``: a decomposition holding a single element."""
-        decomposition = cls(rng, observer)
-        decomposition._buckets = [BucketStructure.singleton(value, index, timestamp, observer)]
-        return decomposition
 
     @classmethod
     def from_buckets(
@@ -181,39 +176,26 @@ class CoveringDecomposition:
     def incr(self, value: Any, index: int, timestamp: float) -> None:
         """Extend ``ζ(a, b)`` to ``ζ(a, b+1)`` with the newly arrived element.
 
-        Follows the inductive definition: walk the list front-to-back; at each
-        level either keep the leading bucket (when ``⌊log(b+2-a)⌋`` does not
-        change) or merge the two leading equal-width buckets; finally append a
-        singleton bucket for the new element.
+        The front-to-back walk of Definition 3.1 merges exactly where
+        ``⌊log(b+2-a)⌋`` steps — where ``b+2-a`` is a power of two — and in a
+        canonical decomposition those positions form a stride-2 run ending
+        at the third-from-last bucket (pinned exhaustively against the walk
+        in tests/test_covering_decomposition.py).  So one O(1) probe of that
+        bucket decides whether the arrival merges at all; if it does,
+        :func:`~repro.core._cascade.merge_cascade` merges the run in place,
+        taking the walk's coins in the walk's order.  Then the singleton
+        ``BS(b+1, b+2)`` is appended.  With an observer the singleton is
+        built (and its two records selected) before the merges report
+        their discards, as the walk did.
         """
-        if not self._buckets:
-            self._buckets = [BucketStructure.singleton(value, index, timestamp, self._observer)]
-            return
-        expected = self.covered_end + 1
-        if index != expected:
-            raise StreamOrderError(f"Incr expects element index {expected}, got {index}")
-        new_bucket = BucketStructure.singleton(value, index, timestamp, self._observer)
-        old = self._buckets
-        result: List[BucketStructure] = []
-        position = 0
-        last_index = old[-1].start  # the paper's b: the last bucket is BS(b, b+1)
-        while True:
-            remaining = len(old) - position
-            if remaining == 1:
-                result.append(old[position])
-                result.append(new_bucket)
-                break
-            a = old[position].start
-            if floor_log2(last_index + 2 - a) == floor_log2(last_index + 1 - a):
-                result.append(old[position])
-                position += 1
-            else:
-                merged = BucketStructure.merge(
-                    old[position], old[position + 1], self._rng, self._observer
-                )
-                result.append(merged)
-                position += 2
-        self._buckets = result
+        buckets = self._buckets
+        n = len(buckets)
+        if n and index != buckets[-1].end:
+            raise StreamOrderError(f"Incr expects element index {buckets[-1].end}, got {index}")
+        singleton = BucketStructure.singleton(value, index, timestamp, self._observer)
+        if n >= 3 and buckets[n - 3].start == index - 3:
+            merge_cascade(buckets, index, self._rng, self._observer)
+        buckets.append(singleton)
 
     # -- splitting (used by the Lemma 3.5 automaton) ----------------------------------
 
@@ -282,17 +264,22 @@ class CoveringDecomposition:
             meter.add_words(bucket.memory_words())
         return meter.total
 
-    def state_dict(self) -> Dict[str, Any]:
+    def state_dict(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
         """Snapshot: the bucket structures, oldest first.
 
         The generator is owned by the enclosing :class:`WindowCoverage` (or
-        sampler) and is serialised there, not here.
+        sampler) and is serialised there, not here.  ``memo`` encodes a
+        structure shared with other lanes once (:mod:`.serialization`).
         """
-        return {"buckets": [bucket.state_dict() for bucket in self._buckets]}
+        return {"buckets": [bucket.state_dict(memo) for bucket in self._buckets]}
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(
+        self, state: Dict[str, Any], memo: Optional[Dict[int, Any]] = None
+    ) -> None:
         require_state_fields(state, ("buckets",), "CoveringDecomposition")
-        self._buckets = [BucketStructure.from_state_dict(encoded) for encoded in state["buckets"]]
+        self._buckets = [
+            BucketStructure.from_state_dict(encoded, memo) for encoded in state["buckets"]
+        ]
 
     def is_canonical(self) -> bool:
         """Whether the stored boundaries equal Definition 3.1's (test helper)."""
@@ -387,7 +374,9 @@ class WindowCoverage:
         The element's timestamp advances the clock if it is ahead of it.  An
         element that is already expired on arrival (possible only in the
         delayed feeds of §4, and only while the coverage is empty) is skipped,
-        exactly as prescribed by Lemma 4.1.
+        exactly as prescribed by Lemma 4.1.  The element's singleton is this
+        lane's own (:meth:`BucketStructure.singleton`); the observer-free
+        samplers share one per arrival through :meth:`observe_batch`.
         """
         if timestamp > self._now:
             self._now = float(timestamp)
@@ -396,71 +385,51 @@ class WindowCoverage:
             # Lemma 4.1: skip already-expired (delayed) elements; they can only
             # occur while no active element is stored.
             return
-        if self._decomposition.is_empty:
-            self._decomposition = CoveringDecomposition.fresh(
-                value, index, timestamp, self._rng, self._observer
-            )
-        else:
-            self._decomposition.incr(value, index, timestamp)
+        self._decomposition.incr(value, index, timestamp)
 
     def observe_batch(
         self,
-        values: Sequence[Any],
-        base_index: int,
-        stamps: Sequence[float],
+        singletons: Sequence[BucketStructure],
         clocks: Optional[Sequence[float]] = None,
     ) -> None:
-        """Process a whole chunk of arrivals: element ``p`` has stream index
-        ``base_index + p`` and timestamp ``stamps[p]``; ``clocks[p]`` (default
-        ``stamps[p]``) is the clock value advanced *before* observing it — the
-        delayed feeds of §4 observe old elements at the current arrival time.
+        """Process a chunk of arrivals given as their observer-free
+        singletons ``BS(i, i+1)`` (:func:`~repro.core.bucket_structure.
+        build_singletons`); observer-carrying automata use :meth:`observe`.
 
-        Semantically this is exactly ``advance_time(clocks[p])`` followed by
-        ``observe(values[p], base_index + p, stamps[p])`` for every ``p``, but
-        the per-element costs are amortised across the chunk:
+        ``singletons[p]`` is the arrival of element ``singletons[p].start``
+        at timestamp ``singletons[p].first_timestamp``; ``clocks[p]``
+        (default that timestamp) is the clock value advanced before
+        observing it — the delayed feeds of §4 observe old elements at the
+        current arrival time.  The objects are appended as they are, so a
+        sampler can hand the same singleton to all of its lanes: bucket
+        structures are never mutated after construction.
+
+        Semantically this is ``advance_time(clocks[p])`` then
+        ``observe(...)`` per element, with the per-element costs amortised:
 
         * **batched expiry** — the Lemma 3.5 transition can only fire once the
           clock passes the front bucket's first timestamp plus ``t0``, so the
           chunk pays one cached-threshold comparison per element and a full
           expiry scan only when the threshold is actually crossed (one scan
           per transition, not one per arrival);
-        * **in-place ``Incr``** — the merge cascade mutates the bucket list
-          directly instead of rebuilding it, and the "did ``⌊log(b+2-a)⌋``
-          step?" test collapses to a single power-of-two bit trick per bucket;
-        * observer/attribute lookups are hoisted out of the loop.
+        * **the one** ``Incr`` — the O(1) probe and in-place cascade of
+          :meth:`CoveringDecomposition.incr`, inlined;
+        * attribute lookups are hoisted out of the loop.
 
-        The generator is consumed exactly as the per-element path consumes it
-        (two coins per merge, in cascade order), so the resulting state —
-        buckets, straddler, clock *and* generator position — is
-        bit-identical.  A fresh singleton's R and Q share one candidate record
-        here (they are deterministically the same element, and no observer
-        keeps state on them).
-
-        Observer-carrying coverages fall back to the per-element path so the
-        selection/discard callbacks keep firing.
+        The generator is consumed exactly as :meth:`observe` consumes it,
+        so the resulting state — buckets, straddler, clock *and* generator
+        position — is bit-identical.
         """
-        count = len(values)
-        if count == 0:
-            return
-        if self._observer is not None:
-            clock_track = stamps if clocks is None else clocks
-            for position in range(count):
-                self.advance_time(clock_track[position])
-                self.observe(values[position], base_index + position, stamps[position])
-            return
         t0 = self._t0
         now = self._now
-        getrandbits = self._rng.getrandbits
-        new_bucket = BucketStructure.__new__
-        bucket_cls = BucketStructure
-        candidate_cls = SampleCandidate
+        rng = self._rng
         buckets = self._decomposition._buckets
         # Cached expiry threshold: no Lemma 3.5 transition can fire while
         # ``now - front_first_ts < t0`` (the exact per-element comparison, so
         # float rounding matches the reference path bit for bit).
         front_ts = buckets[0].first_timestamp if buckets else math.inf
-        for position in range(count):
-            ts = stamps[position]
+        for position, singleton in enumerate(singletons):
+            ts = singleton.first_timestamp
             clock = ts if clocks is None else clocks[position]
             if clock > now:
                 now = clock
@@ -476,45 +445,25 @@ class WindowCoverage:
                 # Lemma 4.1: a delayed element already expired on arrival is
                 # skipped (only possible while nothing active is stored).
                 continue
-            value = values[position]
-            index = base_index + position
             if buckets:
-                # In-place Incr (Lemma 3.4).  The walk merges exactly where
-                # ``⌊log(b+2-a)⌋`` steps — where ``b+2-a`` is a power of two —
-                # and in a canonical decomposition those positions always form
-                # a stride-2 run ending at the third-from-last bucket (pinned
-                # exhaustively against the reference walk in
-                # tests/test_covering_decomposition.py).  One O(1) probe of
-                # that bucket therefore decides whether this arrival merges at
-                # all; most arrivals reduce to a plain append.  ``b`` is the
-                # previous newest index, so ``b + 1 == index``.
+                # Incr's probe (see CoveringDecomposition.incr); ``b + 1`` is
+                # the arriving index.
+                index = singleton.start
                 n = len(buckets)
                 if n >= 3 and buckets[n - 3].start == index - 3:
-                    # Delegate the cascade itself to repro.core._cascade
-                    # (optionally mypyc-compiled); it takes the same coins
-                    # as the per-element walk.
-                    merge_cascade(buckets, index, getrandbits)
+                    merge_cascade(buckets, index, rng)
             else:
                 front_ts = ts
-            # Append the new singleton BS(index, index+1), inlined (this runs
-            # once per active arrival — the hottest allocation in the path).
-            # R and Q share one record (no observer keeps state on them).
-            appended = new_bucket(bucket_cls)
-            appended.start = index
-            appended.end = index + 1
-            appended.first_value = value
-            appended.first_timestamp = ts
-            appended.r_sample = appended.q_sample = candidate_cls(value, index, ts)
-            buckets.append(appended)
+            buckets.append(singleton)
         self._now = now
 
     # -- the Lemma 3.5 transitions ----------------------------------------------------------
 
     def _refresh(self) -> None:
-        if self._decomposition.is_empty:
+        buckets = self._decomposition._buckets
+        if not buckets:
             return
-        newest_first_timestamp = self._decomposition.buckets[-1].first_timestamp
-        if self._expired(newest_first_timestamp):
+        if self._expired(buckets[-1].first_timestamp):
             # Cases 2(b)/3(b): even the most recent element expired — the
             # window is empty; drop everything and start afresh later.
             if self._straddler is not None:
@@ -522,8 +471,7 @@ class WindowCoverage:
                 self._straddler = None
             self._decomposition.discard_all()
             return
-        first_bucket = self._decomposition.buckets[0]
-        if not first_bucket.first_expired(self._now, self._t0):
+        if not buckets[0].first_expired(self._now, self._t0):
             # Cases 2(a)/3(a): nothing expired at the front; state unchanged.
             return
         # Cases 2(c)/3(c): the front of the decomposition expired but the
@@ -577,23 +525,29 @@ class WindowCoverage:
 
     # -- bookkeeping ------------------------------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
+    def state_dict(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
         """Snapshot: clock, straddler, suffix decomposition.  The generator
-        belongs to the enclosing sampler, which snapshots it."""
+        belongs to the enclosing sampler, which snapshots it; the sampler's
+        ``memo`` encodes what the lanes share once (:mod:`.serialization`)."""
+        straddler = self._straddler
         return {
             "now": self._now,
-            "straddler": None if self._straddler is None else self._straddler.state_dict(),
-            "decomposition": self._decomposition.state_dict(),
+            "straddler": None if straddler is None else straddler.state_dict(memo),
+            "decomposition": self._decomposition.state_dict(memo),
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(
+        self, state: Dict[str, Any], memo: Optional[Dict[int, Any]] = None
+    ) -> None:
         require_state_fields(state, ("now", "straddler", "decomposition"), "WindowCoverage")
         self._now = float(state["now"])
         self._straddler = (
-            None if state["straddler"] is None else BucketStructure.from_state_dict(state["straddler"])
+            None
+            if state["straddler"] is None
+            else BucketStructure.from_state_dict(state["straddler"], memo)
         )
         self._decomposition = CoveringDecomposition(self._rng, self._observer)
-        self._decomposition.load_state_dict(state["decomposition"])
+        self._decomposition.load_state_dict(state["decomposition"], memo)
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
         if self._straddler is not None:

@@ -24,6 +24,20 @@ rebuilds the sampler — only the per-candidate state they accumulated is.
 Format 1 held a 625-int Mersenne-Twister vector per stream; format 2 holds
 counters.  A format-1 snapshot is refused, never converted: its streams
 cannot be continued by the counter generator.
+
+**Shared candidates.**  The observer-free timestamp samplers append one
+singleton bucket per arrival to all ``k`` lanes, so one candidate record (and
+one bucket structure) is reachable from many places in a sampler.  Their
+``state_dict`` threads a *memo* — a plain dict created for that one call,
+mapping ``id(object)`` to its encoded dict — through every encoder, so each
+distinct object is encoded once and every further reference reuses the same
+dict; pickle then writes a short memo reference instead of a repeated dict.
+``load_state_dict`` threads a memo mapping ``id(encoded dict)`` back to one
+decoded object, so a restored sampler shares again.  The memo is scoped to
+the call (no module state: tenants snapshot on separate threads), and the
+logical content is unchanged — a snapshot without sharing, such as one
+written before the shared singletons or passed through JSON, decodes to
+the same state with nothing shared.
 """
 
 from __future__ import annotations
@@ -57,23 +71,42 @@ def load_stream(rng: LaneRng, seed: Any, stream: int, encoded: List[Any]) -> Non
         raise ConfigurationError(f"invalid rng state in snapshot: {error}") from error
 
 
-def encode_candidate(candidate: SampleCandidate) -> Dict[str, Any]:
-    """Encode a retained candidate, with its observer scratch state if any."""
+def encode_candidate(
+    candidate: SampleCandidate, memo: Optional[Dict[int, Any]] = None
+) -> Dict[str, Any]:
+    """Encode a retained candidate, with its observer scratch state if any;
+    with a ``memo``, a candidate already encoded returns the same dict."""
+    if memo is not None:
+        encoded = memo.get(id(candidate))
+        if encoded is not None:
+            return encoded
     encoded = {"value": candidate.value, "index": candidate.index, "timestamp": candidate.timestamp}
     if candidate._state:
         encoded["state"] = dict(candidate._state)
+    if memo is not None:
+        memo[id(candidate)] = encoded
     return encoded
 
 
-def decode_candidate(encoded: Dict[str, Any]) -> SampleCandidate:
-    """Rebuild a candidate from :func:`encode_candidate` output."""
+def decode_candidate(
+    encoded: Dict[str, Any], memo: Optional[Dict[int, Any]] = None
+) -> SampleCandidate:
+    """Rebuild a candidate from :func:`encode_candidate` output; with a
+    ``memo``, one encoded dict decodes to one candidate."""
+    if memo is not None:
+        decoded = memo.get(id(encoded))
+        if decoded is not None:
+            return decoded
     state = encoded.get("state")
-    return SampleCandidate(
+    decoded = SampleCandidate(
         encoded["value"],
         int(encoded["index"]),
         float(encoded["timestamp"]),
         dict(state) if state else None,
     )
+    if memo is not None:
+        memo[id(encoded)] = decoded
+    return decoded
 
 
 def encode_optional_candidate(candidate: Optional[SampleCandidate]) -> Optional[Dict[str, Any]]:

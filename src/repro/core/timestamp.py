@@ -14,6 +14,11 @@ time the window sample is produced from the automaton's state:
 The memory footprint is Θ(k · log n(t)) words and is a deterministic function
 of the arrival pattern — never of the algorithm's coin flips — which is the
 paper's improvement over priority sampling.
+
+Without an observer, an arrival costs one singleton bucket and one candidate
+record whatever ``k`` is: the k automata are fed the same singleton object
+(:func:`~repro.core.bucket_structure.build_singletons`), which is safe
+because bucket structures are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .base import (
     coerce_batch_timestamps,
     init_sampler_kernel,
 )
+from .bucket_structure import SINGLETON_CHUNK, build_singletons
 from .covering import WindowCoverage, estimate_active_count
 from .serialization import load_stream, require_state_fields
 from .tracking import CandidateObserver, SampleCandidate
@@ -89,6 +95,11 @@ class TimestampSamplerWR(TimestampWindowSampler):
     # -- ingestion ----------------------------------------------------------------
 
     def append(self, value: Any, timestamp: Optional[float] = None) -> None:
+        """Process one arrival.  Without an observer this is the batched path
+        for one element (one singleton shared by the k lanes), so ``append``
+        and :meth:`process_batch` are the same code; with one, each lane
+        observes the element through its own singleton and the observer
+        hears of the arrival."""
         index = self._arrivals
         if timestamp is None:
             ts = self._now if self._now != float("-inf") else 0.0
@@ -97,9 +108,13 @@ class TimestampSamplerWR(TimestampWindowSampler):
         if ts < self._now:
             raise StreamOrderError(f"timestamps must be non-decreasing: {ts} < {self._now}")
         self._now = ts
+        if self._observer is None:
+            self._observe_shared((value,), index, (ts,))
+            self._arrivals = index + 1
+            return
         for coverage in self._coverages:
             coverage.observe(value, index, ts)
-        self._arrivals += 1
+        self._arrivals = index + 1
         self._notify_arrival(value, index, ts)
 
     def process_batch(
@@ -107,9 +122,10 @@ class TimestampSamplerWR(TimestampWindowSampler):
         values: Sequence[Any],
         timestamps: Optional[Sequence[Optional[float]]] = None,
     ) -> int:
-        """Batched :meth:`append`: timestamps are validated up front, then the
-        batch is fed lane-major through
-        :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
+        """Batched :meth:`append`: timestamps are validated up front, then
+        each chunk of :data:`~repro.core.bucket_structure.SINGLETON_CHUNK`
+        arrivals gets its singletons built once and fed to every lane
+        through :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
         covering automaton owns an independent generator, so this is
         bit-identical to the ``append`` loop).  ``fast=True`` with the numpy
         kernel runs :func:`repro.engine.kernels.coverage_observe_batch`
@@ -139,11 +155,21 @@ class TimestampSamplerWR(TimestampWindowSampler):
                     coverage, values, 0, start, stamp_array, stamp_array, self._np_gen
                 )
         else:
-            for coverage in self._coverages:
-                coverage.observe_batch(values, start, stamps)
+            self._observe_shared(values, start, stamps)
         self._now = stamps[-1]
         self._arrivals = start + count
         return count
+
+    def _observe_shared(self, values: Sequence[Any], start: int, stamps: Sequence[float]) -> None:
+        """Feed arrivals ``start ..`` (float ``stamps``) to every lane, one
+        shared singleton per arrival, chunk by chunk."""
+        count = len(values)
+        coverages = self._coverages
+        for lo in range(0, count, SINGLETON_CHUNK):
+            hi = lo + SINGLETON_CHUNK if lo + SINGLETON_CHUNK < count else count
+            chunk = build_singletons(values, stamps, start, lo, hi)
+            for coverage in coverages:
+                coverage.observe_batch(chunk)
 
     # -- sampling -------------------------------------------------------------------
 
@@ -190,10 +216,12 @@ class TimestampSamplerWR(TimestampWindowSampler):
     # -- checkpointing ------------------------------------------------------------------
 
     def _encode_state(self) -> Dict[str, Any]:
+        # One memo for the sampler: what the lanes share is encoded once.
+        memo: Dict[int, Any] = {}
         return {
             "t0": self._t0,
             "now": self._now,
-            "coverages": [coverage.state_dict() for coverage in self._coverages],
+            "coverages": [coverage.state_dict(memo) for coverage in self._coverages],
             "seed": self._seed,
             "rngs": [coverage.rng.get_state() for coverage in self._coverages],
             "query_rng": self._query_rng.get_state(),
@@ -215,8 +243,9 @@ class TimestampSamplerWR(TimestampWindowSampler):
                 f"snapshot has {len(payload['rngs'])} lane streams, sampler has {len(self._coverages)}"
             )
         seed = int(payload["seed"])
+        memo: Dict[int, Any] = {}
         for stream, coverage in enumerate(self._coverages):
             load_stream(coverage.rng, seed, stream, payload["rngs"][stream])
-            coverage.load_state_dict(payload["coverages"][stream])
+            coverage.load_state_dict(payload["coverages"][stream], memo)
         load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
         self._seed = seed

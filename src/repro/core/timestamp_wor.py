@@ -15,6 +15,10 @@ The construction combines two ingredients:
 
 Total memory: Θ(k + k·log n) words, deterministic — matching the Ω(k log n)
 lower bound of Gemulla and Lehner for timestamp windows.
+
+The auxiliary array holds each arrival's singleton bucket.  Without an
+observer that singleton is built once, and copy ``i`` is handed the same
+object at arrival ``j + i``; its candidate record is the array entry.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .base import (
     coerce_batch_timestamps,
     init_sampler_kernel,
 )
+from .bucket_structure import SINGLETON_CHUNK, BucketStructure, build_singletons
 from .covering import WindowCoverage, estimate_active_count
 from .reduction import build_k_sample
 from .serialization import (
@@ -87,8 +92,9 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
         # Auxiliary array of the last k arrived elements (§4: "we maintain an
         # auxiliary array with the last i elements ... we can use the same
-        # array for every i").
-        self._recent: Deque[SampleCandidate] = deque(maxlen=self._k)
+        # array for every i"), as their singleton buckets; each one's R is
+        # the element's candidate record.
+        self._recent: Deque[BucketStructure] = deque(maxlen=self._k)
         self._now = float("-inf")
 
     # -- clock ------------------------------------------------------------------
@@ -107,6 +113,10 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     # -- ingestion ------------------------------------------------------------------
 
     def append(self, value: Any, timestamp: Optional[float] = None) -> None:
+        """Process one arrival.  Without an observer this is the batched path
+        for one element, so ``append`` and :meth:`process_batch` are the
+        same code; with one, each delayed copy observes its element through
+        its own singleton and the observer hears of the arrival."""
         index = self._arrivals
         if timestamp is None:
             ts = self._now if self._now != float("-inf") else 0.0
@@ -115,19 +125,22 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         if ts < self._now:
             raise StreamOrderError(f"timestamps must be non-decreasing: {ts} < {self._now}")
         self._now = ts
-        self._recent.append(SampleCandidate(value=value, index=index, timestamp=ts))
+        if self._observer is None:
+            self._observe_shared((value,), index, (ts,))
+            self._arrivals = index + 1
+            return
+        self._recent.append(BucketStructure.singleton(value, index, ts))
         # Feed each delayed copy the element that has now cleared its delay:
         # copy i processes element index - i (if it exists).  The element is
         # still in the auxiliary array because i < k.
         recent_list = list(self._recent)
         for delay, coverage in enumerate(self._coverages):
-            target = index - delay
-            if target < 0:
-                continue
+            if index - delay < 0:
+                break
             delayed = recent_list[-(delay + 1)]
-            coverage.advance_time(self._now)
-            coverage.observe(delayed.value, delayed.index, delayed.timestamp)
-        self._arrivals += 1
+            coverage.advance_time(ts)
+            coverage.observe(delayed.first_value, delayed.start, delayed.first_timestamp)
+        self._arrivals = index + 1
         self._notify_arrival(value, index, ts)
 
     def process_batch(
@@ -137,11 +150,12 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     ) -> int:
         """Batched :meth:`append` for the delayed-copies construction.
 
-        Copy ``i`` observes element ``index - i`` at every arrival, so each
-        coverage is handed one contiguous slice of the materialised auxiliary
-        view (old buffer + batch) through
-        :meth:`~repro.core.covering.WindowCoverage.observe_batch`, with the
-        *arrival* timestamps as its clock track: each automaton owns an
+        Copy ``i`` observes element ``index - i`` at every arrival.  Each
+        chunk of :data:`~repro.core.bucket_structure.SINGLETON_CHUNK` arrivals
+        gets its singletons built once; each copy is handed one contiguous
+        slice of (auxiliary array + chunk) through
+        :meth:`~repro.core.covering.WindowCoverage.observe_batch`, with
+        the *arrival* timestamps as its clock track: each automaton owns an
         independent generator and sees exactly the per-element sequence,
         making this bit-identical to the ``append`` loop (``fast=True`` with
         the numpy kernel runs
@@ -157,52 +171,78 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             return super().process_batch(values, timestamps)
         stamps = coerce_batch_timestamps(count, timestamps, self._now)
         start = self._arrivals
+        if self._fast and self._np_gen is not None:
+            self._observe_kernel(values, start, stamps)
+        else:
+            self._observe_shared(values, start, stamps)
+        self._now = stamps[-1]
+        self._arrivals = start + count
+        return count
+
+    def _observe_shared(self, values: Sequence[Any], start: int, stamps: Sequence[float]) -> None:
+        """Feed arrivals ``start ..`` (float ``stamps``) to the delayed
+        copies, one shared singleton per element, chunk by chunk."""
+        count = len(values)
+        recent = self._recent
+        coverages = self._coverages
+        for lo in range(0, count, SINGLETON_CHUNK):
+            hi = lo + SINGLETON_CHUNK if lo + SINGLETON_CHUNK < count else count
+            fresh = build_singletons(values, stamps, start, lo, hi)
+            # The auxiliary array holds the last `base` elements before the
+            # chunk, indexes consecutive, so element `start + lo + p` sits
+            # at window[base + p].
+            window = list(recent)
+            base = len(window)
+            window.extend(fresh)
+            width = hi - lo
+            clocks = stamps[lo:hi]
+            for delay, coverage in enumerate(coverages):
+                # Arrival `start + lo + p` hands copy `delay` the element
+                # `start + lo + p - delay`; arrivals whose target index would
+                # be negative are skipped.
+                first = delay - start - lo
+                if first < 0:
+                    first = 0
+                if first >= width:
+                    break
+                coverage.observe_batch(
+                    window[base + first - delay : base + width - delay],
+                    clocks[first:] if first else clocks,
+                )
+            recent.extend(fresh)
+
+    def _observe_kernel(self, values: Sequence[Any], start: int, stamps: List[float]) -> None:
+        """The numpy kernel over the same delayed slices as
+        :meth:`_observe_shared`, on the materialised auxiliary view."""
+        from ..engine.kernels import as_float_array, coverage_observe_batch
+
+        count = len(values)
         held = list(self._recent)
         base = len(held)
-        combined_values = [candidate.value for candidate in held]
+        combined_values = [bucket.first_value for bucket in held]
         combined_values.extend(values)
-        combined_stamps = [candidate.timestamp for candidate in held]
+        combined_stamps = [bucket.first_timestamp for bucket in held]
         combined_stamps.extend(stamps)
-        use_kernel = self._fast and self._np_gen is not None
-        if use_kernel:
-            from ..engine.kernels import as_float_array, coverage_observe_batch
-
-            combined_array = as_float_array(combined_stamps)
-            clock_array = combined_array[base:]
+        combined_array = as_float_array(combined_stamps)
+        clock_array = combined_array[base:]
         for delay, coverage in enumerate(self._coverages):
-            # Copy `delay` skips arrivals whose delayed target index would be
-            # negative; the rest observe the contiguous combined slice
-            # [base + first - delay, base + count - delay) — the held buffer
-            # holds exactly the last `base` arrivals, indexes consecutive.
             first = delay - start
             if first < 0:
                 first = 0
             if first >= count:
-                continue
-            if use_kernel:
-                coverage_observe_batch(
-                    coverage,
-                    combined_values,
-                    base + first - delay,
-                    start + first - delay,
-                    combined_array[base + first - delay : base + count - delay],
-                    clock_array[first:],
-                    self._np_gen,
-                )
-                continue
-            coverage.observe_batch(
-                combined_values[base + first - delay : base + count - delay],
+                break
+            coverage_observe_batch(
+                coverage,
+                combined_values,
+                base + first - delay,
                 start + first - delay,
-                combined_stamps[base + first - delay : base + count - delay],
-                clocks=stamps if first == 0 else stamps[first:],
+                combined_array[base + first - delay : base + count - delay],
+                clock_array[first:],
+                self._np_gen,
             )
         self._recent.extend(
-            SampleCandidate(value=values[position], index=start + position, timestamp=stamps[position])
-            for position in range(count - self._k if count > self._k else 0, count)
+            build_singletons(values, stamps, start, count - self._k if count > self._k else 0, count)
         )
-        self._now = stamps[-1]
-        self._arrivals = start + count
-        return count
 
     # -- sampling -----------------------------------------------------------------------
 
@@ -213,7 +253,9 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             for coverage in self._coverages:
                 coverage.advance_time(self._now)
         active_recent = [
-            candidate for candidate in self._recent if self._now - candidate.timestamp < self._t0
+            bucket.r_sample
+            for bucket in self._recent
+            if self._now - bucket.first_timestamp < self._t0
         ]
         window_has_k = len(self._recent) == self._k and len(active_recent) == self._k
         if self._coverages[0].is_empty:
@@ -237,7 +279,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         # The newest element of each successive domain: the last k-1 active
         # elements, oldest first — exactly recent[1:] when the buffer is full.
         recent_list = list(self._recent)
-        newest_elements = recent_list[1:]
+        newest_elements = [bucket.r_sample for bucket in recent_list[1:]]
         return build_k_sample(singles, newest_elements, key=lambda candidate: candidate.index)
 
     # -- introspection ----------------------------------------------------------------------
@@ -251,7 +293,8 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     def iter_candidates(self) -> Iterator[SampleCandidate]:
         for coverage in self._coverages:
             yield from coverage.iter_candidates()
-        yield from self._recent
+        for bucket in self._recent:
+            yield bucket.r_sample
 
     def memory_words(self) -> int:
         meter = MemoryMeter(WORD_MODEL)
@@ -267,11 +310,14 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     # -- checkpointing -----------------------------------------------------------------------
 
     def _encode_state(self) -> Dict[str, Any]:
+        # One memo for the sampler: what the copies and the auxiliary array
+        # share is encoded once.
+        memo: Dict[int, Any] = {}
         return {
             "t0": self._t0,
             "now": self._now,
-            "recent": [encode_candidate(candidate) for candidate in self._recent],
-            "coverages": [coverage.state_dict() for coverage in self._coverages],
+            "recent": [encode_candidate(bucket.r_sample, memo) for bucket in self._recent],
+            "coverages": [coverage.state_dict(memo) for coverage in self._coverages],
             "seed": self._seed,
             "rngs": [coverage.rng.get_state() for coverage in self._coverages],
             "query_rng": self._query_rng.get_state(),
@@ -290,8 +336,14 @@ class TimestampSamplerWOR(TimestampWindowSampler):
                 f"snapshot has {len(payload['coverages'])} coverages, sampler has {len(self._coverages)}"
             )
         self._now = float(payload["now"])
+        memo: Dict[int, Any] = {}
+        recent = [decode_candidate(encoded, memo) for encoded in payload["recent"]]
         self._recent = deque(
-            (decode_candidate(encoded) for encoded in payload["recent"]), maxlen=self._k
+            (
+                BucketStructure(c.index, c.index + 1, c.value, c.timestamp, c, c)
+                for c in recent
+            ),
+            maxlen=self._k,
         )
         if len(payload["rngs"]) != len(self._coverages):
             raise ConfigurationError(
@@ -300,6 +352,6 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         seed = int(payload["seed"])
         for stream, coverage in enumerate(self._coverages):
             load_stream(coverage.rng, seed, stream, payload["rngs"][stream])
-            coverage.load_state_dict(payload["coverages"][stream])
+            coverage.load_state_dict(payload["coverages"][stream], memo)
         load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
         self._seed = seed

@@ -46,8 +46,14 @@ class TestSingleton:
         assert bucket.first_timestamp == 9.0
 
     def test_r_and_q_are_distinct_candidate_objects(self):
-        bucket = singleton(3)
+        """With an observer, R and Q are two records: the observer keeps
+        separate scratch state on each."""
+        bucket = singleton(3, observer=RecordingObserver())
         assert bucket.r_sample is not bucket.q_sample
+
+    def test_observer_free_r_and_q_share_one_record(self):
+        bucket = singleton(3)
+        assert bucket.r_sample is bucket.q_sample
 
     def test_observer_sees_two_selections(self):
         observer = RecordingObserver()

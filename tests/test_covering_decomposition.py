@@ -11,8 +11,8 @@ from repro.exceptions import EmptyWindowError, StreamOrderError
 def build_decomposition(count, start=0, rng_seed=1):
     """Build ζ(start, start+count-1) by repeated Incr."""
     rng = random.Random(rng_seed)
-    decomposition = CoveringDecomposition.fresh(f"v{start}", start, float(start), rng)
-    for offset in range(1, count):
+    decomposition = CoveringDecomposition(rng)
+    for offset in range(count):
         index = start + offset
         decomposition.incr(f"v{index}", index, float(index))
     return decomposition
@@ -167,10 +167,11 @@ class TestBookkeeping:
 
 
 class TestMergeRunGeometry:
-    """The structural fact the batched ``Incr`` fast path relies on.
+    """The structural fact the one ``Incr`` relies on.
 
-    ``WindowCoverage.observe_batch`` replaces the reference walk's full
-    front-to-back scan with an O(1) probe: in a canonical decomposition
+    ``CoveringDecomposition.incr`` (and ``WindowCoverage.observe_batch``,
+    which inlines it) replaces the reference walk's full front-to-back scan
+    with an O(1) probe: in a canonical decomposition
     ζ(a, b), the positions where ``Incr`` merges — those whose gap
     ``b + 2 - a_p`` is a power of two — always form a contiguous stride-2
     run ending at the third-from-last bucket, so "does this arrival merge at
@@ -182,7 +183,8 @@ class TestMergeRunGeometry:
 
     @staticmethod
     def reference_walk_merges(bounds, newest):
-        """Merge positions of ``CoveringDecomposition.incr``'s walk."""
+        """Merge positions of Definition 3.1's front-to-back walk (the
+        list-rebuilding ``Incr`` the probe and cascade replaced)."""
         merges = []
         position = 0
         while len(bounds) - position > 1:
@@ -201,7 +203,7 @@ class TestMergeRunGeometry:
             bounds = canonical_boundaries(start, newest)
             merges = self.reference_walk_merges(bounds, newest)
             count = len(bounds)
-            # The O(1) probe used by observe_batch: a merge happens iff the
+            # The O(1) probe of Incr: a merge happens iff the
             # third-from-last bucket starts at index - 3 (gap exactly 4),
             # where index = newest + 1 is the arriving element.
             probe = count >= 3 and bounds[count - 3][0] == (newest + 1) - 3

@@ -28,8 +28,8 @@ def test_canonical_boundaries_partition_the_range(start, width):
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**31))
 def test_incr_always_matches_the_canonical_decomposition(width, seed):
     rng = random.Random(seed)
-    decomposition = CoveringDecomposition.fresh("v0", 0, 0.0, rng)
-    for index in range(1, width):
+    decomposition = CoveringDecomposition(rng)
+    for index in range(width):
         decomposition.incr(f"v{index}", index, float(index))
     assert decomposition.boundaries() == canonical_boundaries(0, width - 1)
     for bucket in decomposition.buckets:

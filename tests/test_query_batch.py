@@ -228,3 +228,64 @@ class TestDeterministicTies:
         report = engine.hottest_keys(5)
         assert len(report) == 5
         assert {count for _, count in report} == {4}
+
+
+class TestCountFirstHottest:
+    """``hottest`` selects by count before it encodes any tiebreak; the
+    answer must equal the reference ``heapq.nlargest`` over the full
+    ``(count, tiebreak)`` order, boundary ties and display order included."""
+
+    class _Counted:
+        __slots__ = ("total_arrivals",)
+
+        def __init__(self, count):
+            self.total_arrivals = count
+
+    class _Pool:
+        def __init__(self, entries):
+            self._entries = entries
+
+        def items(self):
+            return iter(self._entries)
+
+    KEY_MAKERS = (
+        lambda rng, i: i,
+        lambda rng, i: f"k{i}",
+        lambda rng, i: (i, f"t{rng.randrange(3)}"),
+        lambda rng, i: f"{i}".encode(),
+        lambda rng, i: float(i) + 0.5,
+    )
+
+    def _pools(self, rng):
+        keys = set()
+        pools = []
+        for _ in range(rng.randrange(0, 5)):
+            entries = []
+            for _ in range(rng.randrange(0, 30)):
+                key = rng.choice(self.KEY_MAKERS)(rng, rng.randrange(60))
+                if key in keys:
+                    continue
+                keys.add(key)
+                # Few distinct counts: heavy ties at every boundary.
+                entries.append((key, self._Counted(rng.choice((0, 1, 1, 2, 3, 3, 3, 7)))))
+            pools.append(self._Pool(entries))
+        return pools
+
+    def test_matches_the_reference_selection(self):
+        import heapq
+        import random
+
+        from repro.engine.engine import _hottest_order, _hottest_partial, _tie_break_bytes
+
+        rng = random.Random(20)
+        for case in range(3000):
+            pools = self._pools(rng)
+            pairs = [
+                (key, sampler.total_arrivals)
+                for pool in pools
+                for key, sampler in pool.items()
+            ]
+            top = rng.choice((0, 1, 2, 3, 5, 8, len(pairs), len(pairs) + 3))
+            reference = heapq.nlargest(top, pairs, key=_hottest_order)
+            reference.sort(key=lambda pair: (-pair[1], _tie_break_bytes(pair[0])))
+            assert _hottest_partial(pools, top) == reference, (case, top, pairs)

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from repro.core.bucket_structure import BucketStructure
+from repro.core.bucket_structure import BucketStructure, build_singletons
 from repro.core.covering import WindowCoverage
+from repro.core.tracking import CandidateObserver
 from repro.rng import LaneRng, bernoulli, ensure_rng, sampler_seed, spawn, uniform_index
 
 
@@ -177,9 +178,10 @@ class TestSamplerSeed:
 
 
 class TestMergeCoins:
-    """``BucketStructure.merge`` (the per-element ``Incr`` walk) and
-    ``merge_cascade`` (the batched path) take the same coins in the same
-    order: two per merge, R then Q, a set bit keeping the left sample."""
+    """``BucketStructure.merge`` (the cascade's merge when an observer is
+    attached) and the observer-free ``merge_cascade`` take the same coins in
+    the same order: two per merge, R then Q, a set bit keeping the left
+    sample."""
 
     def test_merge_takes_two_coins_r_then_q(self):
         for seed in range(20):
@@ -196,10 +198,10 @@ class TestMergeCoins:
     def test_walk_and_cascade_consume_the_same_coins(self, length):
         values = list(range(length))
         stamps = [float(value) for value in values]
-        walked = WindowCoverage(1e9, LaneRng(3, 0))
+        walked = WindowCoverage(1e9, LaneRng(3, 0), CandidateObserver())
         for value in values:
             walked.observe(value, value, stamps[value])
         cascaded = WindowCoverage(1e9, LaneRng(3, 0))
-        cascaded.observe_batch(values, 0, stamps)
+        cascaded.observe_batch(build_singletons(values, stamps, 0, 0, length))
         assert walked.state_dict() == cascaded.state_dict()
         assert walked.rng.get_state() == cascaded.rng.get_state()
