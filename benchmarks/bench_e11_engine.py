@@ -17,10 +17,8 @@ checkpoint serialisation — and the scaling layers:
   safety net stays the same: the process fleet must be bit-identical to
   the serial fleet.
 * a **batched-path comparison**: the serial 1M-record ingest through the
-  per-record reference loop, the grouped batched path (bit-identical), and
-  the ``fast=True`` path (the same python code as batched since the
-  per-acceptance reservoirs) — the three numbers
-  ``benchmarks/record.py`` tracks in ``BENCH_E11.json``.
+  per-record reference loop and the grouped batched path (bit-identical) —
+  the two numbers ``benchmarks/record.py`` tracks in ``BENCH_E11.json``.
 * **incremental checkpoints**: a second save after touching ~1% of keys
   (clustered on ≤10% of shards) must rewrite ≤10% of the shard segments.
 
@@ -87,28 +85,6 @@ def test_e11_engine_ingest_1m_records(benchmark, records):
         f"{engine.shards} shards, fleet memory {engine.memory_words():,} words "
         f"(~{engine.memory_words() // engine.key_count} words/key)"
     )
-
-
-def test_e11_engine_fast_ingest_1m_records(benchmark, records):
-    """The same fleet with ``SamplerSpec(fast=True)`` (python kernel: the
-    batched path).
-
-    The assertion is structural: same arrivals, same keys, valid per-key
-    samples.  The statistical guarantees are gated in
-    ``tests/test_batched_ingest.py``.
-    """
-
-    def ingest():
-        spec = SamplerSpec(window="sequence", n=256, k=4, replacement=True, fast=True)
-        engine = ShardedEngine(spec, shards=SHARDS, seed=3)
-        engine.ingest(records)
-        return engine
-
-    engine = benchmark.pedantic(ingest, rounds=1, iterations=1, warmup_rounds=0)
-    assert engine.total_arrivals >= 1_000_000
-    assert engine.key_count >= 10_000
-    assert len(engine.sample(0)) == 4
-    benchmark.extra_info["fast"] = True
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,8 @@ Runs the two throughput experiments that the batched hot path targets and
 writes ``BENCH_E7.json`` / ``BENCH_E11.json``:
 
 * **E7** — per-element ingest cost of the four optimal samplers, measured
-  three ways: the per-element ``append`` loop (the *before*), the batched
-  default ``process_batch`` path (bit-identical), and the ``fast=True``
-  path (since the per-acceptance reservoirs, the same python code as
-  batched; it differs only with ``--kernel numpy``).  The timestamp
+  two ways: the per-element ``append`` loop (the *before*) and the batched
+  default ``process_batch`` path (bit-identical).  The timestamp
   samplers' ``append`` runs the batched code for one element, so their
   guarded ratio is the batched path against a reference implementation
   timed alongside: the priority-sampling baseline's per-element ``append``
@@ -17,7 +15,7 @@ writes ``BENCH_E7.json`` / ``BENCH_E11.json``:
   timings taken seconds apart made the guarded ratios flaky on 1-core CI
   runners (see ``timed_best_grouped``).
 * **E11** — keyed-engine ingest at fleet scale (zipf keys through
-  ``ShardedEngine``), same three ways, plus the process-transport freight
+  ``ShardedEngine``), same two ways, plus the process-transport freight
   (columnar vs pickled bytes per record — deterministic) and the
   ``ProcessEngine`` per-stage timing breakdown (encode / dispatch / decode /
   apply) of its columnar transport.  The ``obs`` row measures the metrics-enabled ingest
@@ -44,13 +42,14 @@ Usage::
 
     PYTHONPATH=src python benchmarks/record.py [--quick] [--out DIR]
                                                [--baseline DIR] [--tolerance PCT]
-                                               [--kernel python|numpy|auto]
+                                               [--kernel python|numpy]
                                                [--cores N]
 
 ``--kernel numpy`` (requires the ``[fast]`` extra) adds the vectorized-kernel
 rows: an E7 ``kernel`` timing per sampler family with the floor-guarded
-``speedup_numpy`` ratio, an E11 serial kernel row, and the process-engine
-apply-seconds split before/after the kernel.  ``--cores N`` appends an
+``speedup_numpy`` ratio (batched python time over kernel time), an E11
+serial kernel row, and the process-engine apply-seconds split between the
+python and numpy kernels.  ``--cores N`` appends an
 advisory multi-core process row at N workers (skipped with a note on smaller
 hosts).
 """
@@ -109,27 +108,22 @@ from repro.streams.workloads import build_keyed_workload  # noqa: E402
 GUARDED_METRICS: Dict[str, List[tuple]] = {
     "BENCH_E7.json": [
         ("seq-wr.speedup_batched", "min"),
-        ("seq-wr.speedup_fast", "min"),
         ("seq-wor.speedup_batched", "min"),
-        # seq-wor.speedup_fast is recorded but not guarded: the
-        # per-acceptance vs reference-loop ratio moves with stream length, so
-        # quick-vs-full comparisons exceed any honest tolerance.
         # The timestamp samplers' append is their batched path for one
         # element, so append-relative ratios no longer measure batching;
         # the batched path is guarded against the priority baselines'
         # per-element append, timed in the same interleaved group.
         ("ts-wr.batched_over_reference", "min"),
         ("ts-wor.batched_over_reference", "min"),
-        # The vectorized-kernel acceptance floors (PR 9): the numpy kernel
-        # must beat the committed python fast path >= 2x on seq-WR and a
-        # timestamp sampler.  "floor" guards are baseline-independent and
-        # skipped when the row is null (the bench ran without the kernel).
+        # The vectorized-kernel acceptance floors: the numpy kernel must beat
+        # the python batched path >= 2x on seq-WR and a timestamp sampler.
+        # "floor" guards are baseline-independent and skipped when the row
+        # is null (the bench ran without the kernel).
         ("seq-wr.speedup_numpy", "floor", 2.0),
         ("ts-wr.speedup_numpy", "floor", 2.0),
     ],
     "BENCH_E11.json": [
         ("serial.speedup_batched", "min"),
-        ("serial.speedup_fast", "min"),
         # Pickled sampler state per live key: what a key costs on disk.  A
         # fatter per-key state (a generator vector per stream was ~3 KB)
         # trips this before it reaches a checkpoint.
@@ -191,19 +185,19 @@ def bench_e7(quick: bool, kernel: str = "python") -> Dict[str, Any]:
     ts_values = list(range(ts_length))
     ts_stamps = poisson_timestamps(ts_length)
     cases = [
-        ("seq-wr", lambda fast, kernel="python": SequenceSamplerWR(n=1000, k=8, rng=1, fast=fast, kernel=kernel), seq_values, None, None),
-        ("seq-wor", lambda fast, kernel="python": SequenceSamplerWOR(n=1000, k=16, rng=1, fast=fast, kernel=kernel), seq_values, None, None),
-        ("ts-wr", lambda fast, kernel="python": TimestampSamplerWR(t0=1000.0, k=4, rng=1, fast=fast, kernel=kernel), ts_values, ts_stamps,
-         lambda fast: PrioritySamplerWR(t0=1000.0, k=4, rng=1)),
-        ("ts-wor", lambda fast, kernel="python": TimestampSamplerWOR(t0=1000.0, k=4, rng=1, fast=fast, kernel=kernel), ts_values, ts_stamps,
-         lambda fast: PrioritySamplerWOR(t0=1000.0, k=4, rng=1)),
+        ("seq-wr", lambda kernel="python": SequenceSamplerWR(n=1000, k=8, rng=1, kernel=kernel), seq_values, None, None),
+        ("seq-wor", lambda kernel="python": SequenceSamplerWOR(n=1000, k=16, rng=1, kernel=kernel), seq_values, None, None),
+        ("ts-wr", lambda kernel="python": TimestampSamplerWR(t0=1000.0, k=4, rng=1, kernel=kernel), ts_values, ts_stamps,
+         lambda: PrioritySamplerWR(t0=1000.0, k=4, rng=1)),
+        ("ts-wor", lambda kernel="python": TimestampSamplerWOR(t0=1000.0, k=4, rng=1, kernel=kernel), ts_values, ts_stamps,
+         lambda: PrioritySamplerWOR(t0=1000.0, k=4, rng=1)),
     ]
     results: Dict[str, Any] = {}
     for name, make, values, stamps, reference in cases:
         count = len(values)
 
         def append_action(make=make, values=values, stamps=stamps):
-            sampler = make(False)
+            sampler = make()
             append = sampler.append
             if stamps is None:
                 def run():
@@ -215,42 +209,37 @@ def bench_e7(quick: bool, kernel: str = "python") -> Dict[str, Any]:
                         append(value, stamps[position])
             return run
 
-        def batch_action(fast, kernel="python", make=make, values=values, stamps=stamps):
-            sampler = make(fast, kernel)
+        def batch_action(kernel, make=make, values=values, stamps=stamps):
+            sampler = make(kernel)
             return lambda: sampler.process_batch(values, stamps)
 
         setups = {
             "append": append_action,
-            "batched": lambda: batch_action(False),
-            "fast": lambda: batch_action(True),
+            "batched": lambda: batch_action("python"),
         }
         if reference is not None:
             setups["reference"] = lambda reference=reference: append_action(reference)
         if kernel == "numpy":
-            # The vectorized lane-batch kernel, timed over the *same*
-            # fast-path draws it replaces (fast=True is where the lanes are
-            # wide enough to vectorize; the default path stays bit-identical
-            # python by contract).
-            setups["kernel"] = lambda: batch_action(True, "numpy")
+            # The vectorized lane-batch kernel, timed over the same batches
+            # as the python batched path it replaces.
+            setups["kernel"] = lambda: batch_action("numpy")
         best = timed_best_grouped(setups)
-        t_append, t_batched, t_fast = best["append"], best["batched"], best["fast"]
+        t_append, t_batched = best["append"], best["batched"]
         t_kernel = best.get("kernel")
         results[name] = {
             "elements": count,
             "append_kel_per_s": round(count / t_append / 1e3, 1),
             "batched_kel_per_s": round(count / t_batched / 1e3, 1),
-            "fast_kel_per_s": round(count / t_fast / 1e3, 1),
             "kernel_kel_per_s": round(count / t_kernel / 1e3, 1) if t_kernel else None,
             "speedup_batched": round(t_append / t_batched, 3),
-            "speedup_fast": round(t_append / t_fast, 3),
-            # numpy-kernel fast path vs the committed python fast path —
-            # the PR 9 acceptance ratio (floor-guarded for seq-wr / ts-wr).
-            "speedup_numpy": round(t_fast / t_kernel, 3) if t_kernel else None,
+            # numpy kernel vs the python batched path — the kernel
+            # acceptance ratio (floor-guarded for seq-wr / ts-wr).
+            "speedup_numpy": round(t_batched / t_kernel, 3) if t_kernel else None,
         }
         if reference is not None:
             t_reference = best["reference"]
             results[name].update(
-                reference=reference(False).algorithm,
+                reference=reference().algorithm,
                 reference_kel_per_s=round(count / t_reference / 1e3, 1),
                 batched_over_reference=round(t_reference / t_batched, 3),
             )
@@ -258,13 +247,11 @@ def bench_e7(quick: bool, kernel: str = "python") -> Dict[str, Any]:
             f"[E7] {name:<8} append {results[name]['append_kel_per_s']:>8.1f} kel/s"
             f" | batched {results[name]['batched_kel_per_s']:>8.1f}"
             f" ({results[name]['speedup_batched']:.2f}x)"
-            f" | fast {results[name]['fast_kel_per_s']:>8.1f}"
-            f" ({results[name]['speedup_fast']:.2f}x)"
         )
         if t_kernel:
             line += (
                 f" | kernel {results[name]['kernel_kel_per_s']:>8.1f}"
-                f" ({results[name]['speedup_numpy']:.2f}x over fast)"
+                f" ({results[name]['speedup_numpy']:.2f}x over batched)"
             )
         if reference is not None:
             line += (
@@ -290,8 +277,8 @@ def e11_records(quick: bool) -> List[Any]:
     return warmup + bulk
 
 
-def e11_spec(fast: bool = False, kernel: str = "python") -> SamplerSpec:
-    return SamplerSpec(window="sequence", n=256, k=4, replacement=True, fast=fast, kernel=kernel)
+def e11_spec(kernel: str = "python") -> SamplerSpec:
+    return SamplerSpec(window="sequence", n=256, k=4, replacement=True, kernel=kernel)
 
 
 def per_record_ingest(engine: ShardedEngine, records: List[Any]) -> None:
@@ -315,11 +302,9 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
     t_batched = timed(lambda: batched.ingest(records))
     if batched.state_dict() != before.state_dict():
         raise AssertionError("batched ingest diverged from the per-record reference")
-    fast = ShardedEngine(e11_spec(fast=True), shards=8, seed=3)
-    t_fast = timed(lambda: fast.ingest(records))
     t_kernel = None
     if kernel == "numpy":
-        kern = ShardedEngine(e11_spec(fast=True, kernel="numpy"), shards=8, seed=3)
+        kern = ShardedEngine(e11_spec(kernel="numpy"), shards=8, seed=3)
         t_kernel = timed(lambda: kern.ingest(records))
     keys = batched.key_count
     state_bytes = len(pickle.dumps(batched.state_dict(), pickle.HIGHEST_PROTOCOL))
@@ -329,25 +314,22 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
         "state_bytes_per_key": round(state_bytes / keys, 1),
         "per_record_krps": round(count / t_before / 1e3, 1),
         "batched_krps": round(count / t_batched / 1e3, 1),
-        "fast_krps": round(count / t_fast / 1e3, 1),
         "kernel_krps": round(count / t_kernel / 1e3, 1) if t_kernel else None,
         "speedup_batched": round(t_before / t_batched, 3),
-        "speedup_fast": round(t_before / t_fast, 3),
         # Informational only (not guarded): the keyed-engine stream spreads
         # records over ~10k samplers, so per-key lane batches are a few
         # records wide and numpy's per-call overhead can eat the win
         # entirely (<= 1x is normal here).  The guarded floors live in E7,
         # where the lanes are wide enough to vectorize.
-        "speedup_numpy": round(t_fast / t_kernel, 3) if t_kernel else None,
+        "speedup_numpy": round(t_batched / t_kernel, 3) if t_kernel else None,
     }
     line = (
         f"[E11] serial: per-record {result['per_record_krps']} krec/s"
         f" | batched {result['batched_krps']} krec/s ({result['speedup_batched']:.2f}x)"
-        f" | fast {result['fast_krps']} krec/s ({result['speedup_fast']:.2f}x)"
         f" | state {result['state_bytes_per_key']} B/key"
     )
     if t_kernel:
-        line += f" | kernel {result['kernel_krps']} krec/s ({result['speedup_numpy']:.2f}x over fast)"
+        line += f" | kernel {result['kernel_krps']} krec/s ({result['speedup_numpy']:.2f}x over batched)"
     print(line)
     return result
 
@@ -440,7 +422,6 @@ def bench_e11_transport(records: List[Any]) -> Dict[str, Any]:
 def bench_e11_process(
     records: List[Any],
     quick: bool,
-    fast: bool = False,
     kernel: str = "python",
     workers: int = 2,
     embed_metrics: bool = True,
@@ -448,7 +429,7 @@ def bench_e11_process(
     subset = records[: 60_000 if quick else 200_000]
     registry = MetricsRegistry()
     with ProcessEngine(
-        e11_spec(fast=fast, kernel=kernel), shards=8, seed=3, workers=workers,
+        e11_spec(kernel=kernel), shards=8, seed=3, workers=workers,
         registry=registry,
     ) as engine:
         elapsed = timed(lambda: (engine.ingest(subset), engine.flush()))
@@ -464,7 +445,6 @@ def bench_e11_process(
         "keys": keys,
         "workers": workers,
         "cores": os.cpu_count() or 1,
-        "fast": fast,
         "kernel": report["kernel"],
         "krps": round(len(subset) / elapsed / 1e3, 1),
         "encoded_bytes_per_record": round(report["encoded_bytes"] / report["records"], 3),
@@ -484,22 +464,22 @@ def bench_e11_process(
 
 def bench_e11_kernel_apply(records: List[Any], quick: bool) -> Dict[str, Any]:
     """Apply-seconds split before/after the vectorized kernel, on the real
-    ProcessEngine fast path: the same stream through ``fast=True`` workers
-    with the python kernel (the *before*) and the numpy kernel (the
-    *after*).  Advisory — the guarded kernel floors live in E7, where the
-    lanes are wide enough for the ratio to be stable on 1-core runners."""
-    before = bench_e11_process(records, quick, fast=True, embed_metrics=False)
-    after = bench_e11_process(records, quick, fast=True, kernel="numpy", embed_metrics=False)
+    ProcessEngine: the same stream through workers on the python kernel
+    (the *before*) and on the numpy kernel (the *after*).  Advisory — the
+    guarded kernel floors live in E7, where the lanes are wide enough for
+    the ratio to be stable on 1-core runners."""
+    before = bench_e11_process(records, quick, embed_metrics=False)
+    after = bench_e11_process(records, quick, kernel="numpy", embed_metrics=False)
     apply_before = before["stage_seconds"]["apply_seconds"]
     apply_after = after["stage_seconds"]["apply_seconds"]
     result = {
-        "python_fast": {"krps": before["krps"], "apply_seconds": apply_before},
-        "numpy_fast": {"krps": after["krps"], "apply_seconds": apply_after},
+        "python": {"krps": before["krps"], "apply_seconds": apply_before},
+        "numpy": {"krps": after["krps"], "apply_seconds": apply_after},
         "apply_speedup_numpy": round(apply_before / apply_after, 3) if apply_after else None,
     }
     print(
-        f"[E11] kernel apply split: python-fast {apply_before}s"
-        f" vs numpy-fast {apply_after}s"
+        f"[E11] kernel apply split: python {apply_before}s"
+        f" vs numpy {apply_after}s"
         f" ({result['apply_speedup_numpy']}x apply)"
     )
     return result
@@ -683,10 +663,9 @@ def meta(quick: bool, kernel: str = "python") -> Dict[str, Any]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
-        # The *resolved* kernel the run was invoked with ("auto" never lands
-        # here).  The default process/serial rows always use the python
-        # kernel so they stay comparable across baselines; kernel rows are
-        # additive.
+        # The kernel the run was invoked with.  The default process/serial
+        # rows always use the python kernel so they stay comparable across
+        # baselines; kernel rows are additive.
         "kernel": kernel,
         "numpy_available": HAS_NUMPY,
     }
@@ -836,9 +815,9 @@ def main(argv: List[str] | None = None) -> int:
         help="skip the ProcessEngine stage-timing run (e.g. sandboxes without mp)",
     )
     parser.add_argument(
-        "--kernel", choices=["python", "numpy", "auto"], default="python",
+        "--kernel", choices=["python", "numpy"], default="python",
         help="apply-path kernel for the additive kernel rows (default: python;"
-        " 'numpy' fails loudly without the [fast] extra, 'auto' detects)",
+        " 'numpy' fails loudly without the [fast] extra)",
     )
     parser.add_argument(
         "--cores", type=int, default=None, metavar="N",

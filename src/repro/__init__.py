@@ -137,20 +137,17 @@ kept only as the reference semantics:
 * **Vectorized kernels (optional).**  ``pip install 'swsample[fast]'``
   pulls in numpy and unlocks :mod:`repro.engine.kernels`: constructing a
   sampler or :class:`~repro.engine.SamplerSpec` with ``kernel="numpy"``
-  (or, for a standalone sampler, ``"auto"``, which detects numpy; keyed
-  engines resolve ``"auto"`` to python, where numpy measured slower; CLI:
-  ``swsample engine/serve --kernel``) and ``fast=True`` — which selects
-  these kernels and does nothing else — vectorizes the batch draws across
-  whole lanes —
-  closed-form reservoir-transition draws for seq-WR, hypergeometric
-  splits for WOR, width-weighted canonical rebuilds plus searchsorted
-  run-splitting for the timestamp automata.  The default
-  ``kernel="python"`` is the bit-identity reference and the only path
-  tier-1 CI needs; numpy results are distributionally exact (gated by
-  χ²+KS suites) but draw different randomness, and
-  ``kernel="numpy"`` without numpy fails loudly at construction.  Engines
-  report the active kernel in ``stats()`` / ``transport_report()`` and as
-  the ``engine.kernel.numpy`` gauge.
+  (CLI: ``swsample engine/serve --kernel numpy``) vectorizes the batch
+  draws across whole lanes — closed-form reservoir-transition draws for
+  seq-WR, hypergeometric splits for WOR, width-weighted canonical rebuilds
+  plus searchsorted run-splitting for the timestamp automata.  The
+  default ``kernel="python"`` is the bit-identity reference and the only
+  path tier-1 CI needs; numpy results are distributionally exact (gated
+  by χ²+KS suites) but draw different randomness, and ``kernel="numpy"``
+  without numpy fails loudly at construction.  A numpy sampler's snapshot
+  carries its numpy generator, so it resumes exactly.  Engines report the
+  active kernel in ``stats()`` / ``transport_report()`` and as the
+  ``engine.kernel.numpy`` gauge.
 * **Process transport** packs each dispatched sub-batch into one columnar
   struct-packed buffer (:mod:`repro.engine.transport`) instead of pickling
   tuple lists — roughly half the bytes per record on typical int-keyed
@@ -160,14 +157,14 @@ kept only as the reference semantics:
 
 The measured trajectory lives in ``BENCH_E7.json`` / ``BENCH_E11.json`` at
 the repo root, written by ``benchmarks/record.py`` (per-sampler and
-fleet-scale throughput for the per-record, batched and fast paths, plus
+fleet-scale throughput for the per-record and batched paths, plus
 transport bytes/record and the process engine's per-stage costs; see that
 module's docstring for how to read and regenerate them).  CI's
 ``bench-smoke`` job fails on a >25% regression of any guarded metric —
 including the timestamp-sampler speedups — against those committed
 baselines, and the ``--kernel numpy`` rows carry baseline-independent
 acceptance floors: the vectorized kernel must stay ≥2x over the python
-fast path on seq-WR and ts-WR or the smoke fails.
+batched path on seq-WR and ts-WR or the smoke fails.
 
 Observability
 -------------

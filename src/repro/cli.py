@@ -76,17 +76,11 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
         " --workers; default 4096)",
     )
     parser.add_argument(
-        "--fast", action="store_true",
-        help="use the numpy batched-ingest kernels when --kernel resolves to numpy"
-        " (optimal algorithm only; statistically exact but not bit-identical);"
-        " no effect on the python kernel",
-    )
-    parser.add_argument(
-        "--kernel", choices=["python", "numpy", "auto"], default="python",
+        "--kernel", choices=["python", "numpy"], default="python",
         help="batched-ingest kernel for the optimal samplers: 'python' (the"
-        " bit-identity reference), 'numpy' (vectorized fast-path kernels;"
-        " requires the [fast] extra and fails loudly without it), or 'auto'"
-        " (python: numpy measured slower on a keyed pool's per-key lanes)",
+        " bit-identity reference) or 'numpy' (vectorized kernels,"
+        " statistically exact but not bit-identical; requires the [fast]"
+        " extra and fails loudly without it)",
     )
     parser.add_argument("--max-keys-per-shard", type=int, default=None, help="LRU cap per shard")
     parser.add_argument("--idle-ttl", type=int, default=None, help="evict keys idle this many ticks")
@@ -457,10 +451,9 @@ def _command_engine(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if (args.fast or args.kernel != "python") and args.resume:
-        flag = "--fast" if args.fast else "--kernel"
+    if args.kernel != "python" and args.resume:
         print(
-            f"error: {flag} cannot be combined with --resume (the sampler recipe"
+            "error: --kernel cannot be combined with --resume (the sampler recipe"
             " travels inside the checkpoint and must be restored unchanged)",
             file=sys.stderr,
         )
@@ -509,11 +502,10 @@ def _command_engine(args: argparse.Namespace) -> int:
                 t0=args.t0 if args.window == "timestamp" else None,
                 replacement=not args.without_replacement,
                 algorithm=args.algorithm,
-                fast=args.fast,
                 kernel=args.kernel,
             )
         except ConfigurationError as error:
-            # e.g. --fast with a baseline algorithm: fail loudly up front.
+            # e.g. --kernel numpy with a baseline algorithm: fail loudly up front.
             print(f"error: {error}", file=sys.stderr)
             return 2
         config = dict(
@@ -669,10 +661,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if (args.fast or args.kernel != "python") and args.resume:
-        flag = "--fast" if args.fast else "--kernel"
+    if args.kernel != "python" and args.resume:
         print(
-            f"error: {flag} cannot be combined with --resume (the sampler recipe"
+            "error: --kernel cannot be combined with --resume (the sampler recipe"
             " travels inside the checkpoint and must be restored unchanged)",
             file=sys.stderr,
         )
@@ -703,7 +694,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             t0=args.t0 if args.window == "timestamp" else None,
             replacement=not args.without_replacement,
             algorithm=args.algorithm,
-            fast=args.fast,
             kernel=args.kernel,
         )
         config = ServeConfig(

@@ -44,26 +44,24 @@ __all__ = [
 ]
 
 
-def init_sampler_kernel(kernel: str, seed: int) -> tuple:
-    """Resolve a sampler's ``kernel`` argument into ``(name, numpy_gen)``.
+def init_sampler_kernel(kernel: str, seed: int) -> Any:
+    """The numpy generator a sampler's batched path draws from for
+    ``kernel="numpy"``, or ``None`` for ``kernel="python"``.
 
     ``"python"`` (the default) resolves without touching
     :mod:`repro.engine.kernels` at all — the stdlib-only path stays free of
-    any engine/numpy import.  ``"numpy"`` and ``"auto"`` are resolved there
-    (``"numpy"`` raises :class:`~repro.exceptions.ConfigurationError` on a
-    numpy-free host; ``"auto"`` downgrades) and, when numpy wins, a
-    dedicated ``numpy.random.Generator`` is seeded from the sampler seed's
-    kernel stream, so the kernel choice never moves the lanes' streams.
+    any engine/numpy import.  Any other name is validated there (an unknown
+    name, or ``"numpy"`` on a numpy-free host, raises
+    :class:`~repro.exceptions.ConfigurationError`), and ``"numpy"`` gets a
+    dedicated ``numpy.random.Generator`` seeded from the sampler seed's
+    kernel stream.
     """
-    name = str(kernel).lower()
-    if name == "python":
-        return "python", None
+    if str(kernel).lower() == "python":
+        return None
     from ..engine.kernels import make_generator, resolve_kernel
 
-    name = resolve_kernel(name)
-    if name == "python":
-        return "python", None
-    return "numpy", make_generator(seed)
+    resolve_kernel(kernel)
+    return make_generator(seed)
 
 
 def check_batch_lengths(
@@ -171,9 +169,10 @@ class WindowSampler(abc.ABC):
     @property
     def kernel(self) -> str:
         """The active batched-ingest kernel: ``"python"`` (the bit-identity
-        reference; all baselines) or ``"numpy"`` (the vectorized ``fast``
-        path of the optimal samplers, see :mod:`repro.engine.kernels`)."""
-        return getattr(self, "_kernel", "python")
+        reference; all baselines) or ``"numpy"`` (the vectorized kernels of
+        the optimal samplers, see :mod:`repro.engine.kernels`), read off the
+        sampler's numpy generator."""
+        return "python" if getattr(self, "_np_gen", None) is None else "numpy"
 
     # -- stream ingestion -------------------------------------------------
 
@@ -220,14 +219,14 @@ class WindowSampler(abc.ABC):
         of the same length whose entries may individually be ``None``.
 
         This base implementation simply loops :meth:`append`; the optimal
-        samplers override it with a batched fast path that hoists attribute
+        samplers override it with a batched path that hoists attribute
         lookups out of the inner loop, jumps from one reservoir acceptance
         to the next (and, for the timestamp samplers, amortises the covering
         automata's merge walks and expiry scans across the batch).  The
         overrides are **bit-identical** to the equivalent ``append`` loop:
         same retained candidates, same generator positions, same
-        checkpoints — except with ``fast=True`` on the numpy kernel, which
-        is distributionally exact instead.
+        checkpoints — except on ``kernel="numpy"``, which is
+        distributionally exact instead.
         """
         check_batch_lengths(values, timestamps)
         if timestamps is None:
@@ -285,12 +284,14 @@ class WindowSampler(abc.ABC):
 
         The snapshot captures every retained candidate (including observer
         scratch state) and the exact position of every internal random
-        generator, so a sampler restored via :meth:`load_state_dict` produces
-        *identical* samples and identical future behaviour under an identical
-        suffix of the stream.  Observers are wiring, not state: they are not
-        serialised and stay attached to whatever sampler loads the snapshot.
+        generator — on ``kernel="numpy"`` also the kernels' numpy generator,
+        as ``kernel_rng`` — so a sampler restored via :meth:`load_state_dict`
+        produces *identical* samples and identical future behaviour under an
+        identical suffix of the stream.  Observers are wiring, not state:
+        they are not serialised and stay attached to whatever sampler loads
+        the snapshot.
         """
-        return {
+        state = {
             "format": STATE_FORMAT,
             "type": type(self).__name__,
             "algorithm": self.algorithm,
@@ -298,13 +299,19 @@ class WindowSampler(abc.ABC):
             "arrivals": self._arrivals,
             "payload": self._encode_state(),
         }
+        generator = getattr(self, "_np_gen", None)
+        if generator is not None:
+            state["kernel_rng"] = generator.bit_generator.state
+        return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore the state captured by :meth:`state_dict` in place.
 
         The receiving sampler must have been constructed with the same shape
         (class and ``k``; subclasses additionally check ``n`` / ``t0``);
-        mismatches raise :class:`~repro.exceptions.ConfigurationError`.
+        mismatches raise :class:`~repro.exceptions.ConfigurationError`.  A
+        python-kernel sampler ignores a ``kernel_rng`` entry, which its
+        batched path never draws from.
         """
         require_state_fields(state, ("format", "type", "k", "arrivals", "payload"), type(self).__name__)
         if state["format"] != STATE_FORMAT:
@@ -318,6 +325,12 @@ class WindowSampler(abc.ABC):
         if int(state["k"]) != self._k:
             raise ConfigurationError(f"snapshot has k={state['k']}, sampler has k={self._k}")
         self._decode_state(state["payload"])
+        generator = getattr(self, "_np_gen", None)
+        if generator is not None and "kernel_rng" in state:
+            try:
+                generator.bit_generator.state = state["kernel_rng"]
+            except (TypeError, ValueError, KeyError, OverflowError) as error:
+                raise ConfigurationError(f"invalid kernel rng state in snapshot: {error!r}") from error
         self._arrivals = int(state["arrivals"])
 
     def _encode_state(self) -> Dict[str, Any]:

@@ -80,7 +80,6 @@ def sliding_window_sampler(
     algorithm: str = "optimal",
     rng: RngLike = None,
     observer: Optional[CandidateObserver] = None,
-    fast: bool = False,
     kernel: str = "python",
     **kwargs: Any,
 ) -> WindowSampler:
@@ -107,22 +106,13 @@ def sliding_window_sampler(
     observer:
         Optional :class:`~repro.core.tracking.CandidateObserver` for the
         Section-5 applications.
-    fast:
-        Select the numpy batched-ingest kernels of the optimal samplers when
-        ``kernel`` resolves to numpy (distributionally exact, not
-        bit-identical).  On the python kernel it changes nothing: batched
-        ingest already draws once per reservoir acceptance and is
-        bit-identical to per-element ingest.  Baselines do not support it
-        and raise :class:`~repro.exceptions.ConfigurationError`.
     kernel:
         Batched-ingest kernel for the optimal samplers: ``"python"`` (the
-        default bit-identity reference), ``"numpy"`` (the vectorized
-        ``fast``-path kernels of :mod:`repro.engine.kernels`; requires the
-        optional ``[fast]`` extra and fails loudly without it), or
-        ``"auto"`` (numpy when available, python otherwise).  Only the
-        ``fast=True`` batched path changes behaviour — ``fast=False`` stays
-        bit-identical regardless of kernel.  Baselines support only
-        ``"python"``.
+        default bit-identity reference: batched ingest draws exactly like
+        per-element ingest) or ``"numpy"`` (the vectorized kernels of
+        :mod:`repro.engine.kernels`: distributionally exact, not
+        bit-identical; requires the optional ``[fast]`` extra and fails
+        loudly without it).  Baselines support only ``"python"``.
     kwargs:
         Extra keyword arguments passed to the concrete sampler (for example
         ``allow_partial`` or a baseline's over-sampling factor).
@@ -142,19 +132,10 @@ def sliding_window_sampler(
     if algorithm == "optimal":
         sampler_class = _optimal_sampler_class(window, replacement)
         if window == "sequence":
-            return sampler_class(
-                n=n, k=k, rng=rng, observer=observer, fast=fast, kernel=kernel, **kwargs
-            )
-        return sampler_class(
-            t0=t0, k=k, rng=rng, observer=observer, fast=fast, kernel=kernel, **kwargs
-        )
+            return sampler_class(n=n, k=k, rng=rng, observer=observer, kernel=kernel, **kwargs)
+        return sampler_class(t0=t0, k=k, rng=rng, observer=observer, kernel=kernel, **kwargs)
 
-    if fast:
-        raise ConfigurationError(
-            f"fast (numpy-kernel) batched ingest is only supported by the optimal"
-            f" samplers, not by algorithm={algorithm!r}"
-        )
-    if kernel not in ("python", "auto"):
+    if kernel != "python":
         raise ConfigurationError(
             f"kernel={kernel!r} is only supported by the optimal samplers,"
             f" not by algorithm={algorithm!r}"

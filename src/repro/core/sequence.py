@@ -128,7 +128,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
-    __slots__ = ("_seed", "_fast", "_lanes", "_kernel", "_np_gen")
+    __slots__ = ("_seed", "_lanes", "_np_gen")
 
     def __init__(
         self,
@@ -136,7 +136,6 @@ class SequenceSamplerWR(SequenceWindowSampler):
         k: int = 1,
         rng: RngLike = None,
         observer: Optional[CandidateObserver] = None,
-        fast: bool = False,
         kernel: str = "python",
     ) -> None:
         super().__init__(n, k, observer)
@@ -144,9 +143,8 @@ class SequenceSamplerWR(SequenceWindowSampler):
         # nothing (the window sample is a lookup), so there is no query
         # stream.
         self._seed = seed = sampler_seed(rng)
-        self._fast = bool(fast)
         self._lanes = [_SingleSampleLane(LaneRng(seed, lane), observer) for lane in range(self._k)]
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
+        self._np_gen = init_sampler_kernel(kernel, seed)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -171,7 +169,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
         the element-major ``append`` loop would, and each lane's reservoir
         jumps from acceptance to acceptance (see
         :meth:`SingleReservoir.offer_slice`) — bit-identical to ``append``.
-        ``fast=True`` with the numpy kernel runs
+        ``kernel="numpy"`` runs
         :func:`repro.engine.kernels.seq_wr_process_batch` instead.
         Observer-carrying samplers fall back to the per-element loop so
         arrival notifications keep their element-major order.
@@ -182,7 +180,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
             return 0
         if self._observer is not None:
             return super().process_batch(values, timestamps)
-        if self._fast and self._np_gen is not None:
+        if self._np_gen is not None:
             # Vectorized kernel: whole-batch closed-form lane updates
             # (distributionally exact; see
             # repro.engine.kernels.seq_wr_process_batch).
@@ -290,8 +288,8 @@ class SequenceSamplerWOR(SequenceWindowSampler):
     deterministic_memory = True
 
     __slots__ = (
-        "_seed", "_allow_partial", "_fast", "_reservoir_rng", "_query_rng", "_kernel",
-        "_np_gen", "_active_slots", "_active_bucket", "_partial", "_partial_bucket",
+        "_seed", "_allow_partial", "_reservoir_rng", "_query_rng", "_np_gen",
+        "_active_slots", "_active_bucket", "_partial", "_partial_bucket",
     )
 
     def __init__(
@@ -301,16 +299,14 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         rng: RngLike = None,
         observer: Optional[CandidateObserver] = None,
         allow_partial: bool = True,
-        fast: bool = False,
         kernel: str = "python",
     ) -> None:
         super().__init__(n, k, observer)
         self._seed = seed = sampler_seed(rng)
         self._allow_partial = bool(allow_partial)
-        self._fast = bool(fast)
         self._reservoir_rng = LaneRng(seed, 0)
         self._query_rng = LaneRng(seed, QUERY_STREAM)
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
+        self._np_gen = init_sampler_kernel(kernel, seed)
         self._active_slots: List[SampleCandidate] = []
         self._active_bucket: Optional[int] = None
         self._partial = ReservoirWithoutReplacement(self._k, rng=self._reservoir_rng, observer=observer)
@@ -339,8 +335,8 @@ class SequenceSamplerWOR(SequenceWindowSampler):
 
         Bit-identical to the ``append`` loop (same acceptances, same victims,
         same generator position; see
-        :meth:`ReservoirWithoutReplacement.offer_slice`).  ``fast=True`` with
-        the numpy kernel runs
+        :meth:`ReservoirWithoutReplacement.offer_slice`).
+        ``kernel="numpy"`` runs
         :func:`repro.engine.kernels.seq_wor_process_batch` instead.
         Observer-carrying samplers fall back to the per-element loop.
         """
@@ -350,7 +346,7 @@ class SequenceSamplerWOR(SequenceWindowSampler):
             return 0
         if self._observer is not None:
             return super().process_batch(values, timestamps)
-        if self._fast and self._np_gen is not None:
+        if self._np_gen is not None:
             # Vectorized kernel: one hypergeometric split per reservoir
             # transition instead of per-element/per-skip loops (see
             # repro.engine.kernels.seq_wor_process_batch).

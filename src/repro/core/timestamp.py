@@ -55,7 +55,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
-    __slots__ = ("_seed", "_fast", "_coverages", "_query_rng", "_kernel", "_np_gen", "_now")
+    __slots__ = ("_seed", "_coverages", "_query_rng", "_np_gen", "_now")
 
     def __init__(
         self,
@@ -63,20 +63,15 @@ class TimestampSamplerWR(TimestampWindowSampler):
         k: int = 1,
         rng: RngLike = None,
         observer: Optional[CandidateObserver] = None,
-        fast: bool = False,
         kernel: str = "python",
     ) -> None:
         super().__init__(t0, k, observer)
         self._seed = seed = sampler_seed(rng)
-        #: ``fast=True`` selects the numpy kernel for batches when
-        #: ``kernel`` resolves to numpy; otherwise batches consume randomness
-        #: exactly like per-element appends.
-        self._fast = bool(fast)
         self._coverages = [
             WindowCoverage(self._t0, LaneRng(seed, lane), observer) for lane in range(self._k)
         ]
         self._query_rng = LaneRng(seed, QUERY_STREAM)
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
+        self._np_gen = init_sampler_kernel(kernel, seed)
         self._now = float("-inf")
 
     # -- clock -----------------------------------------------------------------
@@ -127,9 +122,8 @@ class TimestampSamplerWR(TimestampWindowSampler):
         arrivals gets its singletons built once and fed to every lane
         through :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
         covering automaton owns an independent generator, so this is
-        bit-identical to the ``append`` loop).  ``fast=True`` with the numpy
-        kernel runs :func:`repro.engine.kernels.coverage_observe_batch`
-        instead.
+        bit-identical to the ``append`` loop).  ``kernel="numpy"`` runs
+        :func:`repro.engine.kernels.coverage_observe_batch` instead.
 
         Unlike per-element appends, an out-of-order timestamp raises
         *before* any element is applied.  Observer-carrying samplers fall
@@ -143,7 +137,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
             return super().process_batch(values, timestamps)
         stamps = coerce_batch_timestamps(count, timestamps, self._now)
         start = self._arrivals
-        if self._fast and self._np_gen is not None:
+        if self._np_gen is not None:
             # Vectorized kernel: per expiry run, the covering decomposition
             # is rebuilt structurally instead of cascading per element (see
             # repro.engine.kernels.coverage_observe_batch).

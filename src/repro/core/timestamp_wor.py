@@ -63,8 +63,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     deterministic_memory = True
 
     __slots__ = (
-        "_seed", "_allow_partial", "_fast", "_coverages", "_query_rng", "_kernel", "_np_gen",
-        "_recent", "_now",
+        "_seed", "_allow_partial", "_coverages", "_query_rng", "_np_gen", "_recent", "_now",
     )
 
     def __init__(
@@ -74,22 +73,17 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         rng: RngLike = None,
         observer: Optional[CandidateObserver] = None,
         allow_partial: bool = True,
-        fast: bool = False,
         kernel: str = "python",
     ) -> None:
         super().__init__(t0, k, observer)
         self._seed = seed = sampler_seed(rng)
         self._allow_partial = bool(allow_partial)
-        #: ``fast=True`` selects the numpy kernel for batches when
-        #: ``kernel`` resolves to numpy; otherwise batches consume randomness
-        #: exactly like per-element appends.
-        self._fast = bool(fast)
         # Coverage i receives elements delayed by i arrivals (Lemma 4.1).
         self._coverages = [
             WindowCoverage(self._t0, LaneRng(seed, lane), observer) for lane in range(self._k)
         ]
         self._query_rng = LaneRng(seed, QUERY_STREAM)
-        self._kernel, self._np_gen = init_sampler_kernel(kernel, seed)
+        self._np_gen = init_sampler_kernel(kernel, seed)
         # Auxiliary array of the last k arrived elements (§4: "we maintain an
         # auxiliary array with the last i elements ... we can use the same
         # array for every i"), as their singleton buckets; each one's R is
@@ -157,9 +151,8 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         :meth:`~repro.core.covering.WindowCoverage.observe_batch`, with
         the *arrival* timestamps as its clock track: each automaton owns an
         independent generator and sees exactly the per-element sequence,
-        making this bit-identical to the ``append`` loop (``fast=True`` with
-        the numpy kernel runs
-        :func:`repro.engine.kernels.coverage_observe_batch` instead).
+        making this bit-identical to the ``append`` loop (``kernel="numpy"``
+        runs :func:`repro.engine.kernels.coverage_observe_batch` instead).
         Timestamps are validated up front (an out-of-order one raises before any element is applied);
         observer-carrying samplers fall back to the per-element loop.
         """
@@ -171,7 +164,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
             return super().process_batch(values, timestamps)
         stamps = coerce_batch_timestamps(count, timestamps, self._now)
         start = self._arrivals
-        if self._fast and self._np_gen is not None:
+        if self._np_gen is not None:
             self._observe_kernel(values, start, stamps)
         else:
             self._observe_shared(values, start, stamps)

@@ -49,9 +49,9 @@ The whole ingest path is batched end to end: ``ingest()`` partitions records
 per shard (hashing each distinct key once per chunk),
 :meth:`KeyedSamplerPool.extend_batch` groups each shard sub-batch per key,
 and every optimal sampler applies a key's run through its ``process_batch``
-fast path — bit-identical to per-record appends, drawing once per
+batched path — bit-identical to per-record appends, drawing once per
 reservoir acceptance and taking bucket-merge coins 64 to a draw (with
-``SamplerSpec(fast=True, kernel="numpy")`` the numpy kernels run instead:
+``SamplerSpec(kernel="numpy")`` the numpy kernels run instead:
 statistically exact, χ²/KS-gated, not bit-identical).
 
 Sharding is by a *stable* hash (:func:`stable_key_hash`), never Python's
@@ -64,22 +64,20 @@ The apply path has an optional vectorized kernel layer on top of the
 batching above, kept strictly additive to the bit-exact reference:
 
 * :mod:`repro.engine.kernels` holds every numpy-facing routine behind one
-  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy",
-  fast=True)`` switches batched ingest from per-acceptance python loops to
-  whole-lane array math; ``fast`` does nothing else.  ``"auto"`` resolves to python in keyed pools
-  (:func:`~repro.engine.kernels.pool_kernel`): a key's lanes are too
-  narrow for numpy to pay off, and standalone samplers keep ``"auto"`` →
-  numpy where it is importable.  numpy is the
-  ``[fast]`` optional extra; requesting ``kernel="numpy"`` without it
-  raises :class:`~repro.exceptions.ConfigurationError` at sampler/engine
-  construction, never mid-stream.  ``"auto"`` travels unresolved inside
-  specs and checkpoints, so one checkpoint restores on hosts with and
-  without numpy.
+  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` switches
+  batched ingest from per-acceptance python loops to whole-lane array
+  math.  It pays off on wide batches (E7) but not in a keyed engine, where
+  a key's sampler sees a few records per sub-batch (E11 serial ingest ran
+  at 0.93x python), which is why python is the default.  numpy is the
+  ``[fast]`` optional extra; requesting
+  ``kernel="numpy"`` without it raises
+  :class:`~repro.exceptions.ConfigurationError` at sampler/engine
+  construction, never mid-stream.
 * The contract: ``kernel="python"`` (the default) is the bit-identity
-  reference, with or without ``fast``; ``kernel="numpy"`` with
-  ``fast=False`` is *also* bit-identical (the numpy generator has a stream
-  of its own); ``kernel="numpy", fast=True`` is distributionally exact,
-  gated by the χ²+KS suites.  Baseline algorithms reject
+  reference; ``kernel="numpy"`` is distributionally exact, gated by the
+  χ²+KS suites, and draws from a numpy generator seeded from a stream of
+  its own, which each sampler snapshot carries (``kernel_rng``) so a
+  restored numpy sampler resumes exactly.  Baseline algorithms reject
   ``kernel="numpy"``.
 * A key's sampler is a few small objects: its random streams are
   :class:`~repro.rng.LaneRng` counters derived from the key's seed, so a
@@ -89,7 +87,7 @@ batching above, kept strictly additive to the bit-exact reference:
   ``engine.memory.words`` gauge walk every sampler for its words.
 * The timestamp merge cascade (the Lemma 3.4 ``Incr`` step) is factored
   into :mod:`repro.core._cascade`.  ``transport_report()`` reports the
-  resolved ``kernel``, which also appears in ``stats()`` and as the
+  ``kernel``, which also appears in ``stats()`` and as the
   ``engine.kernel.numpy`` gauge.
 
 Querying

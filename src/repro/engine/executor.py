@@ -955,7 +955,7 @@ class ProcessEngine(ShardedEngine):
         breaks the worker-side stages down per worker (in worker order, each
         entry carrying ``worker``/``decode_seconds``/``apply_seconds``/
         ``batches``/``records``), so a straggler hiding inside a healthy
-        fleet-wide sum is visible directly.  ``kernel`` is the *resolved*
+        fleet-wide sum is visible directly.  ``kernel`` is the
         batched-ingest kernel running in the workers: it says which
         apply-path implementation produced ``apply_seconds``.
 

@@ -3,10 +3,9 @@
 The pure-python samplers in :mod:`repro.core` remain the *bit-identity
 reference*: their batched path consumes each lane's counter-based generator
 exactly like per-element appends and is byte-identical across every
-executor.  This module adds an optional second implementation of the
-batched path, run for ``fast=True`` with ``kernel="numpy"``, that replaces
-the per-acceptance / per-merge Python loops with closed-form whole-batch
-draws:
+executor.  This module adds the second implementation of the batched path,
+run for ``kernel="numpy"``, that replaces the per-acceptance / per-merge
+Python loops with closed-form whole-batch draws:
 
 * **seq-WR** (:func:`seq_wr_process_batch`) — after a batch only the *last
   completed* bucket and the current partial bucket matter, so each lane's
@@ -27,18 +26,16 @@ draws:
 
 All of these are *distributionally* exact (gated by χ²+KS suites) but
 consume a separate numpy generator, so they are not bit-identical to the
-python path.  After a kernel writes a reservoir's count and sample directly,
-the reservoir's stored next acceptance is redrawn for the new count, which is
-exact because its law depends on the count alone.  ``kernel="python"`` (the
-default) never touches this module; ``kernel="numpy"`` with ``fast=False``
-still runs the reference path, so engine results stay byte-identical.
+python path.  That generator is part of the sampler's snapshot, so a
+restored numpy sampler continues its draws exactly.  After a kernel writes a
+reservoir's count and sample directly, the reservoir's stored next
+acceptance is redrawn for the new count, which is exact because its law
+depends on the count alone.  ``kernel="python"`` (the default) never touches
+this module.
 
-numpy is an *optional* extra (``pip install repro[fast]``): import is
-guarded, ``kernel="auto"`` downgrades to ``"python"`` when numpy is missing,
-and ``kernel="numpy"`` fails loudly with
-:class:`~repro.exceptions.ConfigurationError`.  In keyed pools ``"auto"``
-resolves to ``"python"`` on every host (:func:`pool_kernel`): each key's
-lanes are too narrow for the vectorized kernels to pay off.
+numpy is an *optional* extra (``pip install 'swsample[fast]'``): import is
+guarded, and ``kernel="numpy"`` on a host without it fails loudly with
+:class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -53,18 +50,17 @@ try:  # pragma: no cover - exercised via HAS_NUMPY in both CI lanes
 except ImportError:  # pragma: no cover - the numpy-free tier-1 lane
     _np = None  # type: ignore[assignment]
 
-#: Whether numpy is importable here.  Controls ``kernel="auto"`` resolution
-#: and is monkeypatched by tests to simulate a numpy-free host.
+#: Whether numpy is importable here.  ``kernel="numpy"`` requires it, and
+#: tests monkeypatch it to simulate a numpy-free host.
 HAS_NUMPY = _np is not None
 
 #: Kernel names accepted by :func:`resolve_kernel` / ``SamplerSpec``.
-KERNELS = ("python", "numpy", "auto")
+KERNELS = ("python", "numpy")
 
 __all__ = [
     "HAS_NUMPY",
     "KERNELS",
     "resolve_kernel",
-    "pool_kernel",
     "make_generator",
     "seq_wr_process_batch",
     "seq_wor_process_batch",
@@ -73,10 +69,9 @@ __all__ = [
 
 
 def resolve_kernel(requested: str) -> str:
-    """Resolve a requested kernel name to the concrete one to run.
+    """Validate a requested kernel name and return it normalised.
 
-    ``"auto"`` picks ``"numpy"`` when the import succeeded and ``"python"``
-    otherwise; ``"numpy"`` on a numpy-free host raises
+    ``"numpy"`` on a numpy-free host raises
     :class:`~repro.exceptions.ConfigurationError` (loudly, at construction
     time — never a silent downgrade); ``"python"`` always resolves.
     """
@@ -85,42 +80,19 @@ def resolve_kernel(requested: str) -> str:
         raise ConfigurationError(
             f"unknown kernel {requested!r}; expected one of {', '.join(KERNELS)}"
         )
-    if name == "auto":
-        return "numpy" if HAS_NUMPY else "python"
     if name == "numpy" and not HAS_NUMPY:
         raise ConfigurationError(
             "kernel='numpy' requires numpy, which is not installed;"
             " install the optional extra (pip install 'swsample[fast]')"
-            " or use kernel='python'/'auto'"
+            " or use kernel='python'"
         )
     return name
 
 
-def pool_kernel(requested: str) -> str:
-    """The kernel every sampler of a keyed pool runs for a
-    :class:`~repro.engine.SamplerSpec` ``kernel`` request.
-
-    As :func:`resolve_kernel`, except that ``"auto"`` resolves to
-    ``"python"`` even where numpy is installed.  A key's sampler sees a few
-    records per sub-batch, so the numpy kernels lose in the keyed engine
-    (E11 with ``fast=True``, 300k records over 10k keys, serial engine on
-    2 vCPUs: 147–170 krec/s against python's 165–227), and each numpy
-    generator adds ~860 B per key.  ``SamplerSpec.build`` and the kernel
-    the engines report both go through here; an explicit ``"numpy"`` is
-    honoured.
-    """
-    name = str(requested).lower()
-    return resolve_kernel("python" if name == "auto" else name)
-
-
 def make_generator(seed: int) -> Any:
     """A numpy ``Generator`` seeded from the sampler seed's dedicated kernel
-    stream (:data:`repro.rng.KERNEL_STREAM`).
-
-    The lanes draw from their own streams of the same seed, so requesting
-    ``kernel="numpy"`` leaves them untouched — ``kernel="numpy",
-    fast=False`` stays bit-identical to ``kernel="python"``.
-    """
+    stream (:data:`repro.rng.KERNEL_STREAM`), apart from the lanes' streams
+    of the same seed."""
     if _np is None:  # pragma: no cover - callers resolve the kernel first
         raise ConfigurationError("numpy is not installed")
     return _np.random.default_rng(stream_seed(seed, KERNEL_STREAM))
@@ -465,7 +437,7 @@ def coverage_observe_batch(
     clocks: Any,
     gen: Any,
 ) -> None:
-    """Vectorized :meth:`WindowCoverage.observe_batch` (``fast`` semantics).
+    """Vectorized :meth:`WindowCoverage.observe_batch` (the numpy kernel).
 
     Element ``j`` of the chunk has stream index ``base_index + j``, value
     ``values[values_offset + j]``, timestamp ``stamps[j]`` and clock track

@@ -17,7 +17,7 @@ from ..core.facade import sliding_window_sampler
 from ..core.tracking import CandidateObserver
 from ..exceptions import ConfigurationError
 from ..rng import RngLike
-from .kernels import pool_kernel
+from .kernels import KERNELS
 
 __all__ = ["SamplerSpec"]
 
@@ -38,21 +38,13 @@ class SamplerSpec:
     t0: Optional[float] = None
     replacement: bool = True
     algorithm: str = "optimal"
-    #: Select the numpy batched-ingest kernels (optimal algorithm only) when
-    #: ``kernel`` resolves to numpy.  It changes nothing on the python
-    #: kernel: every batched path already draws once per reservoir
-    #: acceptance and takes merge coins 64 to a draw, bit-identical to
-    #: per-element ingest.
-    fast: bool = False
-    #: Batched-ingest kernel: ``"python"`` (the bit-identity reference),
-    #: ``"numpy"`` (the vectorized ``fast``-path kernels of
-    #: :mod:`repro.engine.kernels`; requires the optional ``[fast]`` extra and
-    #: fails loudly without it), or ``"auto"``, which resolves to python here
-    #: (see :func:`~repro.engine.kernels.pool_kernel`: numpy loses on a
-    #: keyed pool's narrow per-key lanes).  Only the ``fast=True`` path
-    #: changes behaviour; ``fast=False`` ingest stays bit-identical to the
-    #: python kernel.  The request is resolved at sampler construction, per
-    #: host — a checkpointed spec stays portable.
+    #: Batched-ingest kernel: ``"python"`` (the bit-identity reference: every
+    #: batched path draws once per reservoir acceptance and takes merge
+    #: coins 64 to a draw, bit-identical to per-element ingest) or
+    #: ``"numpy"`` (the vectorized kernels of :mod:`repro.engine.kernels`,
+    #: optimal algorithm only: distributionally exact, not bit-identical;
+    #: requires the optional ``[fast]`` extra, and a sampler or engine built
+    #: from the spec fails loudly without it).
     kernel: str = "python"
     #: Normalised to a sorted tuple of ``(name, value)`` pairs so the frozen
     #: spec stays hashable (usable in sets / as dict keys); accepts a mapping.
@@ -61,7 +53,6 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", str(self.window).lower())
         object.__setattr__(self, "algorithm", str(self.algorithm).lower())
-        object.__setattr__(self, "fast", bool(self.fast))
         if self.window not in ("sequence", "timestamp"):
             raise ConfigurationError(
                 f"window must be 'sequence' or 'timestamp', got {self.window!r}"
@@ -74,15 +65,10 @@ class SamplerSpec:
         else:
             if self.t0 is None or self.t0 <= 0:
                 raise ConfigurationError("timestamp windows require a positive window span t0")
-        if self.fast and self.algorithm != "optimal":
-            raise ConfigurationError(
-                f"fast=True (the numpy batched-ingest kernels) requires algorithm='optimal';"
-                f" the {self.algorithm!r} baseline does not support it"
-            )
         object.__setattr__(self, "kernel", str(self.kernel).lower())
-        if self.kernel not in ("python", "numpy", "auto"):
+        if self.kernel not in KERNELS:
             raise ConfigurationError(
-                f"kernel must be 'python', 'numpy' or 'auto', got {self.kernel!r}"
+                f"kernel must be 'python' or 'numpy', got {self.kernel!r}"
             )
         if self.kernel == "numpy" and self.algorithm != "optimal":
             raise ConfigurationError(
@@ -115,8 +101,7 @@ class SamplerSpec:
             algorithm=self.algorithm,
             rng=rng,
             observer=observer,
-            fast=self.fast,
-            kernel=pool_kernel(self.kernel),
+            kernel=self.kernel,
             **dict(self.options),
         )
 
@@ -129,7 +114,6 @@ class SamplerSpec:
             "t0": self.t0,
             "replacement": self.replacement,
             "algorithm": self.algorithm,
-            "fast": self.fast,
             "kernel": self.kernel,
             "options": dict(self.options),
         }
@@ -138,11 +122,19 @@ class SamplerSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "SamplerSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Snapshots written before the batched fast path existed carry no
-        ``fast`` key; they load as ``fast=False`` (the bit-exact default).
+        Specs written while a separate ``fast`` flag existed carry a
+        ``fast`` key: their samplers ran the numpy kernels only with
+        ``fast`` true and ``kernel="numpy"`` (keyed pools ran the old
+        ``kernel=auto`` as python), so they load as ``"numpy"`` then and as
+        ``"python"`` otherwise.  Specs without a ``kernel`` key load as
+        ``"python"``.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"spec snapshot must be a mapping, got {type(data).__name__}")
+        kernel = data.get("kernel", "python")
+        if "fast" in data:
+            numpy_ran = bool(data["fast"]) and str(kernel).lower() == "numpy"
+            kernel = "numpy" if numpy_ran else "python"
         return cls(
             window=data.get("window", "sequence"),
             k=int(data.get("k", 1)),
@@ -150,8 +142,7 @@ class SamplerSpec:
             t0=data.get("t0"),
             replacement=bool(data.get("replacement", True)),
             algorithm=data.get("algorithm", "optimal"),
-            fast=bool(data.get("fast", False)),
-            kernel=data.get("kernel", "python"),
+            kernel=kernel,
             options=dict(data.get("options", {})),
         )
 
@@ -159,7 +150,5 @@ class SamplerSpec:
         """A one-line human-readable summary (used by the CLI)."""
         window = f"n={self.n}" if self.window == "sequence" else f"t0={self.t0}"
         mode = "WR" if self.replacement else "WoR"
-        suffix = ", fast" if self.fast else ""
-        if self.kernel != "python":
-            suffix += f", kernel={self.kernel}"
+        suffix = "" if self.kernel == "python" else f", kernel={self.kernel}"
         return f"{self.window} window ({window}), k={self.k} {mode}, algorithm={self.algorithm}{suffix}"

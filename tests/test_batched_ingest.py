@@ -1,4 +1,4 @@
-"""The batched hot path: equivalence, chunk-invariance, and fast-mode gating.
+"""The batched hot path: equivalence, chunk-invariance, and statistical gating.
 
 Three layers of guarantees are pinned here:
 
@@ -14,10 +14,11 @@ Three layers of guarantees are pinned here:
    policy fall back to per-record routing, so batching can never change
    which key an LRU or TTL sweep evicts.
 
-3. **Distributional exactness of ``fast=True``.**  The batched path draws
-   once per reservoir acceptance and takes merge coins from a bit stream, so
-   besides the bit-identity above it is gated statistically: χ² uniformity
-   and a KS test over window positions, for all four optimal samplers.
+3. **Distributional exactness.**  The batched path draws once per
+   reservoir acceptance and takes merge coins from a bit stream, so besides
+   the bit-identity above it is gated statistically: χ² uniformity and a KS
+   test over window positions, for all four optimal samplers and through
+   the serial and process engines.
 """
 
 from __future__ import annotations
@@ -103,17 +104,17 @@ class TestProcessBatchBitIdentity:
             sampler.process_batch([1, 2, 3], [0.5])
         assert sampler.total_arrivals == 0  # nothing was silently applied
 
-    def test_fast_wor_batches_smaller_than_k(self):
-        """Regression: a fast slice ending inside the fill phase (count < k)
-        must not touch the skip machinery (lgamma is undefined there)."""
-        sampler = SequenceSamplerWOR(n=100, k=4, rng=1, fast=True)
+    def test_wor_batches_smaller_than_k(self):
+        """Regression: a batched slice ending inside the fill phase (count
+        < k) must not touch the skip machinery (lgamma is undefined there)."""
+        sampler = SequenceSamplerWOR(n=100, k=4, rng=1)
         sampler.process_batch([1, 2])  # fill phase only
         sampler.process_batch([3])
         sampler.process_batch([4, 5, 6, 7, 8])  # crosses fill -> skip phase
         assert sampler.total_arrivals == 8
         assert len(sampler.sample()) == 4
         # And through the engine: sparse keys produce per-key runs < k.
-        spec = SamplerSpec(window="sequence", n=256, k=4, replacement=False, fast=True)
+        spec = SamplerSpec(window="sequence", n=256, k=4, replacement=False)
         engine = ShardedEngine(spec, shards=2, seed=1)
         engine.ingest([("a", 1), ("a", 2), ("b", 1)])
         assert engine.total_arrivals == 3
@@ -272,29 +273,24 @@ class TestEngineBatchedIngest:
         assert serial.evictions > 0
 
 
-class TestFastSpecValidation:
-    def test_fast_spec_builds_fast_samplers(self):
-        spec = SamplerSpec(window="sequence", n=16, k=2, fast=True)
-        assert spec.build(rng=1)._fast is True
-        assert "fast" in spec.describe()
-        assert SamplerSpec.from_dict(spec.to_dict()) == spec
+class TestSpecSamplers:
+    def test_fast_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            SamplerSpec(window="sequence", n=16, k=2, fast=True)
+        for algorithm in ("optimal", "chain"):
+            with pytest.raises(TypeError):
+                sliding_window_sampler("sequence", n=16, k=2, algorithm=algorithm, fast=True)
+        for make in (
+            lambda: SequenceSamplerWR(n=16, k=2, fast=True),
+            lambda: SequenceSamplerWOR(n=16, k=2, fast=True),
+            lambda: TimestampSamplerWR(t0=16.0, k=2, fast=True),
+            lambda: TimestampSamplerWOR(t0=16.0, k=2, fast=True),
+        ):
+            with pytest.raises(TypeError):
+                make()
 
-    def test_legacy_spec_snapshots_load_as_slow(self):
-        data = SamplerSpec(window="sequence", n=16, k=2).to_dict()
-        del data["fast"]
-        assert SamplerSpec.from_dict(data).fast is False
-
-    @pytest.mark.parametrize("algorithm", ["chain", "priority", "buffer", "whole-stream"])
-    def test_fast_rejected_for_baselines(self, algorithm):
-        with pytest.raises(ConfigurationError, match="fast"):
-            SamplerSpec(window="sequence", n=16, k=2, algorithm=algorithm, fast=True)
-
-    def test_facade_rejects_fast_baselines(self):
-        with pytest.raises(ConfigurationError, match="fast"):
-            sliding_window_sampler("sequence", n=16, k=2, algorithm="chain", fast=True)
-
-    def test_fast_sampler_checkpoints_round_trip(self):
-        spec = SamplerSpec(window="sequence", n=16, k=3, fast=True)
+    def test_spec_sampler_checkpoints_round_trip(self):
+        spec = SamplerSpec(window="sequence", n=16, k=3)
         sampler = spec.build(rng=4)
         sampler.process_batch(list(range(100)))
         clone = spec.build(rng=4)
@@ -303,8 +299,8 @@ class TestFastSpecValidation:
 
 
 @pytest.mark.slow
-class TestFastPathStatisticalGating:
-    """χ² + KS gates for ``fast=True`` over all four optimal samplers.
+class TestBatchedPathStatisticalGating:
+    """χ² + KS gates for the batched path over all four optimal samplers.
 
     The per-acceptance reservoirs and bit-stream merge coins must keep every
     sampler's output uniform over the active window.  Each case runs many independently seeded samplers, feeds
@@ -323,18 +319,18 @@ class TestFastPathStatisticalGating:
         bound = 0.5 / width + 1.7 / (len(fractions) ** 0.5)
         assert ks_uniformity(fractions) < bound
 
-    def test_sequence_wr_fast_uniform(self):
+    def test_sequence_wr_batched_uniform(self):
         observations = []
         for trial in range(2500):
-            sampler = SequenceSamplerWR(n=self.WINDOW, k=1, rng=10_000 + trial, fast=True)
+            sampler = SequenceSamplerWR(n=self.WINDOW, k=1, rng=10_000 + trial)
             sampler.process_batch(list(range(self.STREAM)))
             observations.append(sampler.sample()[0].value - (self.STREAM - self.WINDOW))
         self._gate(observations, list(range(self.WINDOW)))
 
-    def test_sequence_wor_fast_uniform_inclusions(self):
+    def test_sequence_wor_batched_uniform_inclusions(self):
         observations = []
         for trial in range(900):
-            sampler = SequenceSamplerWOR(n=self.WINDOW, k=6, rng=20_000 + trial, fast=True)
+            sampler = SequenceSamplerWOR(n=self.WINDOW, k=6, rng=20_000 + trial)
             sampler.process_batch(list(range(self.STREAM)))
             drawn = sampler.sample()
             assert len({element.index for element in drawn}) == 6  # without replacement
@@ -342,22 +338,22 @@ class TestFastPathStatisticalGating:
                 observations.append(element.value - (self.STREAM - self.WINDOW))
         self._gate(observations, list(range(self.WINDOW)))
 
-    def test_timestamp_wr_fast_uniform(self):
+    def test_timestamp_wr_batched_uniform(self):
         # Integer timestamps = indexes: a span of WINDOW keeps exactly the
         # last WINDOW elements active.
         stamps = [float(position) for position in range(self.STREAM)]
         observations = []
         for trial in range(2500):
-            sampler = TimestampSamplerWR(t0=float(self.WINDOW), k=1, rng=30_000 + trial, fast=True)
+            sampler = TimestampSamplerWR(t0=float(self.WINDOW), k=1, rng=30_000 + trial)
             sampler.process_batch(list(range(self.STREAM)), stamps)
             observations.append(sampler.sample()[0].value - (self.STREAM - self.WINDOW))
         self._gate(observations, list(range(self.WINDOW)))
 
-    def test_timestamp_wor_fast_uniform_inclusions(self):
+    def test_timestamp_wor_batched_uniform_inclusions(self):
         stamps = [float(position) for position in range(self.STREAM)]
         observations = []
         for trial in range(900):
-            sampler = TimestampSamplerWOR(t0=float(self.WINDOW), k=6, rng=40_000 + trial, fast=True)
+            sampler = TimestampSamplerWOR(t0=float(self.WINDOW), k=6, rng=40_000 + trial)
             sampler.process_batch(list(range(self.STREAM)), stamps)
             drawn = sampler.sample()
             assert len({element.index for element in drawn}) == 6
@@ -365,9 +361,9 @@ class TestFastPathStatisticalGating:
                 observations.append(element.value - (self.STREAM - self.WINDOW))
         self._gate(observations, list(range(self.WINDOW)))
 
-    def test_fast_engine_ingest_uniform_across_keys(self):
-        """End to end: a fast-spec engine's per-key draws stay uniform."""
-        spec = SamplerSpec(window="sequence", n=self.WINDOW, k=1, fast=True)
+    def test_engine_ingest_uniform_across_keys(self):
+        """End to end: an engine's per-key draws stay uniform."""
+        spec = SamplerSpec(window="sequence", n=self.WINDOW, k=1)
         engine = ShardedEngine(spec, shards=8, seed=29)
         keys = 2000
         engine.ingest(
@@ -450,28 +446,10 @@ class TestBatchedExpiry:
             looped.append(values[120 + position], later[position])
         assert batched.state_dict() == looped.state_dict()
 
-    def test_fast_mode_keeps_the_canonical_geometry(self):
-        """fast=True changes only which R/Q samples merges keep — the bucket
-        boundaries (and so memory accounting) are deterministic and must
-        match the default path exactly."""
-        values, stamps = self.bursty(count=400)
-        default = TimestampSamplerWR(t0=self.T0, k=2, rng=3)
-        fast = TimestampSamplerWR(t0=self.T0, k=2, rng=3, fast=True)
-        default.process_batch(values, stamps)
-        fast.process_batch(values, stamps)
-        for slow_coverage, fast_coverage in zip(default._coverages, fast._coverages):
-            assert (
-                slow_coverage.decomposition.boundaries()
-                == fast_coverage.decomposition.boundaries()
-            )
-            assert slow_coverage.decomposition.is_canonical()
-            assert fast_coverage.decomposition.is_canonical()
-        assert default.memory_words() == fast.memory_words()
-
 
 @pytest.mark.slow
-class TestTimestampFastEngineGating:
-    """Engine-level χ² + KS gates for fast timestamp specs, per executor.
+class TestTimestampEngineGating:
+    """Engine-level χ² + KS gates for timestamp specs, per executor.
 
     The bit-stream merge coins must keep every per-key timestamp sampler
     uniform over its active window whichever engine hosts the pool — serial
@@ -504,7 +482,7 @@ class TestTimestampFastEngineGating:
         assert ks_uniformity(fractions) < bound
 
     def spec(self):
-        return SamplerSpec(window="timestamp", t0=float(self.WINDOW), k=1, fast=True)
+        return SamplerSpec(window="timestamp", t0=float(self.WINDOW), k=1)
 
     def test_serial_engine(self):
         self._gate(self._observations(ShardedEngine(self.spec(), shards=8, seed=101)))

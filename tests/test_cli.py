@@ -63,10 +63,10 @@ class TestServeCommandValidation:
         assert main(["serve", "--shards", "2", "--workers", "3"]) == 2
         assert "exceeds --shards" in capsys.readouterr().err
 
-    def test_fast_cannot_combine_with_resume(self, capsys, tmp_path):
-        assert main(["serve", "--fast", "--resume",
+    def test_kernel_cannot_combine_with_resume(self, capsys, tmp_path):
+        assert main(["serve", "--kernel", "numpy", "--resume",
                      "--checkpoint-dir", str(tmp_path)]) == 2
-        assert "--fast cannot be combined with --resume" in capsys.readouterr().err
+        assert "--kernel cannot be combined with --resume" in capsys.readouterr().err
 
     def test_checkpoint_interval_requires_checkpoint_dir(self, capsys):
         assert main(["serve", "--checkpoint-interval", "5"]) == 2
@@ -235,23 +235,30 @@ class TestEngineStreamingAndWorkers:
         assert main(["engine", "--records", "100", "--keys", "5", "--batch-size", "0"]) == 2
         assert "--batch-size must be positive" in capsys.readouterr().err
 
-    def test_engine_fast_flag_runs_and_reports(self, capsys):
-        assert main(["engine", "--records", "2000", "--keys", "50", "--fast", "--seed", "3"]) == 0
-        output = capsys.readouterr().out
-        assert "fast" in output  # spec.describe() carries the marker
+    @pytest.mark.parametrize("command", ["engine", "serve"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--fast"], "unrecognized arguments: --fast"), (["--kernel", "auto"], "invalid choice: 'auto'")],
+        ids=["fast", "kernel-auto"],
+    )
+    def test_removed_kernel_options_exit_2(self, capsys, command, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command] + flags)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
-    def test_engine_rejects_fast_with_baselines(self, capsys):
+    def test_engine_rejects_numpy_kernel_with_baselines(self, capsys):
         assert main(
-            ["engine", "--records", "100", "--keys", "5", "--fast", "--algorithm", "chain"]
+            ["engine", "--records", "100", "--keys", "5", "--kernel", "numpy", "--algorithm", "chain"]
         ) == 2
         assert "algorithm='optimal'" in capsys.readouterr().err
 
-    def test_engine_rejects_fast_with_resume(self, capsys, tmp_path):
+    def test_engine_rejects_kernel_with_resume(self, capsys, tmp_path):
         path = str(tmp_path / "engine.ckpt")
         assert main(["engine", "--records", "500", "--keys", "10", "--checkpoint", path]) == 0
         capsys.readouterr()
-        assert main(["engine", "--resume", path, "--records", "100", "--fast"]) == 2
-        assert "--fast cannot be combined with --resume" in capsys.readouterr().err
+        assert main(["engine", "--resume", path, "--records", "100", "--kernel", "numpy"]) == 2
+        assert "--kernel cannot be combined with --resume" in capsys.readouterr().err
 
     def test_engine_max_batch_requires_workers(self, capsys):
         assert main(["engine", "--records", "100", "--keys", "5", "--max-batch", "64"]) == 2

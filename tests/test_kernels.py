@@ -2,18 +2,17 @@
 
 Three contracts are pinned here:
 
-1. **Kernel selection.**  ``kernel="python"`` never imports numpy,
-   ``"auto"`` resolves per host for standalone samplers and to python in
-   keyed pools, ``"numpy"`` on a numpy-free host raises
-   :class:`~repro.exceptions.ConfigurationError` loudly — at spec
-   validation, sampler construction and engine construction alike.
-2. **Bit-identity of the default path.**  ``kernel="numpy"`` with
-   ``fast=False`` runs the reference python path and must stay
-   byte-identical to ``kernel="python"`` — the numpy generator is seeded
-   from its own stream of the sampler seed precisely so it cannot perturb
-   the lanes.
-3. **Distributional exactness.**  The numpy ``fast`` kernels are free to
-   use different exact sampling laws than the python path, so every
+1. **Kernel selection.**  ``kernel`` is the one apply-path switch:
+   ``"python"`` never calls into the kernels, ``"numpy"`` runs them and on
+   a numpy-free host raises
+   :class:`~repro.exceptions.ConfigurationError` loudly — at sampler and
+   engine construction alike.  Specs written with the removed ``fast``
+   flag load as the kernel their samplers actually ran.
+2. **Exact resume.**  A numpy sampler's snapshot carries its numpy
+   generator, so a restored sampler, or an engine restored from a
+   checkpoint, continues draw for draw like one that was never stopped.
+3. **Distributional exactness.**  The numpy kernels are free to use
+   different exact sampling laws than the python path, so every
    vectorized family is gated by χ² + KS suites (marked ``slow``), plus
    structural canonicality checks on the covering decompositions.
 
@@ -33,7 +32,15 @@ from repro.core import (
     TimestampSamplerWR,
 )
 from repro.core.facade import sliding_window_sampler
-from repro.engine import ProcessEngine, SamplerSpec, ShardedEngine
+from repro.engine import (
+    ProcessEngine,
+    RestartPolicy,
+    SamplerSpec,
+    ShardedEngine,
+    chaos,
+    load_checkpoint,
+    write_checkpoint,
+)
 from repro.engine import kernels as kernels_module
 from repro.engine.kernels import HAS_NUMPY, resolve_kernel
 from repro.exceptions import ConfigurationError
@@ -47,17 +54,12 @@ class TestKernelResolution:
         assert resolve_kernel("python") == "python"
         assert resolve_kernel("PYTHON") == "python"
 
-    def test_unknown_kernel_rejected(self):
+    @pytest.mark.parametrize("name", ["cython", "auto"])
+    def test_unknown_kernel_rejected(self, name):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel("cython")
-
-    def test_auto_downgrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "HAS_NUMPY", False)
-        assert resolve_kernel("auto") == "python"
-
-    @needs_numpy
-    def test_auto_picks_numpy_when_available(self):
-        assert resolve_kernel("auto") == "numpy"
+            resolve_kernel(name)
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            SequenceSamplerWR(n=8, k=1, rng=0, kernel=name)
 
     def test_numpy_without_numpy_raises(self, monkeypatch):
         monkeypatch.setattr(kernels_module, "HAS_NUMPY", False)
@@ -75,13 +77,6 @@ class TestKernelResolution:
         with pytest.raises(ConfigurationError):
             ShardedEngine(spec, shards=2)
 
-    def test_auto_sampler_downgrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "HAS_NUMPY", False)
-        sampler = SequenceSamplerWR(n=8, k=1, rng=0, fast=True, kernel="auto")
-        assert sampler.kernel == "python"
-        sampler.process_batch(list(range(20)))
-        assert sampler.sample()[0].index >= 12
-
 
 class TestSpecAndFacadeValidation:
     def test_default_is_python(self):
@@ -89,12 +84,13 @@ class TestSpecAndFacadeValidation:
         assert spec.kernel == "python"
 
     def test_kernel_name_normalised(self):
-        spec = SamplerSpec(window="sequence", n=16, k=2, kernel="Auto")
-        assert spec.kernel == "auto"
+        spec = SamplerSpec(window="sequence", n=16, k=2, kernel="NumPy")
+        assert spec.kernel == "numpy"
 
-    def test_bad_kernel_rejected(self):
+    @pytest.mark.parametrize("name", ["fortran", "auto"])
+    def test_bad_kernel_rejected(self, name):
         with pytest.raises(ConfigurationError, match="kernel"):
-            SamplerSpec(window="sequence", n=16, k=2, kernel="fortran")
+            SamplerSpec(window="sequence", n=16, k=2, kernel=name)
 
     def test_numpy_kernel_rejected_for_baselines(self):
         with pytest.raises(ConfigurationError, match="optimal"):
@@ -104,50 +100,134 @@ class TestSpecAndFacadeValidation:
         with pytest.raises(ConfigurationError, match="optimal"):
             sliding_window_sampler("sequence", n=16, k=2, algorithm="chain", kernel="numpy")
 
-    def test_facade_allows_auto_for_baselines(self):
-        # "auto" resolves to python *semantics* for baselines: portable specs.
-        sampler = sliding_window_sampler("sequence", n=16, k=2, algorithm="chain", kernel="auto")
-        assert sampler.algorithm == "bdm-chain-wr"
-
     def test_spec_round_trips_kernel(self):
-        spec = SamplerSpec(window="timestamp", t0=8.0, k=2, fast=True, kernel="auto")
+        spec = SamplerSpec(window="timestamp", t0=8.0, k=2, kernel="numpy")
         clone = SamplerSpec.from_dict(spec.to_dict())
         assert clone == spec
-        assert "kernel=auto" in spec.describe()
+        assert "kernel=numpy" in spec.describe()
 
     def test_legacy_snapshots_load_as_python(self):
         payload = SamplerSpec(window="sequence", n=16, k=2).to_dict()
         del payload["kernel"]
+        assert "fast" not in payload
         assert SamplerSpec.from_dict(payload).kernel == "python"
+
+    @pytest.mark.parametrize(
+        "fast, kernel, loaded",
+        [
+            (True, "numpy", "numpy"),
+            (False, "numpy", "python"),
+            (True, "python", "python"),
+            (True, "auto", "python"),
+            (False, "auto", "python"),
+        ],
+    )
+    def test_specs_with_a_fast_key_load_as_the_kernel_that_ran(self, fast, kernel, loaded):
+        # Specs written while a separate fast flag existed: the numpy
+        # kernels ran only for fast with kernel numpy (keyed pools ran auto
+        # as python), and the loaded spec names that kernel.
+        payload = SamplerSpec(window="sequence", n=16, k=2).to_dict()
+        payload.update(fast=fast, kernel=kernel)
+        assert SamplerSpec.from_dict(payload).kernel == loaded
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_engine_restores_a_snapshot_whose_specs_carry_fast(self, fast):
+        spec = SamplerSpec(window="sequence", n=16, k=2)
+        engine = ShardedEngine(spec, shards=2, seed=3)
+        engine.ingest([(f"key-{value % 5}", value) for value in range(100)])
+        state = engine.state_dict()
+        state["spec"]["fast"] = fast
+        for pool_state in state["pools"]:
+            pool_state["spec"]["fast"] = fast
+        restored = ShardedEngine(spec, shards=2, seed=3)
+        restored.load_state_dict(state)
+        assert restored.state_dict() == engine.state_dict()
+
+
+RESUME_CASES = [
+    pytest.param(SequenceSamplerWR, dict(n=37), False, id="seq-wr"),
+    pytest.param(SequenceSamplerWOR, dict(n=37), False, id="seq-wor"),
+    pytest.param(TimestampSamplerWR, dict(t0=30.0), True, id="ts-wr"),
+    pytest.param(TimestampSamplerWOR, dict(t0=30.0), True, id="ts-wor"),
+]
 
 
 @needs_numpy
-class TestDefaultPathBitIdentity:
-    """``kernel="numpy", fast=False`` must stay byte-identical to the
-    reference: requesting the kernel only adds generator *seeding*, from a
-    stream of its own, so the python lanes' streams are untouched."""
+class TestNumpyResume:
+    """A restored numpy sampler continues its numpy draws where the
+    snapshot left them, instead of redrawing its first batch's uniforms."""
 
-    CASES = [
-        ("sequence", lambda kernel: SequenceSamplerWR(n=16, k=3, rng=7, kernel=kernel)),
-        ("sequence", lambda kernel: SequenceSamplerWOR(n=16, k=3, rng=7, kernel=kernel)),
-        ("timestamp", lambda kernel: TimestampSamplerWR(t0=16.0, k=3, rng=7, kernel=kernel)),
-        ("timestamp", lambda kernel: TimestampSamplerWOR(t0=16.0, k=3, rng=7, kernel=kernel)),
-    ]
+    @pytest.mark.parametrize("cls, window, clocked", RESUME_CASES)
+    def test_restored_sampler_continues_exactly(self, cls, window, clocked):
+        stamps = [position * 0.5 for position in range(200)]
 
-    @pytest.mark.parametrize("clocked,make", CASES)
-    def test_state_and_sample_identical(self, clocked, make):
-        reference = make("python")
-        kernelled = make("numpy")
-        stamps = [float(position) for position in range(90)]
-        for sampler in (reference, kernelled):
-            if clocked == "timestamp":
-                sampler.process_batch(list(range(40)), stamps[:40])
-                sampler.process_batch(list(range(40, 90)), stamps[40:])
-            else:
-                sampler.process_batch(list(range(40)))
-                sampler.process_batch(list(range(40, 90)))
-        assert kernelled.state_dict() == reference.state_dict()
-        assert kernelled.sample() == reference.sample()
+        def feed(sampler, lo, hi):
+            sampler.process_batch(list(range(lo, hi)), stamps[lo:hi] if clocked else None)
+
+        original = cls(k=8, rng=5, kernel="numpy", **window)
+        feed(original, 0, 100)
+        snapshot = original.state_dict()
+        assert "kernel_rng" in snapshot
+        restored = cls(k=8, rng=5, kernel="numpy", **window)
+        restored.load_state_dict(snapshot)
+        feed(original, 100, 200)
+        feed(restored, 100, 200)
+        assert restored.state_dict() == original.state_dict()
+        assert restored.sample() == original.sample()
+        # Python-kernel snapshots carry no numpy generator at all.
+        assert "kernel_rng" not in cls(k=8, rng=5, **window).state_dict()
+
+    def test_malformed_kernel_rng_is_a_configuration_error(self):
+        snapshot = SequenceSamplerWR(n=8, k=2, rng=1, kernel="numpy").state_dict()
+        for bad in (None, {"bit_generator": "MT19937"}, {"bit_generator": "PCG64"}):
+            snapshot["kernel_rng"] = bad
+            with pytest.raises(ConfigurationError, match="kernel rng"):
+                SequenceSamplerWR(n=8, k=2, rng=1, kernel="numpy").load_state_dict(snapshot)
+
+    @pytest.mark.parametrize("route", ["checkpoint", "state_dict"])
+    def test_restored_engine_continues_exactly(self, route, tmp_path):
+        spec = SamplerSpec(window="sequence", n=64, k=4, kernel="numpy")
+        records = [(f"key-{value % 23}", value) for value in range(4000)]
+        uninterrupted = ShardedEngine(spec, shards=2, seed=7)
+        stopped = ShardedEngine(spec, shards=2, seed=7)
+        uninterrupted.ingest(records[:2000])
+        stopped.ingest(records[:2000])
+        assert "kernel_rng" in stopped.sampler_for("key-0").state_dict()
+        if route == "checkpoint":
+            write_checkpoint(stopped, tmp_path / "engine.ckpt")
+            restored = load_checkpoint(tmp_path / "engine.ckpt")
+        else:
+            restored = ShardedEngine(spec, shards=2, seed=7)
+            restored.load_state_dict(stopped.state_dict())
+        uninterrupted.ingest(records[2000:])
+        restored.ingest(records[2000:])
+        assert restored.state_dict() == uninterrupted.state_dict()
+
+    def test_supervised_recovery_is_exact(self, tmp_path):
+        # A worker killed after a checkpoint is restored from it and replays
+        # the journal: the numpy draws must continue, not restart.
+        spec = SamplerSpec(window="sequence", n=40, k=4, replacement=False, kernel="numpy")
+        policy = RestartPolicy(max_restarts=5, backoff_base=0.01, backoff_cap=0.05)
+        records = [(f"key-{value % 37}", value) for value in range(4000)]
+
+        def run(name, crash):
+            with ProcessEngine(
+                spec, shards=8, seed=1, workers=2, max_batch=64, supervise=True,
+                wal_dir=str(tmp_path / name / "wal"), restart_policy=policy,
+            ) as engine:
+                engine.ingest(records[:2000])
+                assert "kernel_rng" in engine.sampler_for("key-0").state_dict()
+                write_checkpoint(engine, tmp_path / name / "ckpt")
+                if crash:
+                    with chaos.kill_at_batch(engine, 3, worker=0):
+                        engine.ingest(records[2000:])
+                    chaos.wait_until_healthy(engine)
+                    assert engine.liveness()["restarts"] >= 1
+                else:
+                    engine.ingest(records[2000:])
+                return engine.state_dict()
+
+        assert run("crashed", True) == run("clean", False)
 
 
 @needs_numpy
@@ -158,7 +238,7 @@ class TestKernelStructuralInvariants:
     def test_canonical_after_randomized_batch_splits(self):
         rng = random.Random(99)
         for trial in range(40):
-            sampler = TimestampSamplerWR(t0=60.0, k=2, rng=trial, fast=True, kernel="numpy")
+            sampler = TimestampSamplerWR(t0=60.0, k=2, rng=trial, kernel="numpy")
             fed = 0
             total = rng.randint(1, 400)
             while fed < total:
@@ -174,19 +254,19 @@ class TestKernelStructuralInvariants:
         # Same arrival pattern => identical bucket boundaries (structure is
         # deterministic; only the samples inside differ by kernel).
         stamps = [float(position) for position in range(300)]
-        fast = TimestampSamplerWR(t0=45.0, k=1, rng=3, fast=True, kernel="numpy")
-        reference = TimestampSamplerWR(t0=45.0, k=1, rng=3, fast=False)
-        for sampler in (fast, reference):
+        kernelled = TimestampSamplerWR(t0=45.0, k=1, rng=3, kernel="numpy")
+        reference = TimestampSamplerWR(t0=45.0, k=1, rng=3)
+        for sampler in (kernelled, reference):
             sampler.process_batch(list(range(150)), stamps[:150])
             sampler.process_batch(list(range(150, 300)), stamps[150:])
         boundaries = lambda sampler: [
             (bucket.start, bucket.end)
             for bucket in sampler._coverages[0]._decomposition._buckets
         ]
-        assert boundaries(fast) == boundaries(reference)
+        assert boundaries(kernelled) == boundaries(reference)
 
     def test_wor_kernel_subsets_are_distinct(self):
-        sampler = SequenceSamplerWOR(n=30, k=5, rng=11, fast=True, kernel="numpy")
+        sampler = SequenceSamplerWOR(n=30, k=5, rng=11, kernel="numpy")
         for lo in range(0, 300, 75):
             sampler.process_batch(list(range(lo, lo + 75)))
             drawn = sampler.sample()
@@ -196,27 +276,30 @@ class TestKernelStructuralInvariants:
 
 @needs_numpy
 class TestEngineKernelReporting:
-    def test_serial_stats_report_resolved_kernel(self):
-        # "auto" means python in a keyed pool, numpy installed or not.
-        spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="auto")
-        engine = ShardedEngine(spec, shards=2)
-        engine.ingest([("a", value) for value in range(40)])
-        assert engine.stats()["kernel"] == "python"
-        assert engine.sampler_for("a").kernel == "python"
-
-    def test_process_auto_kernel_resolves_to_python(self):
-        registry = MetricsRegistry()
-        spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="auto")
-        with ProcessEngine(spec, shards=2, workers=2, registry=registry) as engine:
-            engine.ingest([(f"key-{value % 5}", value) for value in range(200)])
-            assert engine.stats()["kernel"] == "python"
-            assert engine.transport_report()["kernel"] == "python"
-            assert engine.sampler_for("key-0").kernel == "python"
-            assert engine.metrics_snapshot()["gauges"]["engine.kernel.numpy"] == 0.0
+    def test_numpy_engine_reports_numpy_and_runs_the_kernels(self):
+        records = [(f"key-{value % 5}", value) for value in range(400)]
+        engines = {}
+        for kernel in ("python", "numpy"):
+            registry = MetricsRegistry()
+            spec = SamplerSpec(window="sequence", n=16, k=3, kernel=kernel)
+            engine = ShardedEngine(spec, shards=2, seed=1, registry=registry)
+            engine.ingest(records)
+            assert engine.stats()["kernel"] == kernel
+            assert engine.sampler_for("key-0").kernel == kernel
+            gauge = engine.metrics_snapshot()["gauges"]["engine.kernel.numpy"]
+            assert gauge == (1.0 if kernel == "numpy" else 0.0)
+            engines[kernel] = engine
+        # The kernels drew the state, not the python lanes.
+        payloads = lambda engine: [
+            entry["sampler"]["payload"]
+            for pool_state in engine.state_dict()["pools"]
+            for entry in pool_state["entries"]
+        ]
+        assert payloads(engines["numpy"]) != payloads(engines["python"])
 
     def test_parallel_stats_and_gauge(self):
         registry = MetricsRegistry()
-        spec = SamplerSpec(window="sequence", n=16, k=1, fast=True, kernel="numpy")
+        spec = SamplerSpec(window="sequence", n=16, k=1, kernel="numpy")
         engine = ProcessEngine(spec, shards=2, workers=2, registry=registry)
         try:
             engine.ingest([(f"key-{value % 5}", value) for value in range(200)])
@@ -263,7 +346,7 @@ class TestWorkerBackedChunkMetrics:
 @needs_numpy
 @pytest.mark.slow
 class TestNumpyKernelStatisticalGating:
-    """χ² + KS gates for ``kernel="numpy", fast=True`` over all four
+    """χ² + KS gates for ``kernel="numpy"`` over all four
     families — the same bar the python skip path has to clear, fed through
     *split* batches so boundary-crossing and tail cases are all exercised."""
 
@@ -295,7 +378,7 @@ class TestNumpyKernelStatisticalGating:
         observations = []
         for trial in range(2500):
             sampler = SequenceSamplerWR(
-                n=self.WINDOW, k=1, rng=50_000 + trial, fast=True, kernel="numpy"
+                n=self.WINDOW, k=1, rng=50_000 + trial, kernel="numpy"
             )
             self._feed(sampler, trial)
             observations.append(sampler.sample()[0].value - (self.STREAM - self.WINDOW))
@@ -305,7 +388,7 @@ class TestNumpyKernelStatisticalGating:
         observations = []
         for trial in range(900):
             sampler = SequenceSamplerWOR(
-                n=self.WINDOW, k=6, rng=60_000 + trial, fast=True, kernel="numpy"
+                n=self.WINDOW, k=6, rng=60_000 + trial, kernel="numpy"
             )
             self._feed(sampler, trial)
             drawn = sampler.sample()
@@ -319,7 +402,7 @@ class TestNumpyKernelStatisticalGating:
         observations = []
         for trial in range(2500):
             sampler = TimestampSamplerWR(
-                t0=float(self.WINDOW), k=1, rng=70_000 + trial, fast=True, kernel="numpy"
+                t0=float(self.WINDOW), k=1, rng=70_000 + trial, kernel="numpy"
             )
             self._feed(sampler, trial, stamps)
             observations.append(sampler.sample()[0].value - (self.STREAM - self.WINDOW))
@@ -330,7 +413,7 @@ class TestNumpyKernelStatisticalGating:
         observations = []
         for trial in range(900):
             sampler = TimestampSamplerWOR(
-                t0=float(self.WINDOW), k=6, rng=80_000 + trial, fast=True, kernel="numpy"
+                t0=float(self.WINDOW), k=6, rng=80_000 + trial, kernel="numpy"
             )
             self._feed(sampler, trial, stamps)
             drawn = sampler.sample()
@@ -354,7 +437,7 @@ class TestNumpyKernelStatisticalGating:
         rank = {value: position for position, value in enumerate(active)}
         for trial in range(2000):
             sampler = TimestampSamplerWR(
-                t0=10.0, k=1, rng=90_000 + trial, fast=True, kernel="numpy"
+                t0=10.0, k=1, rng=90_000 + trial, kernel="numpy"
             )
             self._feed(sampler, trial, stamps)
             observations.append(rank[sampler.sample()[0].value])
