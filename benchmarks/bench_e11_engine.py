@@ -36,7 +36,6 @@ from repro.engine import (
     SamplerSpec,
     ShardedEngine,
     load_checkpoint,
-    save_checkpoint,
     write_checkpoint,
 )
 from repro.streams.workloads import build_keyed_workload
@@ -112,7 +111,7 @@ def test_e11_engine_checkpoint_round_trip(benchmark, loaded_engine, tmp_path):
     path = tmp_path / "engine.ckpt"
 
     def round_trip():
-        save_checkpoint(loaded_engine, path)
+        write_checkpoint(loaded_engine, path)
         return load_checkpoint(path)
 
     restored = benchmark.pedantic(round_trip, rounds=1, iterations=1, warmup_rounds=0)

@@ -22,7 +22,7 @@ import os
 import random
 import tempfile
 
-from repro.engine import SamplerSpec, ShardedEngine, load_checkpoint, save_checkpoint
+from repro.engine import SamplerSpec, ShardedEngine, load_checkpoint, write_checkpoint
 
 USERS = 2_000
 CLICKS = 200_000
@@ -75,7 +75,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
         # Checkpoints are directories now: a JSON manifest plus one
         # digest-verified segment file per shard (see repro.engine.checkpoint).
-        path = save_checkpoint(engine, os.path.join(directory, "engine.ckpt"))
+        path = write_checkpoint(engine, os.path.join(directory, "engine.ckpt")).path
         size_kb = sum(
             os.path.getsize(os.path.join(path, name)) for name in os.listdir(path)
         ) / 1024.0

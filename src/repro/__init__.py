@@ -32,7 +32,7 @@ accounting) and a :class:`~repro.engine.ShardedEngine` hash-partitions keys
 over shards behind a batched ``ingest``, answering per-key sample queries and
 cross-key aggregates (hottest keys, merged frequent items, per-key frequency
 moments).  Every sampler supports ``state_dict()`` / ``load_state_dict()``,
-and :func:`~repro.engine.save_checkpoint` / :func:`~repro.engine.load_checkpoint`
+and :func:`~repro.engine.write_checkpoint` / :func:`~repro.engine.load_checkpoint`
 persist the whole fleet so a restarted engine resumes with identical samples
 and identical future randomness.
 
@@ -65,7 +65,7 @@ Two layers take the engine from one process and one pickle to fleet scale:
   :func:`~repro.engine.ingest_jsonl` (JSONL from a file, pipe or stdin, in
   bounded batches — ``swsample engine --input``).
 
-* **Incremental checkpoints.**  :func:`~repro.engine.save_checkpoint` writes
+* **Incremental checkpoints.**  :func:`~repro.engine.write_checkpoint` writes
   a checkpoint *directory*: one digest-verified segment file per shard plus
   a JSON manifest (format documented in :mod:`repro.engine.checkpoint`).
   Repeat saves rewrite only the shards whose state changed; a damaged or
@@ -281,7 +281,6 @@ from .engine import (
     SamplerSpec,
     ShardedEngine,
     load_checkpoint,
-    save_checkpoint,
     write_checkpoint,
 )
 from .exceptions import (
@@ -309,7 +308,6 @@ __all__ = [
     "ProcessEngine",
     "QueryCache",
     "RestartPolicy",
-    "save_checkpoint",
     "load_checkpoint",
     "write_checkpoint",
     "KeyedRecord",

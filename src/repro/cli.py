@@ -36,7 +36,12 @@ from typing import List, Optional
 
 from .core.facade import algorithm_catalog, sliding_window_sampler
 from .engine.source import DEFAULT_BATCH_SIZE
-from .serve import DEFAULT_MAX_PENDING_RECORDS, _query_op_from_json, _query_outcome_payload
+from .serve import (
+    DEFAULT_MAX_PENDING_RECORDS,
+    EngineSettings,
+    _query_op_from_json,
+    _query_outcome_payload,
+)
 from .exceptions import ConfigurationError, SWSampleError
 from .harness import available_experiments, run_experiment
 from .harness.experiments import EXPERIMENTS, SCALES
@@ -69,11 +74,6 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor", choices=["process"], default=None,
         help="worker flavour for --workers: 'process' (the only one, and the"
         " default)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=None, metavar="N",
-        help="records per sub-batch dispatched to each shard worker (requires"
-        " --workers; default 4096)",
     )
     parser.add_argument(
         "--kernel", choices=["python", "numpy"], default="python",
@@ -356,10 +356,40 @@ def _run_query_file(engine: "object", path: str, *, stdin_taken: bool) -> int:
     return 0
 
 
+def _validate_recipe_flags(args: argparse.Namespace, *, fresh: bool) -> Optional[str]:
+    """Cross-flag validation of the engine recipe (shared by ``engine`` and
+    ``serve``): the worker layout and the kernel, then the durability flags.
+    ``fresh`` says a fleet may be built from ``--shards`` (``engine --resume``
+    takes its shards from the checkpoint instead).  Returns the error
+    message for the rc-2 path, or None when the combination is coherent."""
+    workers = args.workers
+    if workers is not None and workers <= 0:
+        return "--workers must be positive"
+    if args.executor is not None and workers is None:
+        # Catches e.g. `--input - --executor process` with the worker count
+        # forgotten: without --workers the engine is serial and the executor
+        # flavour would be silently ignored.
+        return (
+            f"--executor {args.executor} requires --workers N"
+            " (without workers the engine runs serially)"
+        )
+    if fresh and workers is not None and workers > args.shards:
+        return (
+            f"--workers {workers} exceeds --shards {args.shards}"
+            " (each worker owns at least one shard; extra workers would sit idle)"
+        )
+    if args.kernel != "python" and args.resume:
+        return (
+            "--kernel cannot be combined with --resume (the sampler recipe"
+            " travels inside the checkpoint and must be restored unchanged)"
+        )
+    return _validate_durability_flags(args, workers)
+
+
 def _validate_durability_flags(args: argparse.Namespace, workers) -> Optional[str]:
     """Cross-flag validation for --wal-dir / --wal-fsync / --supervise /
-    --max-restarts (shared by ``engine`` and ``serve``); returns the error
-    message for the rc-2 path, or None when the combination is coherent."""
+    --max-restarts; returns the error message for the rc-2 path, or None
+    when the combination is coherent."""
     if args.wal_dir is not None and workers is None:
         return "--wal-dir requires --workers N (the journal guards worker processes)"
     if args.wal_fsync is not None and args.wal_dir is None:
@@ -374,24 +404,37 @@ def _validate_durability_flags(args: argparse.Namespace, workers) -> Optional[st
     return None
 
 
-def _restart_policy_from_args(args: argparse.Namespace):
-    if args.max_restarts is None:
-        return None
-    from .engine import RestartPolicy
+def _engine_settings(args: argparse.Namespace, track_occurrences: bool = False) -> EngineSettings:
+    """The engine recipe the ``engine`` and ``serve`` flags describe (raises
+    :class:`~repro.exceptions.ConfigurationError` on an incoherent one)."""
+    from .engine import SamplerSpec
 
-    return RestartPolicy(max_restarts=args.max_restarts)
+    spec = SamplerSpec(
+        window=args.window,
+        k=args.k,
+        n=args.n if args.window == "sequence" else None,
+        t0=args.t0 if args.window == "timestamp" else None,
+        replacement=not args.without_replacement,
+        algorithm=args.algorithm,
+        kernel=args.kernel,
+    )
+    return EngineSettings(
+        spec=spec,
+        shards=args.shards,
+        seed=args.seed,
+        max_keys_per_shard=args.max_keys_per_shard,
+        idle_ttl=args.idle_ttl,
+        track_occurrences=track_occurrences,
+        workers=args.workers,
+        supervise=args.supervise,
+        wal_dir=args.wal_dir,
+        wal_fsync=args.wal_fsync or "batch",
+        max_restarts=args.max_restarts,
+    )
 
 
 def _command_engine(args: argparse.Namespace) -> int:
-    from .engine import (
-        ProcessEngine,
-        SamplerSpec,
-        ShardedEngine,
-        checkpoint_shards,
-        ingest_jsonl,
-        load_checkpoint,
-        write_checkpoint,
-    )
+    from .engine import ingest_jsonl, write_checkpoint
     from .obs import MetricsRegistry, configure_logging, to_prometheus_text
 
     if args.log_level or args.log_json:
@@ -412,72 +455,23 @@ def _command_engine(args: argparse.Namespace) -> int:
     registry = MetricsRegistry() if args.metrics_out else None
 
     workers = args.workers
-    if workers is not None and workers <= 0:
-        print("error: --workers must be positive", file=sys.stderr)
+    problem = _validate_recipe_flags(args, fresh=not args.resume)
+    if problem is None and args.batch_size <= 0:
+        problem = "--batch-size must be positive"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.executor is not None and workers is None:
-        # Catches e.g. `--input - --executor process` with the worker count
-        # forgotten: without --workers the engine is serial and the executor
-        # flavour would be silently ignored.
-        print(
-            f"error: --executor {args.executor} requires --workers N"
-            " (without workers the engine runs serially)",
-            file=sys.stderr,
-        )
-        return 2
-    durability_problem = _validate_durability_flags(args, workers)
-    if durability_problem is not None:
-        print(f"error: {durability_problem}", file=sys.stderr)
-        return 2
-    durability = {}
-    if args.wal_dir is not None:
-        durability = dict(
-            supervise=args.supervise,
-            wal_dir=args.wal_dir,
-            wal_fsync=args.wal_fsync or "batch",
-            restart_policy=_restart_policy_from_args(args),
-        )
-    if args.batch_size <= 0:
-        print("error: --batch-size must be positive", file=sys.stderr)
-        return 2
-    if args.max_batch is not None:
-        if args.max_batch <= 0:
-            print("error: --max-batch must be positive", file=sys.stderr)
-            return 2
-        if workers is None:
-            print(
-                "error: --max-batch requires --workers N (the serial engine"
-                " applies batches directly, without dispatch sub-batching)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.kernel != "python" and args.resume:
-        print(
-            "error: --kernel cannot be combined with --resume (the sampler recipe"
-            " travels inside the checkpoint and must be restored unchanged)",
-            file=sys.stderr,
-        )
+    try:
+        settings = _engine_settings(args)
+    except ConfigurationError as error:
+        # e.g. --kernel numpy with a baseline algorithm: fail loudly up front.
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if args.resume:
-        # Validate the worker count against the manifest before paying for
-        # the restore.
-        if workers is not None:
-            known_shards = checkpoint_shards(args.resume)
-            if known_shards is not None and workers > known_shards:
-                print(
-                    f"error: --workers {workers} exceeds the checkpoint's"
-                    f" {known_shards} shards (each worker owns at least one shard)",
-                    file=sys.stderr,
-                )
-                return 2
         try:
-            engine = load_checkpoint(
-                args.resume,
-                workers=workers,
-                max_batch=args.max_batch,
-                registry=registry,
-                **durability,
-            )
+            # Validates the worker count against the manifest before paying
+            # for the restore.
+            engine = settings.resume(args.resume, registry)
         except (OSError, ConfigurationError) as error:
             print(f"error: cannot resume from {args.resume}: {error}", file=sys.stderr)
             return 2
@@ -487,44 +481,10 @@ def _command_engine(args: argparse.Namespace) -> int:
         resumed = engine.stats()
         print(f"resumed         : {args.resume} ({resumed['keys']} keys, {resumed['arrivals']} records)")
     else:
-        if workers is not None and workers > args.shards:
-            print(
-                f"error: --workers {workers} exceeds --shards {args.shards}"
-                " (each worker owns at least one shard; extra workers would sit idle)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            spec = SamplerSpec(
-                window=args.window,
-                k=args.k,
-                n=args.n if args.window == "sequence" else None,
-                t0=args.t0 if args.window == "timestamp" else None,
-                replacement=not args.without_replacement,
-                algorithm=args.algorithm,
-                kernel=args.kernel,
-            )
-        except ConfigurationError as error:
-            # e.g. --kernel numpy with a baseline algorithm: fail loudly up front.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        config = dict(
-            shards=args.shards,
-            seed=args.seed,
-            max_keys_per_shard=args.max_keys_per_shard,
-            idle_ttl=args.idle_ttl,
-            registry=registry,
-        )
-        if workers is not None:
-            if args.max_batch is not None:
-                config["max_batch"] = args.max_batch
-            config.update(durability)
-            engine = ProcessEngine(spec, workers=workers, **config)
-            # A fresh (non-resuming) run over an old WAL directory: the stale
-            # journal covers state this fleet never held — drop it loudly.
-            engine.discard_wal()
-        else:
-            engine = ShardedEngine(spec, **config)
+        engine = settings.build(registry)
+        # A fresh (non-resuming) run over an old WAL directory: the stale
+        # journal covers state this fleet never held — drop it loudly.
+        engine.discard_wal()
     try:
         if args.checkpoint and engine.spec.algorithm != "optimal":
             print(
@@ -623,50 +583,19 @@ def _command_engine(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .engine import SamplerSpec
     from .obs import configure_logging
-    from .serve import EngineSettings, ServeApp, ServeConfig
+    from .serve import ServeApp, ServeConfig
 
     if args.log_level or args.log_json:
         configure_logging(level=args.log_level or "info", json_lines=args.log_json)
-    workers = args.workers
-    if workers is not None and workers <= 0:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-    if args.executor is not None and workers is None:
-        print(
-            f"error: --executor {args.executor} requires --workers N"
-            " (without workers the engine runs serially)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.max_batch is not None and workers is None:
-        print(
-            "error: --max-batch requires --workers N (the serial engine"
-            " applies batches directly, without dispatch sub-batching)",
-            file=sys.stderr,
-        )
-        return 2
-    if workers is not None and workers > args.shards:
-        print(
-            f"error: --workers {workers} exceeds --shards {args.shards}"
-            " (each worker owns at least one shard; extra workers would sit idle)",
-            file=sys.stderr,
-        )
-        return 2
-    durability_problem = _validate_durability_flags(args, workers)
-    if durability_problem is not None:
-        print(f"error: {durability_problem}", file=sys.stderr)
+    # Tenants without a checkpoint are built fresh even under --resume, so
+    # --shards always applies.
+    problem = _validate_recipe_flags(args, fresh=True)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.kernel != "python" and args.resume:
-        print(
-            "error: --kernel cannot be combined with --resume (the sampler recipe"
-            " travels inside the checkpoint and must be restored unchanged)",
-            file=sys.stderr,
-        )
         return 2
     if args.checkpoint_interval is not None and not args.checkpoint_dir:
         print("error: --checkpoint-interval requires --checkpoint-dir", file=sys.stderr)
@@ -687,30 +616,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
             return 2
     try:
-        spec = SamplerSpec(
-            window=args.window,
-            k=args.k,
-            n=args.n if args.window == "sequence" else None,
-            t0=args.t0 if args.window == "timestamp" else None,
-            replacement=not args.without_replacement,
-            algorithm=args.algorithm,
-            kernel=args.kernel,
-        )
         config = ServeConfig(
-            engine=EngineSettings(
-                spec=spec,
-                shards=args.shards,
-                seed=args.seed,
-                max_keys_per_shard=args.max_keys_per_shard,
-                idle_ttl=args.idle_ttl,
-                track_occurrences=args.track_occurrences,
-                workers=workers,
-                max_batch=args.max_batch,
-                supervise=args.supervise,
-                wal_dir=args.wal_dir,
-                wal_fsync=args.wal_fsync or "batch",
-                max_restarts=args.max_restarts,
-            ),
+            engine=_engine_settings(args, track_occurrences=args.track_occurrences),
             host=args.host,
             http_port=args.port,
             socket_port=args.socket_port,

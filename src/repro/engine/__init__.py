@@ -27,13 +27,14 @@ budget:
   request/reply protocol behind a drain barrier, and checkpoints are written
   by the workers themselves as per-shard segments.  CPU-bound sampler
   updates scale across cores while staying bit-identical to the serial
-  engine (``workers`` is a pure throughput knob).  A dead worker process
-  surfaces as a sticky :class:`~repro.exceptions.WorkerFailure`.
-* :func:`save_checkpoint` / :func:`load_checkpoint` /
-  :func:`write_checkpoint` — incremental per-shard checkpoint directories
-  (JSON manifest + digest-verified segment files); repeat saves rewrite only
-  the shards that changed, and a manifest loads into a serial engine or a
-  process engine under any worker count.
+  engine under ``kernel="python"`` (there ``workers`` is a pure throughput
+  knob; under ``kernel="numpy"`` worker counts agree with each other, not
+  with the serial engine).  A dead worker process surfaces as a sticky
+  :class:`~repro.exceptions.WorkerFailure`.
+* :func:`write_checkpoint` / :func:`load_checkpoint` — incremental
+  per-shard checkpoint directories (JSON manifest + digest-verified segment
+  files); repeat saves rewrite only the shards that changed, and a manifest
+  loads into a serial engine or a process engine under any worker count.
 * :func:`jsonl_records` / :func:`batched` / :func:`ingest_jsonl` — streaming
   ingest sources: JSONL lines from a file, pipe or stdin, fed to an engine
   in bounded batches (the ``swsample engine --input`` path).
@@ -45,14 +46,24 @@ budget:
   transport; a malformed payload raises
   :class:`~repro.exceptions.TransportError`.
 
-The whole ingest path is batched end to end: ``ingest()`` partitions records
-per shard (hashing each distinct key once per chunk),
-:meth:`KeyedSamplerPool.extend_batch` groups each shard sub-batch per key,
-and every optimal sampler applies a key's run through its ``process_batch``
-batched path — bit-identical to per-record appends, drawing once per
-reservoir acceptance and taking bucket-merge coins 64 to a draw (with
-``SamplerSpec(kernel="numpy")`` the numpy kernels run instead:
-statistically exact, χ²/KS-gated, not bit-identical).
+The whole ingest path is batched end to end, through one of two record
+loops in :mod:`repro.engine.engine`.  In-process pools without an eviction
+policy take the *grouped* loop: one pass groups records per key (hashing
+each distinct key once per chunk) and hands each shard its key runs through
+:meth:`KeyedSamplerPool.extend_grouped`.  Everything else — pools with a
+``max_keys_per_shard``/``idle_ttl`` policy, and every
+:class:`ProcessEngine` — takes the *router*: one pass routes records per
+shard and cuts :data:`~repro.engine.transport.SUB_BATCH`-record shard
+sub-batches in arrival order, which the serial engine drains into
+:meth:`KeyedSamplerPool.extend_batch` and the process engine encodes,
+journals and sends to the shard's worker, where ``extend_batch`` groups
+them per key.  Every optimal sampler applies a key's run through its
+``process_batch`` batched path — bit-identical to per-record appends,
+drawing once per reservoir acceptance and taking bucket-merge coins 64 to
+a draw (with ``SamplerSpec(kernel="numpy")`` the numpy kernels run
+instead: statistically exact, χ²/KS-gated, not bit-identical, and drawing
+once per ``process_batch`` call, so a numpy fleet's samples depend on how
+records are cut into key runs).
 
 Sharding is by a *stable* hash (:func:`stable_key_hash`), never Python's
 salted ``hash()``, so routing — and therefore every per-key sampler's
@@ -201,7 +212,6 @@ from .checkpoint import (
     CheckpointResult,
     checkpoint_shards,
     load_checkpoint,
-    save_checkpoint,
     write_checkpoint,
 )
 from .engine import ShardedEngine
@@ -223,7 +233,6 @@ __all__ = [
     "WriteAheadLog",
     "chaos",
     "QueryCache",
-    "save_checkpoint",
     "load_checkpoint",
     "write_checkpoint",
     "checkpoint_shards",

@@ -121,7 +121,6 @@ from .pool import KeyedSamplerPool
 from .spec import SamplerSpec
 
 __all__ = [
-    "save_checkpoint",
     "load_checkpoint",
     "write_checkpoint",
     "write_shard_segment",
@@ -425,17 +424,6 @@ def _write_checkpoint_locked(engine: ShardedEngine, path: str) -> CheckpointResu
     )
 
 
-def save_checkpoint(engine: ShardedEngine, path: Union[str, os.PathLike]) -> str:
-    """Write the engine's full state to the checkpoint directory ``path``.
-
-    Returns the path written.  The snapshot captures every live per-key
-    sampler bit for bit (candidates, counters, generator positions), so
-    :func:`load_checkpoint` resumes with identical samples *and* identical
-    future randomness.  Thin wrapper over :func:`write_checkpoint`.
-    """
-    return write_checkpoint(engine, path).path
-
-
 def _load_segment(path: str, entry: Dict[str, Any], shards: int) -> Tuple[int, Dict[str, Any]]:
     if not isinstance(entry, dict) or not {"shard", "file", "sha256", "bytes"} <= set(entry):
         raise CheckpointError(f"malformed segment entry in manifest: {entry!r}")
@@ -478,7 +466,6 @@ def _load_segment(path: str, entry: Dict[str, Any], shards: int) -> Tuple[int, D
 def _engine_from_state(
     state: Dict[str, Any],
     workers: Optional[int],
-    max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     engine_kwargs: Optional[Dict[str, Any]] = None,
 ) -> ShardedEngine:
@@ -489,13 +476,10 @@ def _engine_from_state(
     """
     if workers is None:
         return ShardedEngine.from_state_dict(state, registry=registry)
-    extra = {} if max_batch is None else {"max_batch": max_batch}
-    if engine_kwargs:
-        extra.update(engine_kwargs)
     engine = ProcessEngine(
         SamplerSpec.from_dict(state["spec"]),
         workers=workers,
-        **extra,
+        **(engine_kwargs or {}),
         shards=int(state["shards"]),
         seed=int(state["seed"]),
         max_keys_per_shard=state.get("max_keys_per_shard"),
@@ -517,7 +501,6 @@ def _engine_from_state(
 def _load_directory_checkpoint(
     path: str,
     workers: Optional[int],
-    max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     engine_kwargs: Optional[Dict[str, Any]] = None,
 ) -> ShardedEngine:
@@ -574,7 +557,7 @@ def _load_directory_checkpoint(
         "now": meta.get("now"),
         "pools": pool_states,
     }
-    engine = _engine_from_state(state, workers, max_batch, registry, engine_kwargs)
+    engine = _engine_from_state(state, workers, registry, engine_kwargs)
     # Seed the incremental-save memo: a just-restored engine's state *is*
     # the on-disk state, so its next save to this directory rewrites nothing
     # — unless someone else's save changes the digests in between.
@@ -618,7 +601,6 @@ def load_checkpoint(
     path: Union[str, os.PathLike],
     *,
     workers: Optional[int] = None,
-    max_batch: Optional[int] = None,
     registry: Optional[Any] = None,
     supervise: bool = False,
     wal_dir: Optional[Union[str, os.PathLike]] = None,
@@ -629,11 +611,9 @@ def load_checkpoint(
 
     ``workers=None`` returns a serial :class:`ShardedEngine`; any positive
     ``workers`` returns a :class:`~repro.engine.ProcessEngine` driving the
-    same shard states from that many worker processes.  ``max_batch`` tunes
-    the restored process engine's dispatch sub-batch size (ignored for
-    serial restores).  The worker count is orthogonal to the checkpoint, so
-    a manifest saved by either engine under any worker count loads into any
-    other.  A path that is not a directory (such as a single-file v1
+    same shard states from that many worker processes.  The worker count is
+    orthogonal to the checkpoint, so a manifest saved by either engine under
+    any worker count loads into any other.  A path that is not a directory (such as a single-file v1
     checkpoint, which is no longer readable) raises
     :class:`~repro.exceptions.CheckpointError`.
 
@@ -681,6 +661,4 @@ def load_checkpoint(
         )
     span_registry = registry if registry is not None else get_registry()
     with span("checkpoint.restore", registry=span_registry):
-        return _load_directory_checkpoint(
-            path, workers, max_batch, registry, engine_kwargs
-        )
+        return _load_directory_checkpoint(path, workers, registry, engine_kwargs)

@@ -52,6 +52,7 @@ from .kernels import resolve_kernel
 from .pool import KeyedSamplerPool
 from .querycache import QueryCache
 from .spec import SamplerSpec
+from .transport import SUB_BATCH
 
 __all__ = ["ShardedEngine"]
 
@@ -59,20 +60,31 @@ __all__ = ["ShardedEngine"]
 #: shard placement and sampler randomness are independent hash families).
 _ROUTE_SALT = 0x51A2DED
 
-#: Records buffered by the serial ingest path before the per-shard batches
-#: are flushed into the pools.  Bounds the transient partitioning memory on
+#: Records buffered by the grouped loop before its per-key groups are
+#: flushed into the pools.  Bounds the transient grouping memory on
 #: arbitrarily long record iterables; pool state is chunk-boundary-invariant
 #: (see :meth:`KeyedSamplerPool.extend_batch`), so the value only affects
 #: locality, never results.
 _INGEST_CHUNK = 32768
 
+#: Records per shard sub-batch cut by the router: one
+#: :meth:`KeyedSamplerPool.extend_batch` call on the serial engine, one
+#: columnar payload on :class:`~repro.engine.ProcessEngine`.  A module
+#: constant, read once per ingest call, so tests can monkeypatch it to cut
+#: small sub-batches.
+_SUB_BATCH = SUB_BATCH
+
+#: Distinct keys the router's per-call shard memo holds before it is
+#: cleared, so one long ingest call cannot grow it without bound.
+_SHARD_MEMO_KEYS = 65536
+
 
 def _unpack_record(record: Any) -> Tuple[Any, Any, Optional[float]]:
     """Normalise one keyed record to ``(key, value, timestamp_or_None)``.
 
-    Shared by the serial and process-worker ingest paths so both enforce the
-    same record contract.  Clock semantics (stamping missing timestamps, the
-    global non-decreasing check) stay with the caller.
+    The slow path of both ingest loops, which unpack plain tuples inline and
+    hand anything else here.  Clock semantics (stamping missing timestamps,
+    the global non-decreasing check) stay with the caller.
     """
     if isinstance(record, (str, bytes)):
         # Strings are sized and unpackable, so they would silently shred
@@ -370,9 +382,9 @@ def _stamp_timestamp(timestamp: Any, now: float) -> float:
     """Apply the global clock contract to one clocked record's timestamp.
 
     A missing timestamp means "now" (zero before any timestamped record);
-    an explicit one must be numeric and globally non-decreasing.  Shared by
-    the serial and process-worker ingest paths — one contract, one
-    implementation.
+    an explicit one must be numeric and globally non-decreasing.  The slow
+    path of both ingest loops, which accept a float at or past the clock
+    inline — one contract, one implementation.
     """
     if timestamp is None:
         # "Now" must be the engine's clock, not the key-local sampler's
@@ -463,6 +475,9 @@ class ShardedEngine:
         self._obs.gauge("engine.kernel.numpy").set(1.0 if self._kernel == "numpy" else 0.0)
         self._query_cache = query_cache
         self._pools = self._create_pools()
+        # Eviction-free in-process pools take the grouped loop; pools with an
+        # eviction policy, or resident in worker processes, take the router.
+        self._grouped = bool(self._pools) and max_keys_per_shard is None and idle_ttl is None
         self._now = float("-inf")
 
     def _create_pools(self) -> List[KeyedSamplerPool]:
@@ -539,19 +554,26 @@ class ShardedEngine:
         or malformed record raises mid-batch; everything before it has been
         ingested and the clock reflects exactly the ingested prefix.
 
-        Internally the batch is grouped per key in a single pass (hashing
-        each distinct key once per chunk, not once per record) and each key's
-        run of records is applied through its sampler's batched
-        ``process_batch`` path — for pools without an eviction policy the
-        result is identical to per-record routing.  Engines with a
-        ``max_keys_per_shard``/``idle_ttl`` policy partition per shard
-        instead and route through :meth:`KeyedSamplerPool.extend_batch`,
-        whose per-record fallback keeps eviction decisions exact.
+        Two loops run the batch, and the pools' policy picks one:
+
+        * **grouped** (in-process pools without an eviction policy): one pass
+          groups the records per key, hashing each distinct key once per
+          chunk, and each key's run is applied through its sampler's batched
+          ``process_batch`` path — identical to per-record routing;
+        * **the router** (pools with a ``max_keys_per_shard``/``idle_ttl``
+          policy, and every :class:`~repro.engine.ProcessEngine`): one pass
+          routes each record to its shard through a per-call shard memo and
+          cuts per-shard sub-batches in arrival order, each handed to
+          :meth:`_dispatch` as it fills and the rest at the end of the
+          call.  The serial engine drains a sub-batch into
+          :meth:`KeyedSamplerPool.extend_batch`, whose per-record fallback
+          keeps eviction decisions exact; the process engine ships it to
+          the shard's worker.
         """
-        if self._max_keys_per_shard is None and self._idle_ttl is None:
+        if self._grouped:
             count = self._ingest_grouped(records)
         else:
-            count = self._ingest_partitioned(records)
+            count = self._ingest_routed(records)
         if self._obs.enabled:
             self._m_ingest_batches.inc()
             self._m_ingest_records.inc(count)
@@ -565,9 +587,9 @@ class ShardedEngine:
         shard_count = self._shards
         route = stable_key_hash
         # NOTE: the inlined record-unpack + clock-stamp block below is
-        # mirrored in ProcessEngine.ingest (executor.py) — both inline
-        # it because a shared helper costs a function call per record on the
-        # hottest loop in the codebase.  Change one, change the other.
+        # mirrored in _ingest_routed — both inline it because a shared
+        # helper costs a function call per record on the hottest loop in the
+        # codebase.  Change one, change the other.
         # key -> [shard, last pool-local position, values, stamps-or-None];
         # one flat dict per chunk, so each distinct key is hashed once.
         groups: Dict[Any, List[Any]] = {}
@@ -652,60 +674,90 @@ class ShardedEngine:
             self._m_chunks_grouped.inc()
             self._m_chunk_seconds.observe(time.perf_counter() - started)
 
-    def _ingest_partitioned(self, records: Iterable[Any]) -> int:
-        """Ingest for engines with an eviction policy: partition per shard,
-        let :meth:`KeyedSamplerPool.extend_batch` keep per-record eviction
-        semantics exact."""
+    def _ingest_routed(self, records: Iterable[Any]) -> int:
+        """The router: partition records per shard in arrival order and hand
+        each shard's sub-batch of :data:`_SUB_BATCH` records to
+        :meth:`_dispatch` as it fills.  On a mid-batch error the validated
+        prefix is dispatched before the error propagates."""
         count = 0
         clocked = self._spec.is_timestamp
         now = self._now
-        pools = self._pools
         shard_count = self._shards
         route = stable_key_hash
-        # Per-chunk shard memo: repeated keys in a hot batch hash once.  It
-        # is cleared at every chunk flush, so — unlike a persistent routing
-        # cache — it cannot retain evicted keys outside the memory budget.
+        limit = _SUB_BATCH
+        # Looked up per call: the chaos harness swaps it on the instance.
+        dispatch = self._dispatch
+        # NOTE: the inlined record-unpack + clock-stamp block below is
+        # mirrored in _ingest_grouped.  Change one, change the other.
+        # Per-call shard memo: repeated keys hash once.  Bounded, and gone
+        # when the call returns, so unlike a persistent routing cache it
+        # cannot retain evicted keys outside the memory budget.
         shard_memo: Dict[Any, int] = {}
         buffers: Dict[int, List[Tuple[Any, Any, Optional[float]]]] = {}
-        pending = 0
+        # Every sub-batch is one partitioned chunk, timed from the previous
+        # hand-off (routing plus hand-off).
+        instrumented = self._obs.enabled
+        chunk_started = time.perf_counter() if instrumented else 0.0
         try:
             for record in records:
-                key, value, timestamp = _unpack_record(record)
+                if isinstance(record, tuple):
+                    width = len(record)
+                    if width == 3:
+                        key, value, timestamp = record
+                    elif width == 2:
+                        key, value = record
+                        timestamp = None
+                    else:
+                        raise ConfigurationError(
+                            f"keyed records must have 2 or 3 fields, got {width}: {record!r}"
+                        )
+                else:
+                    key, value, timestamp = _unpack_record(record)
                 if clocked:
-                    timestamp = _stamp_timestamp(timestamp, now)
-                    now = timestamp
+                    if type(timestamp) is float and timestamp >= now:
+                        now = timestamp
+                    else:
+                        timestamp = _stamp_timestamp(timestamp, now)
+                        now = timestamp
                 shard = shard_memo.get(key, -1)
                 if shard < 0:
+                    if len(shard_memo) >= _SHARD_MEMO_KEYS:
+                        shard_memo.clear()
                     shard = shard_memo[key] = route(key, salt=_ROUTE_SALT) % shard_count
                 buffer = buffers.get(shard)
                 if buffer is None:
                     buffer = buffers[shard] = []
                 buffer.append((key, value, timestamp))
                 count += 1
-                pending += 1
-                if pending >= _INGEST_CHUNK:
-                    self._flush_partitioned(buffers, pools)
-                    shard_memo.clear()
-                    pending = 0
+                if len(buffer) >= limit:
+                    del buffers[shard]
+                    dispatch(shard, buffer)
+                    if instrumented:
+                        chunk_started = self._observe_chunk(chunk_started)
         finally:
             self._now = now
-            if buffers:
-                self._flush_partitioned(buffers, pools)
+            # Popped one at a time, so each drained sub-batch is freed before
+            # the next shard's pool allocates.
+            while buffers:
+                shard, buffer = buffers.popitem()
+                dispatch(shard, buffer)
+                if instrumented:
+                    chunk_started = self._observe_chunk(chunk_started)
         return count
 
-    def _flush_partitioned(
-        self,
-        buffers: Dict[int, List[Tuple[Any, Any, Optional[float]]]],
-        pools: List[KeyedSamplerPool],
-    ) -> None:
-        """Drain one chunk's per-shard buffers through ``extend_batch``."""
-        started = time.perf_counter() if self._obs.enabled else 0.0
-        while buffers:
-            index, chunk = buffers.popitem()
-            pools[index].extend_batch(chunk)
-        if self._obs.enabled:
-            self._m_chunks_partitioned.inc()
-            self._m_chunk_seconds.observe(time.perf_counter() - started)
+    def _observe_chunk(self, started: float) -> float:
+        """Count one routed sub-batch and time it from ``started``; returns
+        the start of the next."""
+        now = time.perf_counter()
+        self._m_chunks_partitioned.inc()
+        self._m_chunk_seconds.observe(now - started)
+        return now
+
+    def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
+        """Apply one routed shard sub-batch.  The serial engine drains it
+        into the shard's pool; :class:`ProcessEngine` encodes it, journals
+        it and sends it to the shard's worker."""
+        self._pools[shard].extend_batch(batch)
 
     def append(self, key: Any, value: Any, timestamp: Optional[float] = None) -> None:
         """Single-record convenience form of :meth:`ingest` (same contract)."""

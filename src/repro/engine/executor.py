@@ -25,18 +25,23 @@ batches are applied sequentially, in dispatch order, by one worker, so every
 key sees its records in exactly the order a serial engine would have applied
 them — and because per-key sampler seeds are key-derived (not order-derived),
 ``workers=1``, ``workers=8`` and the serial engine all produce bit-identical
-sampler states.  Workers are orthogonal to shard *state*: a checkpoint
+sampler states under ``kernel="python"``.  Under ``kernel="numpy"`` every
+worker count still produces the same state, but not the serial engine's:
+the numpy kernels draw once per ``process_batch`` call, and an eviction-free
+serial engine feeds a key its run from a whole ingest call where workers
+feed it from :data:`~repro.engine.transport.SUB_BATCH`-record shard
+sub-batches.  Workers are orthogonal to shard *state*: a checkpoint
 written by an engine with 4 workers loads into a serial engine, or into one
 with 2 workers.
 
 Dataflow
 --------
-``ingest()`` validates records and runs the global clock contract on the
-caller's thread (exactly the serial engine's semantics), partitions them into
-per-shard sub-batches, and hands each sub-batch to the shard's owner.  Memory
-stays bounded: each worker's inbox is a bounded ``multiprocessing.Queue`` of
-``queue_depth`` messages, so a producer outrunning a worker blocks in
-``put`` until the worker catches up.
+``ingest()`` runs the serial engine's router on the caller's thread: it
+validates records, runs the global clock contract, cuts per-shard
+sub-batches, and hands each one to :meth:`ProcessEngine._dispatch`, which
+sends it to the shard's owner.  Memory stays bounded: each worker's inbox is
+a bounded ``multiprocessing.Queue`` of :data:`_QUEUE_DEPTH` messages, so a
+producer outrunning a worker blocks in ``put`` until the worker catches up.
 
 ``flush()`` is the drain barrier: it sends a barrier token down every (FIFO)
 inbox and waits for the replies, which also carry any worker-side failure.
@@ -101,15 +106,7 @@ from ..exceptions import (
 )
 from ..obs import MetricsRegistry, NULL_REGISTRY, merge_snapshots, span
 from ..obs.logging import apply_logging_config, logging_config
-from .engine import (
-    _PER_KEY_OPS,
-    _ROUTE_SALT,
-    ShardedEngine,
-    _evaluate_ops,
-    _stamp_timestamp,
-    _unpack_record,
-)
-from .hashing import stable_key_hash
+from .engine import _PER_KEY_OPS, ShardedEngine, _evaluate_ops
 from .pool import KeyedSamplerPool
 from .querycache import QueryCache
 from .spec import SamplerSpec
@@ -134,8 +131,11 @@ _SUPERVISOR_POLL = 0.05
 #: How long ``write_checkpoint`` waits for an in-flight recovery to drain
 #: before failing loudly (monkeypatchable in tests).
 _CHECKPOINT_DRAIN_TIMEOUT = 10.0
+#: Messages one worker's inbox holds before ``ingest`` blocks (backpressure
+#: toward the producer; monkeypatchable in tests).
+_QUEUE_DEPTH = 8
 #: Parked sub-batches per recovering worker before ingest blocks, in units
-#: of ``queue_depth`` (mirrors the bounded-inbox backpressure contract).
+#: of ``_QUEUE_DEPTH`` (mirrors the bounded-inbox backpressure contract).
 _PENDING_DEPTH_FACTOR = 4
 
 
@@ -434,7 +434,9 @@ class ProcessEngine(ShardedEngine):
     *inside* the owning worker and only the results travel back, so the
     pools are never pickled on the hot path.  Because shard ownership,
     per-shard ordering and per-key seeding are identical to the serial
-    engine, process ingest is bit-identical to it.
+    engine, process ingest under ``kernel="python"`` is bit-identical to it
+    (under ``kernel="numpy"`` it is identical across worker counts only; see
+    the module docstring).
 
     Every sub-batch crosses to its worker as one columnar payload
     (:func:`~repro.engine.transport.encode_batch`): the queue pickles a
@@ -449,12 +451,11 @@ class ProcessEngine(ShardedEngine):
         Worker-process count (default: ``min(shards, cpu_count)``; clamped
         to ``shards``).  Each worker owns the shards congruent to its index
         modulo ``workers``.
-    queue_depth:
-        Maximum messages in one worker's inbox before ``ingest`` blocks
-        (backpressure toward the producer).
-    max_batch:
-        Records per dispatched sub-batch; one large ``ingest`` call streams
-        through the queues in ``max_batch``-sized pieces per shard.
+
+    Sizing is fixed: one large ``ingest`` call streams through the queues in
+    :data:`~repro.engine.transport.SUB_BATCH`-record pieces per shard, and a
+    worker's inbox holds :data:`_QUEUE_DEPTH` of them before ``ingest``
+    blocks.
 
     The recipe parameters (``shards``, ``seed``, ``max_keys_per_shard``,
     ``idle_ttl``, ``track_occurrences``, ``registry``, ``query_cache``) are
@@ -485,8 +486,6 @@ class ProcessEngine(ShardedEngine):
         spec: SamplerSpec,
         *,
         workers: Optional[int] = None,
-        queue_depth: int = 8,
-        max_batch: int = 4096,
         mp_context: Optional[str] = None,
         shards: int = 4,
         seed: int = 0,
@@ -514,18 +513,12 @@ class ProcessEngine(ShardedEngine):
             workers = min(self.shards, os.cpu_count() or 1)
         if workers <= 0:
             raise ConfigurationError("workers must be positive")
-        if queue_depth <= 0:
-            raise ConfigurationError("queue_depth must be positive")
-        if max_batch <= 0:
-            raise ConfigurationError("max_batch must be positive")
         if supervise and wal_dir is None:
             raise ConfigurationError(
                 "supervise=True requires wal_dir: recovery restores from the"
                 " last checkpoint and replays the write-ahead journal tail"
             )
         self._workers = int(min(workers, self.shards))
-        self._queue_depth = int(queue_depth)
-        self._max_batch = int(max_batch)
         self._closed = False
         # Caller lock: serialises the public surface (ingest/flush/queries)
         # across application threads.  RLock because queries call flush().
@@ -627,7 +620,7 @@ class ProcessEngine(ShardedEngine):
         wires the pieces into the fleet lists (initial spawn) or swaps them
         in (recovery)."""
         context = self._mp_context
-        inbox = context.Queue(maxsize=self._queue_depth)
+        inbox = context.Queue(maxsize=_QUEUE_DEPTH)
         replies = context.Queue()
         worker_config = {
             **self._worker_config,
@@ -831,86 +824,18 @@ class ProcessEngine(ShardedEngine):
     def ingest(self, records: Iterable[Any]) -> int:
         """Validate, clock-stamp and dispatch a batch to the shard workers.
 
-        Same record and clock contract as :meth:`ShardedEngine.ingest`; on a
-        mid-batch error the validated prefix is dispatched (and will be
-        applied) before the error propagates.  Returns the number of records
+        Same record and clock contract as :meth:`ShardedEngine.ingest`, and
+        the same loop: the serial engine's router cuts the per-shard
+        sub-batches and hands each to :meth:`_dispatch`.  On a mid-batch
+        error the validated prefix is dispatched (and will be applied)
+        before the error propagates.  Returns the number of records
         dispatched — call :meth:`flush` (or any query) for a barrier.
         """
         with self._api_lock:
             if self._closed:
                 raise ExecutorError("engine is closed")
             self._raise_failure()
-            clocked = self._spec.is_timestamp
-            now = self._now
-            count = 0
-            max_batch = self._max_batch
-            shard_count = self.shards
-            route = stable_key_hash
-            # NOTE: the inlined record-unpack + clock-stamp block below
-            # mirrors ShardedEngine._ingest_grouped (engine.py) — both
-            # inline it because a shared helper costs a function call per
-            # record on the hottest loop.  Change one, change the other.
-            # Per-batch shard memo (bounded: cleared once it outgrows a
-            # dispatch window) so hot keys hash once, not once per record.
-            shard_memo: Dict[Any, int] = {}
-            buffers: Dict[int, List[Tuple[Any, Any, Optional[float]]]] = {}
-            # Chunk instrumentation mirroring the serial path: every dispatch
-            # window is one partitioned chunk, timed from the previous
-            # dispatch (grouping + routing + handoff).
-            instrumented = self._obs.enabled
-            chunk_started = time.perf_counter() if instrumented else 0.0
-            try:
-                for record in records:
-                    if isinstance(record, tuple):
-                        width = len(record)
-                        if width == 3:
-                            key, value, timestamp = record
-                        elif width == 2:
-                            key, value = record
-                            timestamp = None
-                        else:
-                            raise ConfigurationError(
-                                f"keyed records must have 2 or 3 fields, got {width}: {record!r}"
-                            )
-                    else:
-                        key, value, timestamp = _unpack_record(record)
-                    if clocked:
-                        if type(timestamp) is float and timestamp >= now:
-                            now = timestamp
-                        else:
-                            timestamp = _stamp_timestamp(timestamp, now)
-                            now = timestamp
-                    shard = shard_memo.get(key, -1)
-                    if shard < 0:
-                        if len(shard_memo) >= 65536:
-                            shard_memo.clear()
-                        shard = shard_memo[key] = route(key, salt=_ROUTE_SALT) % shard_count
-                    buffer = buffers.get(shard)
-                    if buffer is None:
-                        buffer = buffers[shard] = []
-                    buffer.append((key, value, timestamp))
-                    count += 1
-                    if len(buffer) >= max_batch:
-                        del buffers[shard]
-                        self._dispatch(shard, buffer)
-                        if instrumented:
-                            dispatched_at = time.perf_counter()
-                            self._m_chunks_partitioned.inc()
-                            self._m_chunk_seconds.observe(dispatched_at - chunk_started)
-                            chunk_started = dispatched_at
-            finally:
-                self._now = now
-                for shard, buffer in buffers.items():
-                    self._dispatch(shard, buffer)
-                    if instrumented:
-                        dispatched_at = time.perf_counter()
-                        self._m_chunks_partitioned.inc()
-                        self._m_chunk_seconds.observe(dispatched_at - chunk_started)
-                        chunk_started = dispatched_at
-            if self._obs.enabled:
-                self._m_ingest_batches.inc()
-                self._m_ingest_records.inc(count)
-            return count
+            return super().ingest(records)
 
     def _dispatch(self, shard: int, batch: List[Tuple[Any, Any, Optional[float]]]) -> None:
         perf = time.perf_counter
@@ -1309,7 +1234,7 @@ class ProcessEngine(ShardedEngine):
                     self._raise_failure()
                 if worker not in self._recovering:
                     return False
-                if len(self._pending[worker]) < self._queue_depth * _PENDING_DEPTH_FACTOR:
+                if len(self._pending[worker]) < _QUEUE_DEPTH * _PENDING_DEPTH_FACTOR:
                     self._pending[worker].append((shard, payload))
                     return True
                 started = time.perf_counter()

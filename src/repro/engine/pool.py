@@ -12,7 +12,7 @@ Memory is the whole point of the paper, so the pool treats it as a budget:
   *ingested* key when a new key would exceed the cap (LRU);
 * ``idle_ttl`` evicts keys that have not received a record for the given
   number of pool-wide ingest ticks (swept opportunistically every
-  ``sweep_interval`` ticks, or explicitly via :meth:`sweep`);
+  :data:`_SWEEP_INTERVAL` ticks, or explicitly via :meth:`sweep`);
 * :meth:`memory_words` aggregates the per-sampler word-RAM footprints plus
   the pool's own bookkeeping, giving the per-tenant budget arithmetic
   ``keys × Θ(k)`` (sequence) / ``keys × Θ(k log n)`` (timestamp) in one call.
@@ -46,6 +46,10 @@ _SEED_SALT = 0x5EEDFACE
 #: samplers that cannot bound their own active count (the baselines).
 _COUNTER_EPSILON = 0.1
 
+#: Ingest ticks between opportunistic ``idle_ttl`` sweeps (monkeypatchable
+#: in tests).
+_SWEEP_INTERVAL = 4096
+
 
 class _KeyEntry:
     """Per-key bookkeeping: the sampler, its last-ingest tick, and (for
@@ -75,7 +79,6 @@ class KeyedSamplerPool:
         seed: int = 0,
         max_keys: Optional[int] = None,
         idle_ttl: Optional[int] = None,
-        sweep_interval: int = 4096,
         observer_factory: Optional[Callable[[], CandidateObserver]] = None,
         registry: Optional[Any] = None,
     ) -> None:
@@ -83,13 +86,10 @@ class KeyedSamplerPool:
             raise ConfigurationError("max_keys must be positive (or None for no cap)")
         if idle_ttl is not None and idle_ttl <= 0:
             raise ConfigurationError("idle_ttl must be positive (or None for no TTL)")
-        if sweep_interval <= 0:
-            raise ConfigurationError("sweep_interval must be positive")
         self._spec = spec
         self._seed = int(seed)
         self._max_keys = max_keys
         self._idle_ttl = idle_ttl
-        self._sweep_interval = int(sweep_interval)
         self._observer_factory = observer_factory
         self._entries: "OrderedDict[Any, _KeyEntry]" = OrderedDict()
         self._ticks = 0
@@ -250,7 +250,7 @@ class KeyedSamplerPool:
         self._ticks = ticks
         self._generation += 1
         entry.last_tick = ticks
-        if self._idle_ttl is not None and ticks % self._sweep_interval == 0:
+        if self._idle_ttl is not None and ticks % _SWEEP_INTERVAL == 0:
             self.sweep()
 
     def extend_batch(self, batch: Sequence[Tuple[Any, Any, Optional[float]]]) -> int:

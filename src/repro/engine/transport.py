@@ -34,9 +34,13 @@ so it round-trips as ``bool``, not ``int``), so engine results are
 bit-identical to the serial engine's.
 
 Decoding is strict, because journal payloads are read back from disk: a
-payload whose columns do not each hold exactly ``record_count`` entries,
-whose utf-8 lengths do not consume the whole blob, whose pickle column does
-not unpickle to a list, or which carries bytes after the third column raises
+payload claiming more records than both its own byte length and
+:data:`SUB_BATCH` (every column but ``n`` spends at least a byte per
+record, and the ingest router never cuts a larger sub-batch) is refused
+before any column is built, and a payload whose columns do not each hold
+exactly ``record_count`` entries, whose utf-8 lengths do not consume the
+whole blob, whose pickle column does not unpickle to a list, or which
+carries bytes after the third column raises
 :class:`~repro.exceptions.TransportError` — never another exception type and
 never a silently different batch.
 
@@ -58,10 +62,15 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..exceptions import TransportError
 
-__all__ = ["encode_batch", "decode_batch", "decode_columns", "MAGIC"]
+__all__ = ["encode_batch", "decode_batch", "decode_columns", "MAGIC", "SUB_BATCH"]
 
 #: Format magic; bump the digit on incompatible changes.
 MAGIC = b"SWT1"
+
+#: Records per shard sub-batch: the ingest router of
+#: :class:`~repro.engine.ShardedEngine` never cuts a larger one, so no
+#: payload it sends or journals holds more.
+SUB_BATCH = 4096
 
 #: Signed-integer tags, narrowest first, with their inclusive ranges.
 _INT_WIDTHS = (
@@ -192,8 +201,9 @@ def decode_columns(
 
     The column-major half of :func:`decode_batch`.  Raises
     :class:`~repro.exceptions.TransportError` (a ``ValueError``) on a bad
-    magic, a malformed or truncated column, or trailing bytes, with
-    byte-offset context.
+    magic, a record count above both the payload length and
+    :data:`SUB_BATCH`, a malformed or truncated column, or trailing bytes,
+    with byte-offset context.
     """
     if len(buffer) < 8:
         raise TransportError(
@@ -204,6 +214,13 @@ def decode_columns(
             f"bad transport magic {buffer[:4]!r} (expected {MAGIC!r})"
         )
     (count,) = struct.unpack_from("<I", buffer, 4)
+    if count > len(buffer) and count > SUB_BATCH:
+        # Checked before any column is built: an all-``n`` payload of a few
+        # bytes would otherwise allocate ``count`` entries per column.
+        raise TransportError(
+            f"record count {count} exceeds both the payload's {len(buffer)}"
+            f" bytes and the {SUB_BATCH}-record sub-batch"
+        )
     if count == 0:
         _check_consumed(buffer, 8)
         return (), (), (), 0

@@ -193,7 +193,8 @@ class EngineSettings:
     ``build`` constructs a fresh engine (serial by default; worker processes
     when ``workers`` is set), ``resume`` restores one from a
     checkpoint directory — under *any* worker count, which the manifest is
-    validated against before paying for the restore, mirroring the CLI.
+    validated against before paying for the restore.  ``swsample engine``
+    and ``swsample serve`` both build their engines through this recipe.
     """
 
     spec: SamplerSpec
@@ -203,7 +204,6 @@ class EngineSettings:
     idle_ttl: Optional[int] = None
     track_occurrences: bool = False
     workers: Optional[int] = None
-    max_batch: Optional[int] = None
     supervise: bool = False
     wal_dir: Optional[str] = None
     wal_fsync: str = "batch"
@@ -249,8 +249,6 @@ class EngineSettings:
             registry=registry,
         )
         if self.workers is not None:
-            if self.max_batch is not None:
-                config["max_batch"] = self.max_batch
             config.update(self._durability(wal_dir))
             return ProcessEngine(self.spec, workers=self.workers, **config)
         return ShardedEngine(self.spec, **config)
@@ -266,7 +264,6 @@ class EngineSettings:
         return load_checkpoint(
             path,
             workers=self.workers,
-            max_batch=self.max_batch,
             registry=registry,
             **self._durability(wal_dir),
         )

@@ -92,6 +92,10 @@ MALFORMED_PAYLOADS = {
     ),
     "trailing-bytes": _payload(3, _KEYS, b"b" + bytes([4, 5, 6]), b"n", b"\x00"),
     "empty-batch-trailing-bytes": _payload(0, b"n"),
+    # All-None columns cost no bytes per record, so only a bound on the
+    # header count keeps these 11 bytes from decoding into huge columns.
+    "count-beyond-payload-and-sub-batch": _payload(200_000, b"n", b"n", b"n"),
+    "count-uint32-max": _payload(2**32 - 1, b"n", b"n", b"n"),
 }
 
 
@@ -105,29 +109,60 @@ def pytest_generate_tests(metafunc):
         )
 
 
-def _fleet_overrides(fleet: str, tmp_path) -> dict:
+@pytest.fixture
+def sizing(monkeypatch):
+    """``sizing(sub_batch=None, queue_depth=None, sweep_interval=None)``:
+    shrink the write path's sizing constants for the rest of one test —
+    the router's shard sub-batch, a worker inbox's capacity in messages and
+    a pool's ticks between ``idle_ttl`` sweeps.  Engines built afterwards
+    use the new sizes."""
+
+    def resize(sub_batch=None, queue_depth=None, sweep_interval=None):
+        for target, size in (
+            ("repro.engine.engine._SUB_BATCH", sub_batch),
+            ("repro.engine.executor._QUEUE_DEPTH", queue_depth),
+            ("repro.engine.pool._SWEEP_INTERVAL", sweep_interval),
+        ):
+            if size is not None:
+                monkeypatch.setattr(target, size)
+
+    return resize
+
+
+def _fleet_overrides(fleet: str, tmp_path, sizing) -> dict:
     """``ProcessEngine`` options for one column of the dispatch-path matrices.
 
     Every sub-batch crosses to its worker as one columnar payload; what
     varies is whether a supervised fleet journals it to a WAL first
     (``supervised-wal``, a fresh journal directory per engine), whether one
     worker owns every shard (``one-worker``), and how small the sub-batches
-    are cut (``small-batch``).  ``columnar`` is the plain fleet.
+    are cut (``small-batch``, 3 records through the ``sizing`` fixture).
+    ``columnar`` is the plain fleet.
     """
     if fleet == "supervised-wal":
         return {"supervise": True, "wal_dir": tempfile.mkdtemp(dir=tmp_path)}
-    return {"columnar": {}, "one-worker": {"workers": 1}, "small-batch": {"max_batch": 3}}[fleet]
+    if fleet == "small-batch":
+        sizing(sub_batch=3)
+        return {}
+    return {"columnar": {}, "one-worker": {"workers": 1}}[fleet]
 
 
 @pytest.fixture
-def fleet_options(tmp_path):
-    """``fleet_options(fleet, **options)``: ``options`` with one fleet
-    column's overrides applied (see :func:`_fleet_overrides`)."""
-    return lambda fleet, **options: {**options, **_fleet_overrides(fleet, tmp_path)}
+def fleet_options(tmp_path, sizing):
+    """``fleet_options(fleet, sub_batch=None, queue_depth=None, **options)``:
+    ``options`` with one fleet column's overrides applied (see
+    :func:`_fleet_overrides`), after ``sub_batch``/``queue_depth`` are handed
+    to the ``sizing`` fixture — so ``small-batch`` still cuts 3 records."""
+
+    def options(fleet, sub_batch=None, queue_depth=None, **options):
+        sizing(sub_batch=sub_batch, queue_depth=queue_depth)
+        return {**options, **_fleet_overrides(fleet, tmp_path, sizing)}
+
+    return options
 
 
 @pytest.fixture
-def factory(request, tmp_path):
+def factory(request, tmp_path, sizing):
     """Engine factory ``factory(spec, **options)`` for an indirectly
     parametrized executor column: ``"serial"``, ``"process"`` (a plain
     two-worker fleet) or ``"process-<fleet>"`` (see :func:`_fleet_overrides`)."""
@@ -138,7 +173,7 @@ def factory(request, tmp_path):
 
     def build(spec, **options):
         return ProcessEngine(
-            spec, **{"workers": 2, **options, **_fleet_overrides(fleet, tmp_path)}
+            spec, **{"workers": 2, **options, **_fleet_overrides(fleet, tmp_path, sizing)}
         )
 
     return build

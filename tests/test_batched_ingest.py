@@ -183,12 +183,13 @@ class TestPoolBatchedIngest:
         assert capped_loop.state_dict() == capped_batch.state_dict()
         assert capped_loop.evictions == capped_batch.evictions > 0
 
-    def test_ttl_pool_falls_back_to_exact_sweep_timing(self):
+    def test_ttl_pool_falls_back_to_exact_sweep_timing(self, sizing):
         batch = self.records(count=9000, keys=30)
-        ttl_loop = KeyedSamplerPool(self.SPEC, seed=9, idle_ttl=500, sweep_interval=128)
+        sizing(sweep_interval=128)
+        ttl_loop = KeyedSamplerPool(self.SPEC, seed=9, idle_ttl=500)
         for key, value, timestamp in batch:
             ttl_loop.append(key, value, timestamp)
-        ttl_batch = KeyedSamplerPool(self.SPEC, seed=9, idle_ttl=500, sweep_interval=128)
+        ttl_batch = KeyedSamplerPool(self.SPEC, seed=9, idle_ttl=500)
         ttl_batch.extend_batch(batch)
         assert ttl_loop.state_dict() == ttl_batch.state_dict()
 
@@ -253,20 +254,21 @@ class TestEngineBatchedIngest:
         serial = ShardedEngine(spec, shards=8, seed=3)
         serial.ingest(records)
         with ProcessEngine(
-            spec, **fleet_options(fleet, shards=8, seed=3, workers=3, max_batch=256)
+            spec, **fleet_options(fleet, shards=8, seed=3, workers=3, sub_batch=256)
         ) as engine:
             engine.ingest(records)
             assert engine.state_dict() == serial.state_dict()
 
-    def test_eviction_engine_matches_across_executors(self):
+    def test_eviction_engine_matches_across_executors(self, sizing):
         """Capped engines route through the per-record fallback everywhere,
         so serial and process fleets still agree bit-for-bit."""
         spec = SamplerSpec(window="sequence", n=32, k=2)
         records = [(f"key-{index % 64}", index) for index in range(4000)]
         serial = ShardedEngine(spec, shards=4, seed=5, max_keys_per_shard=6)
         serial.ingest(records)
+        sizing(sub_batch=128)
         with ProcessEngine(
-            spec, shards=4, seed=5, workers=2, max_keys_per_shard=6, max_batch=128
+            spec, shards=4, seed=5, workers=2, max_keys_per_shard=6
         ) as process:
             process.ingest(records)
             assert process.state_dict() == serial.state_dict()

@@ -53,12 +53,18 @@ def keyed_records(count, keys=37, seed=5):
             build_keyed_workload("keyed-zipf", count, num_keys=keys, rng=seed)]
 
 
+@pytest.fixture(autouse=True)
+def small_sub_batches(sizing):
+    """Every fleet here cuts 64-record sub-batches, so a few thousand
+    records cross as dozens of dispatches for the kill points to land in."""
+    sizing(sub_batch=64)
+
+
 def supervised(tmp_path, **overrides):
     config = dict(
         shards=8,
         seed=1,
         workers=2,
-        max_batch=64,
         supervise=True,
         wal_dir=str(tmp_path / "wal"),
         restart_policy=FAST_POLICY,

@@ -260,34 +260,13 @@ class TestEngineStreamingAndWorkers:
         assert main(["engine", "--resume", path, "--records", "100", "--kernel", "numpy"]) == 2
         assert "--kernel cannot be combined with --resume" in capsys.readouterr().err
 
-    def test_engine_max_batch_requires_workers(self, capsys):
-        assert main(["engine", "--records", "100", "--keys", "5", "--max-batch", "64"]) == 2
-        assert "--max-batch requires --workers" in capsys.readouterr().err
-        assert main(
-            ["engine", "--records", "100", "--keys", "5", "--workers", "2", "--max-batch", "0"]
-        ) == 2
-        assert "--max-batch must be positive" in capsys.readouterr().err
-
-    def test_engine_max_batch_reaches_resumed_engines(self, capsys, tmp_path):
-        path = str(tmp_path / "engine.ckpt")
-        assert main(["engine", "--records", "500", "--keys", "10", "--checkpoint", path]) == 0
-        capsys.readouterr()
-        from repro.engine import load_checkpoint
-
-        engine = load_checkpoint(path, workers=2, max_batch=64)
-        try:
-            assert engine._max_batch == 64
-        finally:
-            engine.close()
-        assert main(["engine", "--resume", path, "--records", "100", "--workers", "2",
-                     "--max-batch", "64"]) == 0
-
-    def test_engine_max_batch_with_workers_runs(self, capsys):
-        assert main(
-            ["engine", "--records", "2000", "--keys", "50", "--workers", "2",
-             "--max-batch", "128", "--seed", "3"]
-        ) == 0
-        assert "2 process workers" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["engine", "serve"])
+    def test_max_batch_is_not_a_flag(self, capsys, command):
+        # The dispatch sub-batch size is a module constant, not a flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", "2", "--max-batch", "64"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-batch" in capsys.readouterr().err
 
     def test_engine_rejects_more_workers_than_shards(self, capsys):
         # Pre-PR-3 this silently clamped; now the misconfiguration is loud.

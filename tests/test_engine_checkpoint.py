@@ -19,7 +19,6 @@ from repro.engine import (
     SamplerSpec,
     ShardedEngine,
     load_checkpoint,
-    save_checkpoint,
     write_checkpoint,
 )
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -138,7 +137,7 @@ class TestCheckpointFiles:
         engine.ingest(
             [(f"flow-{index % 9}", index, index * 0.25) for index in range(4_000)]
         )
-        path = save_checkpoint(engine, tmp_path / "engine.ckpt")
+        path = write_checkpoint(engine, tmp_path / "engine.ckpt").path
         restored = load_checkpoint(path)
         assert restored.now == engine.now
         for key in engine.keys():
@@ -148,9 +147,9 @@ class TestCheckpointFiles:
         engine = make_engine()
         engine.append("a", 1)
         path = tmp_path / "engine.ckpt"
-        save_checkpoint(engine, path)
+        write_checkpoint(engine, path)
         engine.append("a", 2)
-        save_checkpoint(engine, path)
+        write_checkpoint(engine, path)
         assert load_checkpoint(path).sampler_for("a").total_arrivals == 2
         assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
@@ -170,7 +169,7 @@ class TestCheckpointFiles:
         spec = SamplerSpec(window="sequence", n=25, k=3, replacement=True)
         engine = make_engine(spec=spec, track_occurrences=True)
         engine.ingest([("a", value) for value in range(100)])
-        path = save_checkpoint(engine, tmp_path / "engine.ckpt")
+        path = write_checkpoint(engine, tmp_path / "engine.ckpt").path
         restored = load_checkpoint(path)
         assert restored.per_key_moments(1.0) == engine.per_key_moments(1.0) == {"a": 25.0}
 

@@ -34,10 +34,11 @@ def interleaved_records():
 
 
 class TestProcessEngineUniformity:
-    def test_wr_per_key_samples_uniform_over_window_positions(self):
+    def test_wr_per_key_samples_uniform_over_window_positions(self, sizing):
         """χ² uniformity of k=1 WR draws pooled across 800 engine keys."""
         spec = SamplerSpec(window="sequence", n=WINDOW, k=1, replacement=True)
-        with ProcessEngine(spec, shards=8, workers=4, seed=29, max_batch=512) as engine:
+        sizing(sub_batch=512)
+        with ProcessEngine(spec, shards=8, workers=4, seed=29) as engine:
             engine.ingest(interleaved_records())
             observations = []
             for key in range(KEYS):
@@ -46,10 +47,11 @@ class TestProcessEngineUniformity:
         report = assess_uniformity(observations, list(range(WINDOW)))
         assert report.passes, report
 
-    def test_wor_per_key_inclusions_uniform(self):
+    def test_wor_per_key_inclusions_uniform(self, sizing):
         """Every window position equally likely to enter a k=6 WoR sample."""
         spec = SamplerSpec(window="sequence", n=WINDOW, k=6, replacement=False)
-        with ProcessEngine(spec, shards=8, workers=4, seed=31, max_batch=512) as engine:
+        sizing(sub_batch=512)
+        with ProcessEngine(spec, shards=8, workers=4, seed=31) as engine:
             engine.ingest(interleaved_records())
             pooled = []
             for key in range(KEYS):

@@ -141,16 +141,18 @@ class TestEviction:
         pool.append("c", 1)
         assert "a" not in pool and "b" in pool and "c" in pool
 
-    def test_ttl_sweep_evicts_idle_keys(self):
-        pool = KeyedSamplerPool(seq_spec(), seed=1, idle_ttl=10, sweep_interval=1)
+    def test_ttl_sweep_evicts_idle_keys(self, sizing):
+        sizing(sweep_interval=1)
+        pool = KeyedSamplerPool(seq_spec(), seed=1, idle_ttl=10)
         pool.append("idle", 1)
         for tick in range(15):
             pool.append("busy", tick)
         assert "idle" not in pool and "busy" in pool
         assert pool.evictions == 1
 
-    def test_explicit_sweep_and_discard(self):
-        pool = KeyedSamplerPool(seq_spec(), seed=1, idle_ttl=5, sweep_interval=10**9)
+    def test_explicit_sweep_and_discard(self, sizing):
+        sizing(sweep_interval=10**9)
+        pool = KeyedSamplerPool(seq_spec(), seed=1, idle_ttl=5)
         pool.append("x", 1)
         for tick in range(8):
             pool.append("y", tick)
@@ -166,8 +168,9 @@ class TestEviction:
             KeyedSamplerPool(seq_spec(), max_keys=0)
         with pytest.raises(ConfigurationError):
             KeyedSamplerPool(seq_spec(), idle_ttl=-1)
-        with pytest.raises(ConfigurationError):
-            KeyedSamplerPool(seq_spec(), sweep_interval=0)
+        # The sweep interval is a module constant, not an option.
+        with pytest.raises(TypeError):
+            KeyedSamplerPool(seq_spec(), sweep_interval=4096)
 
 
 class TestMemoryAccounting:

@@ -82,11 +82,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ProcessEngine(SEQ_SPEC, workers=0)
 
-    def test_rejects_nonpositive_queue_depth_and_batch(self):
-        with pytest.raises(ConfigurationError):
-            ProcessEngine(SEQ_SPEC, workers=1, queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            ProcessEngine(SEQ_SPEC, workers=1, max_batch=0)
+    def test_sizing_is_not_an_option(self):
+        # The sub-batch and inbox sizes are module constants; the options
+        # are gone, so passing one fails before any worker is spawned.
+        with pytest.raises(TypeError):
+            ProcessEngine(SEQ_SPEC, workers=1, queue_depth=8)
+        with pytest.raises(TypeError):
+            ProcessEngine(SEQ_SPEC, workers=1, max_batch=4096)
 
     def test_workers_clamped_to_shard_count(self):
         with ProcessEngine(SEQ_SPEC, shards=2, workers=16) as engine:
@@ -141,7 +143,7 @@ class TestCrossExecutorEquivalence:
         serial.ingest(records)
         expected = serial.state_dict()
         with ProcessEngine(
-            spec, **fleet_options(fleet, shards=8, seed=13, workers=3, max_batch=64)
+            spec, **fleet_options(fleet, shards=8, seed=13, workers=3, sub_batch=64)
         ) as process:
             process.ingest(records)
             # state_dict captures every candidate, counter and generator
@@ -151,25 +153,27 @@ class TestCrossExecutorEquivalence:
             assert process.now == serial.now
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
-    def test_every_worker_count_matches_serial(self, workers):
+    def test_every_worker_count_matches_serial(self, workers, sizing):
         # 8 shards over 3 or 5 workers is an uneven split: some workers own
         # two shards, some one.  Ownership must never show in the state.
         records = keyed_records(3_000)
         serial = ShardedEngine(SEQ_SPEC, shards=8, seed=21)
         serial.ingest(records)
+        sizing(sub_batch=32)
         with ProcessEngine(
-            SEQ_SPEC, shards=8, seed=21, workers=workers, max_batch=32
+            SEQ_SPEC, shards=8, seed=21, workers=workers
         ) as engine:
             assert engine.workers == workers
             engine.ingest(records)
             assert engine.state_dict() == serial.state_dict()
 
-    def test_one_worker_equals_many_workers(self):
+    def test_one_worker_equals_many_workers(self, sizing):
         records = keyed_records(4_000)
         states = []
+        sizing(sub_batch=32)
         for workers in (1, 3):
             with ProcessEngine(
-                SEQ_SPEC, shards=8, seed=21, workers=workers, max_batch=32
+                SEQ_SPEC, shards=8, seed=21, workers=workers
             ) as engine:
                 for start in range(0, len(records), 500):
                     engine.ingest(records[start : start + 500])
@@ -392,12 +396,12 @@ class TestClockContract:
 class TestBackpressureAndBarrier:
     @pytest.mark.parametrize("fleet", FLEETS)
     def test_tiny_queues_lose_nothing(self, fleet, fleet_options):
-        # queue_depth=1 and max_batch=8 force constant producer blocking on
-        # the bounded multiprocessing inboxes.
+        # One-message inboxes and 8-record sub-batches force constant
+        # producer blocking on the bounded multiprocessing inboxes.
         with ProcessEngine(
             SEQ_SPEC,
             **fleet_options(
-                fleet, shards=4, workers=2, seed=3, queue_depth=1, max_batch=8
+                fleet, shards=4, workers=2, seed=3, queue_depth=1, sub_batch=8
             ),
         ) as engine:
             records = keyed_records(5_000, keys=50)
@@ -411,13 +415,13 @@ class TestBackpressureAndBarrier:
             engine.flush()
             assert engine.total_arrivals == 1
 
-    def test_queue_depth_gauge_counts_undrained_messages(self):
+    def test_queue_depth_gauge_counts_undrained_messages(self, sizing):
         # Stopped workers cannot drain their inboxes, so every sub-batch the
         # coordinator sends must show in the executor.queue.depth gauge.
         registry = MetricsRegistry()
+        sizing(queue_depth=16, sub_batch=8)
         engine = ProcessEngine(
-            SEQ_SPEC, shards=2, workers=2, seed=3, queue_depth=16, max_batch=8,
-            registry=registry,
+            SEQ_SPEC, shards=2, workers=2, seed=3, registry=registry,
         )
         depth = lambda: registry.snapshot()["gauges"]["executor.queue.depth"]
         try:
@@ -502,7 +506,7 @@ class TestThreadedStress:
         engine = ProcessEngine(
             TS_SPEC,
             **fleet_options(
-                fleet, shards=8, workers=4, seed=11, queue_depth=2, max_batch=64
+                fleet, shards=8, workers=4, seed=11, queue_depth=2, sub_batch=64
             ),
         )
         errors = []
@@ -576,12 +580,11 @@ class TestWorkerDeath:
         assert engine.closed
         assert all(not process.is_alive() for process in engine._processes)
 
-    def test_killed_worker_under_backpressure_does_not_deadlock(self):
+    def test_killed_worker_under_backpressure_does_not_deadlock(self, sizing):
         # The victim's inbox is full and never drains; the producer must
         # detect the death inside its blocking put and raise, not hang.
-        engine = ProcessEngine(
-            SEQ_SPEC, shards=2, workers=2, seed=3, queue_depth=1, max_batch=4
-        )
+        sizing(queue_depth=1, sub_batch=4)
+        engine = ProcessEngine(SEQ_SPEC, shards=2, workers=2, seed=3)
         try:
             engine.ingest(keyed_records(200))
             engine.flush()

@@ -203,16 +203,17 @@ class TestNumpyResume:
         restored.ingest(records[2000:])
         assert restored.state_dict() == uninterrupted.state_dict()
 
-    def test_supervised_recovery_is_exact(self, tmp_path):
+    def test_supervised_recovery_is_exact(self, tmp_path, sizing):
         # A worker killed after a checkpoint is restored from it and replays
         # the journal: the numpy draws must continue, not restart.
         spec = SamplerSpec(window="sequence", n=40, k=4, replacement=False, kernel="numpy")
         policy = RestartPolicy(max_restarts=5, backoff_base=0.01, backoff_cap=0.05)
         records = [(f"key-{value % 37}", value) for value in range(4000)]
+        sizing(sub_batch=64)
 
         def run(name, crash):
             with ProcessEngine(
-                spec, shards=8, seed=1, workers=2, max_batch=64, supervise=True,
+                spec, shards=8, seed=1, workers=2, supervise=True,
                 wal_dir=str(tmp_path / name / "wal"), restart_policy=policy,
             ) as engine:
                 engine.ingest(records[:2000])
@@ -311,14 +312,35 @@ class TestEngineKernelReporting:
             engine.close()
 
 
+@needs_numpy
+class TestNumpyWorkerCounts:
+    """What ``kernel="numpy"`` promises across executors: the kernels draw
+    once per ``process_batch`` call, so a key's samples depend on how its
+    records are cut into runs.  The router cuts per-shard sub-batches the
+    same way whoever owns the shard, so every worker count agrees; the
+    serial engine's grouped loop feeds whole-call runs and need not."""
+
+    def test_worker_count_does_not_change_a_numpy_fleet(self):
+        source = random.Random(23)
+        records = [(f"key-{source.randrange(23)}", value) for value in range(20_000)]
+        spec = SamplerSpec(window="sequence", n=64, k=4, kernel="numpy")
+        states = []
+        for workers in (1, 2, 4):
+            with ProcessEngine(spec, shards=4, seed=1, workers=workers) as engine:
+                engine.ingest(records)
+                states.append(engine.state_dict())
+        assert states[0] == states[1] == states[2]
+
+
 class TestWorkerBackedChunkMetrics:
     """The process engine's ingest path must emit the same chunk
     instruments the serial path does."""
 
-    def test_parallel_ingest_emits_chunk_metrics(self):
+    def test_parallel_ingest_emits_chunk_metrics(self, sizing):
         registry = MetricsRegistry()
         spec = SamplerSpec(window="sequence", n=16, k=2)
-        engine = ProcessEngine(spec, shards=4, workers=2, registry=registry, max_batch=64)
+        sizing(sub_batch=64)
+        engine = ProcessEngine(spec, shards=4, workers=2, registry=registry)
         try:
             engine.ingest([(f"key-{value % 7}", value) for value in range(1000)])
             engine.flush()
@@ -330,11 +352,12 @@ class TestWorkerBackedChunkMetrics:
         assert histogram["count"] > 0
         assert histogram["sum"] >= 0.0
 
-    def test_uninstrumented_ingest_pays_nothing(self):
+    def test_uninstrumented_ingest_pays_nothing(self, sizing):
         # No registry: the chunk instruments are null and the path must not
         # observe into them (guarded by the same enabled flag as serial).
         spec = SamplerSpec(window="sequence", n=16, k=2)
-        engine = ProcessEngine(spec, shards=2, workers=2, max_batch=64)
+        sizing(sub_batch=64)
+        engine = ProcessEngine(spec, shards=2, workers=2)
         try:
             engine.ingest([("a", value) for value in range(500)])
             engine.flush()

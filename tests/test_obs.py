@@ -486,11 +486,10 @@ class TestEngineInstrumentation:
             "counters": {}, "gauges": {}, "histograms": {},
         }
 
-    def test_pool_eviction_split_lru_vs_ttl(self):
+    def test_pool_eviction_split_lru_vs_ttl(self, sizing):
         registry = MetricsRegistry()
-        pool = KeyedSamplerPool(
-            SPEC, seed=1, max_keys=2, idle_ttl=3, sweep_interval=1, registry=registry
-        )
+        sizing(sweep_interval=1)
+        pool = KeyedSamplerPool(SPEC, seed=1, max_keys=2, idle_ttl=3, registry=registry)
         for key in ("a", "b", "c"):  # third key trips the LRU cap
             pool.append(key, 1)
         assert pool.evictions_lru == 1

@@ -148,12 +148,11 @@ class TestProcessEngineTransport:
     def records(self):
         return [(f"key-{index % 97}", index % 512) for index in range(8000)]
 
-    def test_columnar_fleet_bit_identical_to_serial(self):
+    def test_columnar_fleet_bit_identical_to_serial(self, sizing):
         serial = ShardedEngine(self.SPEC, shards=4, seed=7)
         serial.ingest(self.records())
-        with ProcessEngine(
-            self.SPEC, shards=4, seed=7, workers=2, max_batch=512
-        ) as engine:
+        sizing(sub_batch=512)
+        with ProcessEngine(self.SPEC, shards=4, seed=7, workers=2) as engine:
             engine.ingest(self.records())
             assert engine.state_dict() == serial.state_dict()
 
@@ -163,10 +162,9 @@ class TestProcessEngineTransport:
         with pytest.raises(TypeError):
             ProcessEngine(self.SPEC, shards=2, workers=1, transport=transport)
 
-    def test_transport_report_breaks_down_stages(self):
-        with ProcessEngine(
-            self.SPEC, shards=4, seed=7, workers=2, max_batch=512
-        ) as engine:
+    def test_transport_report_breaks_down_stages(self, sizing):
+        sizing(sub_batch=512)
+        with ProcessEngine(self.SPEC, shards=4, seed=7, workers=2) as engine:
             engine.ingest(self.records())
             report = engine.transport_report()
         assert set(report) == {
@@ -174,7 +172,7 @@ class TestProcessEngineTransport:
             "dispatch_seconds", "decode_seconds", "apply_seconds", "workers",
         }
         assert report["records"] == 8000
-        assert report["batches"] >= 4  # 8000 records / 512 max_batch over shards
+        assert report["batches"] >= 4  # 8000 records in 512-record sub-batches
         assert report["encoded_bytes"] > 0
         for stage in ("encode_seconds", "dispatch_seconds", "decode_seconds", "apply_seconds"):
             assert report[stage] >= 0.0
