@@ -47,9 +47,9 @@ Usage::
 
 ``--kernel numpy`` (requires the ``[fast]`` extra) adds the vectorized-kernel
 rows: an E7 ``kernel`` timing per sampler family with the floor-guarded
-``speedup_numpy`` ratio (batched python time over kernel time), an E11
-serial kernel row, and the process-engine apply-seconds split between the
-python and numpy kernels.  ``--cores N`` appends an
+``speedup_numpy`` ratio (batched python time over kernel time).  The
+kernels are a standalone-sampler option, so the E11 engine rows always run
+the engine's one (python) apply path.  ``--cores N`` appends an
 advisory multi-core process row at N workers (skipped with a note on smaller
 hosts).
 """
@@ -90,7 +90,7 @@ from repro.engine import (  # noqa: E402
     write_checkpoint,
 )
 from repro.engine.engine import _unpack_record  # noqa: E402
-from repro.engine.kernels import HAS_NUMPY, resolve_kernel  # noqa: E402
+from repro.core.kernels import HAS_NUMPY, resolve_kernel  # noqa: E402
 from repro.exceptions import ConfigurationError  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.streams.workloads import build_keyed_workload  # noqa: E402
@@ -277,8 +277,8 @@ def e11_records(quick: bool) -> List[Any]:
     return warmup + bulk
 
 
-def e11_spec(kernel: str = "python") -> SamplerSpec:
-    return SamplerSpec(window="sequence", n=256, k=4, replacement=True, kernel=kernel)
+def e11_spec() -> SamplerSpec:
+    return SamplerSpec(window="sequence", n=256, k=4, replacement=True)
 
 
 def per_record_ingest(engine: ShardedEngine, records: List[Any]) -> None:
@@ -294,7 +294,7 @@ def per_record_ingest(engine: ShardedEngine, records: List[Any]) -> None:
 _OBS_SLICE = 32_768
 
 
-def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, Any]:
+def bench_e11_serial(records: List[Any]) -> Dict[str, Any]:
     count = len(records)
     before = ShardedEngine(e11_spec(), shards=8, seed=3)
     t_before = timed(lambda: per_record_ingest(before, records))
@@ -302,10 +302,6 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
     t_batched = timed(lambda: batched.ingest(records))
     if batched.state_dict() != before.state_dict():
         raise AssertionError("batched ingest diverged from the per-record reference")
-    t_kernel = None
-    if kernel == "numpy":
-        kern = ShardedEngine(e11_spec(kernel="numpy"), shards=8, seed=3)
-        t_kernel = timed(lambda: kern.ingest(records))
     keys = batched.key_count
     state_bytes = len(pickle.dumps(batched.state_dict(), pickle.HIGHEST_PROTOCOL))
     result = {
@@ -314,23 +310,13 @@ def bench_e11_serial(records: List[Any], kernel: str = "python") -> Dict[str, An
         "state_bytes_per_key": round(state_bytes / keys, 1),
         "per_record_krps": round(count / t_before / 1e3, 1),
         "batched_krps": round(count / t_batched / 1e3, 1),
-        "kernel_krps": round(count / t_kernel / 1e3, 1) if t_kernel else None,
         "speedup_batched": round(t_before / t_batched, 3),
-        # Informational only (not guarded): the keyed-engine stream spreads
-        # records over ~10k samplers, so per-key lane batches are a few
-        # records wide and numpy's per-call overhead can eat the win
-        # entirely (<= 1x is normal here).  The guarded floors live in E7,
-        # where the lanes are wide enough to vectorize.
-        "speedup_numpy": round(t_batched / t_kernel, 3) if t_kernel else None,
     }
-    line = (
+    print(
         f"[E11] serial: per-record {result['per_record_krps']} krec/s"
         f" | batched {result['batched_krps']} krec/s ({result['speedup_batched']:.2f}x)"
         f" | state {result['state_bytes_per_key']} B/key"
     )
-    if t_kernel:
-        line += f" | kernel {result['kernel_krps']} krec/s ({result['speedup_numpy']:.2f}x over batched)"
-    print(line)
     return result
 
 
@@ -422,15 +408,13 @@ def bench_e11_transport(records: List[Any]) -> Dict[str, Any]:
 def bench_e11_process(
     records: List[Any],
     quick: bool,
-    kernel: str = "python",
     workers: int = 2,
     embed_metrics: bool = True,
 ) -> Dict[str, Any]:
     subset = records[: 60_000 if quick else 200_000]
     registry = MetricsRegistry()
     with ProcessEngine(
-        e11_spec(kernel=kernel), shards=8, seed=3, workers=workers,
-        registry=registry,
+        e11_spec(), shards=8, seed=3, workers=workers, registry=registry,
     ) as engine:
         elapsed = timed(lambda: (engine.ingest(subset), engine.flush()))
         report = engine.transport_report()
@@ -445,7 +429,6 @@ def bench_e11_process(
         "keys": keys,
         "workers": workers,
         "cores": os.cpu_count() or 1,
-        "kernel": report["kernel"],
         "krps": round(len(subset) / elapsed / 1e3, 1),
         "encoded_bytes_per_record": round(report["encoded_bytes"] / report["records"], 3),
         "stage_seconds": stages,
@@ -456,31 +439,8 @@ def bench_e11_process(
         result["metrics"] = snapshot
     print(
         "[E11] process"
-        f" (workers={workers}, {result['cores']} core(s), kernel={result['kernel']}):"
+        f" (workers={workers}, {result['cores']} core(s)):"
         f" {result['krps']} krec/s, stages {stages}"
-    )
-    return result
-
-
-def bench_e11_kernel_apply(records: List[Any], quick: bool) -> Dict[str, Any]:
-    """Apply-seconds split before/after the vectorized kernel, on the real
-    ProcessEngine: the same stream through workers on the python kernel
-    (the *before*) and on the numpy kernel (the *after*).  Advisory — the
-    guarded kernel floors live in E7, where the lanes are wide enough for
-    the ratio to be stable on 1-core runners."""
-    before = bench_e11_process(records, quick, embed_metrics=False)
-    after = bench_e11_process(records, quick, kernel="numpy", embed_metrics=False)
-    apply_before = before["stage_seconds"]["apply_seconds"]
-    apply_after = after["stage_seconds"]["apply_seconds"]
-    result = {
-        "python": {"krps": before["krps"], "apply_seconds": apply_before},
-        "numpy": {"krps": after["krps"], "apply_seconds": apply_after},
-        "apply_speedup_numpy": round(apply_before / apply_after, 3) if apply_after else None,
-    }
-    print(
-        f"[E11] kernel apply split: python {apply_before}s"
-        f" vs numpy {apply_after}s"
-        f" ({result['apply_speedup_numpy']}x apply)"
     )
     return result
 
@@ -663,9 +623,8 @@ def meta(quick: bool, kernel: str = "python") -> Dict[str, Any]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
-        # The kernel the run was invoked with.  The default process/serial
-        # rows always use the python kernel so they stay comparable across
-        # baselines; kernel rows are additive.
+        # The kernel the run was invoked with: it adds the E7 kernel rows.
+        # The E11 engine rows always run the python apply path.
         "kernel": kernel,
         "numpy_available": HAS_NUMPY,
     }
@@ -681,7 +640,7 @@ def run(
     e7 = {"experiment": "E7", "meta": meta(quick, kernel), "results": bench_e7(quick, kernel)}
     records = e11_records(quick)
     e11_results: Dict[str, Any] = {
-        "serial": bench_e11_serial(records, kernel),
+        "serial": bench_e11_serial(records),
         "obs": bench_obs(records),
         "transport": bench_e11_transport(records),
     }
@@ -689,8 +648,6 @@ def run(
         e11_results["query"] = bench_query(records, quick)
         e11_results["recovery"] = bench_recovery(records, quick)
         e11_results["process"] = bench_e11_process(records, quick)
-        if kernel == "numpy":
-            e11_results["process_kernel"] = bench_e11_kernel_apply(records, quick)
         if cores is not None:
             e11_results["multicore"] = bench_multicore(records, quick, cores)
     e11 = {"experiment": "E11", "meta": meta(quick, kernel), "results": e11_results}
@@ -816,7 +773,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--kernel", choices=["python", "numpy"], default="python",
-        help="apply-path kernel for the additive kernel rows (default: python;"
+        help="sampler kernel for the additive E7 kernel rows (default: python;"
         " 'numpy' fails loudly without the [fast] extra)",
     )
     parser.add_argument(

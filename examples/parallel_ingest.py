@@ -6,10 +6,8 @@ A day in the life of a production fleet:
 1. stream a JSONL click feed through a :class:`repro.engine.ProcessEngine`
    — shards resident in worker processes, so sampler updates run on as many
    cores as there are workers;
-2. prove the process fleet is *bit-identical* to a serial one — under the
-   default ``kernel="python"`` workers are a throughput knob, never a
-   correctness knob (``kernel="numpy"`` fleets agree across worker counts,
-   not with the serial engine);
+2. prove the process fleet is *bit-identical* to a serial one — workers
+   are a throughput knob, never a correctness knob;
 3. take an incremental checkpoint (each worker process writes its own
    segments), absorb a hot-tenant burst that touches a few shards,
    checkpoint again and watch only the dirty segments rewrite;
@@ -95,7 +93,7 @@ def main() -> None:
                   f"({resumed.total_arrivals:,} total arrivals)")
 
     print()
-    print("Under the python kernel, workers change wall-clock, never samples;")
+    print("Workers change wall-clock, never samples;")
     print("checkpoints pay only for the shards that changed, and any engine")
     print("restores them.")
 

@@ -134,10 +134,9 @@ kept only as the reference semantics:
   sampler's batched path; engines with an eviction policy fall back to
   per-record routing so LRU/TTL decisions never change.  The process
   engine applies the same grouping inside each shard worker.
-* **Vectorized kernels (optional).**  ``pip install 'swsample[fast]'``
-  pulls in numpy and unlocks :mod:`repro.engine.kernels`: constructing a
-  sampler or :class:`~repro.engine.SamplerSpec` with ``kernel="numpy"``
-  (CLI: ``swsample engine/serve --kernel numpy``) vectorizes the batch
+* **Vectorized kernels (optional, standalone samplers).**  ``pip install
+  'swsample[fast]'`` pulls in numpy and unlocks :mod:`repro.core.kernels`:
+  constructing a sampler with ``kernel="numpy"`` vectorizes the batch
   draws across whole lanes — closed-form reservoir-transition draws for
   seq-WR, hypergeometric splits for WOR, width-weighted canonical rebuilds
   plus searchsorted run-splitting for the timestamp automata.  The
@@ -145,9 +144,9 @@ kept only as the reference semantics:
   path tier-1 CI needs; numpy results are distributionally exact (gated
   by χ²+KS suites) but draw different randomness, and ``kernel="numpy"``
   without numpy fails loudly at construction.  A numpy sampler's snapshot
-  carries its numpy generator, so it resumes exactly.  Engines report the
-  active kernel in ``stats()`` / ``transport_report()`` and as the
-  ``engine.kernel.numpy`` gauge.
+  carries its numpy generator, so it resumes exactly.  Engines always run
+  the python path: a key's sampler sees too few records per call for the
+  kernels to pay, and ``import repro`` never loads numpy.
 * **Process transport** packs each dispatched sub-batch into one columnar
   struct-packed buffer (:mod:`repro.engine.transport`) instead of pickling
   tuple lists — roughly half the bytes per record on typical int-keyed

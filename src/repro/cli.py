@@ -75,13 +75,6 @@ def _add_engine_recipe_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker flavour for --workers: 'process' (the only one, and the"
         " default)",
     )
-    parser.add_argument(
-        "--kernel", choices=["python", "numpy"], default="python",
-        help="batched-ingest kernel for the optimal samplers: 'python' (the"
-        " bit-identity reference) or 'numpy' (vectorized kernels,"
-        " statistically exact but not bit-identical; requires the [fast]"
-        " extra and fails loudly without it)",
-    )
     parser.add_argument("--max-keys-per-shard", type=int, default=None, help="LRU cap per shard")
     parser.add_argument("--idle-ttl", type=int, default=None, help="evict keys idle this many ticks")
     parser.add_argument("--seed", type=int, default=0)
@@ -358,7 +351,7 @@ def _run_query_file(engine: "object", path: str, *, stdin_taken: bool) -> int:
 
 def _validate_recipe_flags(args: argparse.Namespace, *, fresh: bool) -> Optional[str]:
     """Cross-flag validation of the engine recipe (shared by ``engine`` and
-    ``serve``): the worker layout and the kernel, then the durability flags.
+    ``serve``): the worker layout, then the durability flags.
     ``fresh`` says a fleet may be built from ``--shards`` (``engine --resume``
     takes its shards from the checkpoint instead).  Returns the error
     message for the rc-2 path, or None when the combination is coherent."""
@@ -378,11 +371,6 @@ def _validate_recipe_flags(args: argparse.Namespace, *, fresh: bool) -> Optional
             f"--workers {workers} exceeds --shards {args.shards}"
             " (each worker owns at least one shard; extra workers would sit idle)"
         )
-    if args.kernel != "python" and args.resume:
-        return (
-            "--kernel cannot be combined with --resume (the sampler recipe"
-            " travels inside the checkpoint and must be restored unchanged)"
-        )
     return _validate_durability_flags(args, workers)
 
 
@@ -399,8 +387,8 @@ def _validate_durability_flags(args: argparse.Namespace, workers) -> Optional[st
     if args.max_restarts is not None:
         if not args.supervise:
             return "--max-restarts requires --supervise"
-        if args.max_restarts < 0:
-            return "--max-restarts must be >= 0"
+        if args.max_restarts < 1:
+            return "--max-restarts must be positive"
     return None
 
 
@@ -416,7 +404,6 @@ def _engine_settings(args: argparse.Namespace, track_occurrences: bool = False) 
         t0=args.t0 if args.window == "timestamp" else None,
         replacement=not args.without_replacement,
         algorithm=args.algorithm,
-        kernel=args.kernel,
     )
     return EngineSettings(
         spec=spec,
@@ -464,7 +451,7 @@ def _command_engine(args: argparse.Namespace) -> int:
     try:
         settings = _engine_settings(args)
     except ConfigurationError as error:
-        # e.g. --kernel numpy with a baseline algorithm: fail loudly up front.
+        # e.g. -k 0: fail loudly up front.
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.resume:

@@ -49,8 +49,8 @@ def init_sampler_kernel(kernel: str, seed: int) -> Any:
     ``kernel="numpy"``, or ``None`` for ``kernel="python"``.
 
     ``"python"`` (the default) resolves without touching
-    :mod:`repro.engine.kernels` at all — the stdlib-only path stays free of
-    any engine/numpy import.  Any other name is validated there (an unknown
+    :mod:`repro.core.kernels` at all — the stdlib-only path stays free of
+    any numpy import.  Any other name is validated there (an unknown
     name, or ``"numpy"`` on a numpy-free host, raises
     :class:`~repro.exceptions.ConfigurationError`), and ``"numpy"`` gets a
     dedicated ``numpy.random.Generator`` seeded from the sampler seed's
@@ -58,7 +58,7 @@ def init_sampler_kernel(kernel: str, seed: int) -> Any:
     """
     if str(kernel).lower() == "python":
         return None
-    from ..engine.kernels import make_generator, resolve_kernel
+    from .kernels import make_generator, resolve_kernel
 
     resolve_kernel(kernel)
     return make_generator(seed)
@@ -170,7 +170,7 @@ class WindowSampler(abc.ABC):
     def kernel(self) -> str:
         """The active batched-ingest kernel: ``"python"`` (the bit-identity
         reference; all baselines) or ``"numpy"`` (the vectorized kernels of
-        the optimal samplers, see :mod:`repro.engine.kernels`), read off the
+        the optimal samplers, see :mod:`repro.core.kernels`), read off the
         sampler's numpy generator."""
         return "python" if getattr(self, "_np_gen", None) is None else "numpy"
 

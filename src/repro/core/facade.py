@@ -110,7 +110,7 @@ def sliding_window_sampler(
         Batched-ingest kernel for the optimal samplers: ``"python"`` (the
         default bit-identity reference: batched ingest draws exactly like
         per-element ingest) or ``"numpy"`` (the vectorized kernels of
-        :mod:`repro.engine.kernels`: distributionally exact, not
+        :mod:`repro.core.kernels`: distributionally exact, not
         bit-identical; requires the optional ``[fast]`` extra and fails
         loudly without it).  Baselines support only ``"python"``.
     kwargs:

@@ -54,7 +54,7 @@ except ImportError:  # pragma: no cover - the numpy-free tier-1 lane
 #: tests monkeypatch it to simulate a numpy-free host.
 HAS_NUMPY = _np is not None
 
-#: Kernel names accepted by :func:`resolve_kernel` / ``SamplerSpec``.
+#: Kernel names accepted by :func:`resolve_kernel`.
 KERNELS = ("python", "numpy")
 
 __all__ = [
@@ -128,8 +128,8 @@ def seq_wr_process_batch(sampler: Any, values: Sequence[Any], timestamps: Option
 
     All ``2k`` uniforms are drawn in a single generator call.
     """
-    from ..core.reservoir import SingleReservoir
-    from ..core.tracking import SampleCandidate
+    from .reservoir import SingleReservoir
+    from .tracking import SampleCandidate
 
     n = sampler._n
     start = sampler._arrivals
@@ -235,7 +235,7 @@ def _wor_extend(
     Algorithm L state is redrawn for the new count: ``W ~ Beta(k, c + m - k
     + 1)``, then the next acceptance.
     """
-    from ..core.tracking import SampleCandidate
+    from .tracking import SampleCandidate
 
     held_count = reservoir._count
     fresh = hi - lo
@@ -289,7 +289,7 @@ def seq_wor_process_batch(sampler: Any, values: Sequence[Any], timestamps: Optio
     transition collapses to one hypergeometric split plus two
     without-replacement position draws (:func:`_wor_extend`).
     """
-    from ..core.reservoir import ReservoirWithoutReplacement
+    from .reservoir import ReservoirWithoutReplacement
 
     n = sampler._n
     k = sampler._k
@@ -357,9 +357,9 @@ def _extend_canonical(
     index for R and one for Q, resolving each to the constituent that covers
     it (an old bucket's stored sample, or a fresh singleton candidate).
     """
-    from ..core.bucket_structure import BucketStructure
-    from ..core.covering import canonical_boundaries
-    from ..core.tracking import SampleCandidate
+    from .bucket_structure import BucketStructure
+    from .covering import canonical_boundaries
+    from .tracking import SampleCandidate
 
     a = buckets[0].start if buckets else new_base
     pairs = canonical_boundaries(a, new_base + new_count - 1)

@@ -170,7 +170,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
         jumps from acceptance to acceptance (see
         :meth:`SingleReservoir.offer_slice`) — bit-identical to ``append``.
         ``kernel="numpy"`` runs
-        :func:`repro.engine.kernels.seq_wr_process_batch` instead.
+        :func:`repro.core.kernels.seq_wr_process_batch` instead.
         Observer-carrying samplers fall back to the per-element loop so
         arrival notifications keep their element-major order.
         """
@@ -183,8 +183,8 @@ class SequenceSamplerWR(SequenceWindowSampler):
         if self._np_gen is not None:
             # Vectorized kernel: whole-batch closed-form lane updates
             # (distributionally exact; see
-            # repro.engine.kernels.seq_wr_process_batch).
-            from ..engine.kernels import seq_wr_process_batch
+            # repro.core.kernels.seq_wr_process_batch).
+            from .kernels import seq_wr_process_batch
 
             seq_wr_process_batch(self, values, timestamps, count)
             return count
@@ -337,7 +337,7 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         same generator position; see
         :meth:`ReservoirWithoutReplacement.offer_slice`).
         ``kernel="numpy"`` runs
-        :func:`repro.engine.kernels.seq_wor_process_batch` instead.
+        :func:`repro.core.kernels.seq_wor_process_batch` instead.
         Observer-carrying samplers fall back to the per-element loop.
         """
         check_batch_lengths(values, timestamps)
@@ -349,8 +349,8 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         if self._np_gen is not None:
             # Vectorized kernel: one hypergeometric split per reservoir
             # transition instead of per-element/per-skip loops (see
-            # repro.engine.kernels.seq_wor_process_batch).
-            from ..engine.kernels import seq_wor_process_batch
+            # repro.core.kernels.seq_wor_process_batch).
+            from .kernels import seq_wor_process_batch
 
             seq_wor_process_batch(self, values, timestamps, count)
             return count

@@ -123,7 +123,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
         through :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
         covering automaton owns an independent generator, so this is
         bit-identical to the ``append`` loop).  ``kernel="numpy"`` runs
-        :func:`repro.engine.kernels.coverage_observe_batch` instead.
+        :func:`repro.core.kernels.coverage_observe_batch` instead.
 
         Unlike per-element appends, an out-of-order timestamp raises
         *before* any element is applied.  Observer-carrying samplers fall
@@ -140,8 +140,8 @@ class TimestampSamplerWR(TimestampWindowSampler):
         if self._np_gen is not None:
             # Vectorized kernel: per expiry run, the covering decomposition
             # is rebuilt structurally instead of cascading per element (see
-            # repro.engine.kernels.coverage_observe_batch).
-            from ..engine.kernels import as_float_array, coverage_observe_batch
+            # repro.core.kernels.coverage_observe_batch).
+            from .kernels import as_float_array, coverage_observe_batch
 
             stamp_array = as_float_array(stamps)
             for coverage in self._coverages:

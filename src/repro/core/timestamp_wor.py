@@ -152,7 +152,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
         the *arrival* timestamps as its clock track: each automaton owns an
         independent generator and sees exactly the per-element sequence,
         making this bit-identical to the ``append`` loop (``kernel="numpy"``
-        runs :func:`repro.engine.kernels.coverage_observe_batch` instead).
+        runs :func:`repro.core.kernels.coverage_observe_batch` instead).
         Timestamps are validated up front (an out-of-order one raises before any element is applied);
         observer-carrying samplers fall back to the per-element loop.
         """
@@ -207,7 +207,7 @@ class TimestampSamplerWOR(TimestampWindowSampler):
     def _observe_kernel(self, values: Sequence[Any], start: int, stamps: List[float]) -> None:
         """The numpy kernel over the same delayed slices as
         :meth:`_observe_shared`, on the materialised auxiliary view."""
-        from ..engine.kernels import as_float_array, coverage_observe_batch
+        from .kernels import as_float_array, coverage_observe_batch
 
         count = len(values)
         held = list(self._recent)

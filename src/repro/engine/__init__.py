@@ -27,9 +27,8 @@ budget:
   request/reply protocol behind a drain barrier, and checkpoints are written
   by the workers themselves as per-shard segments.  CPU-bound sampler
   updates scale across cores while staying bit-identical to the serial
-  engine under ``kernel="python"`` (there ``workers`` is a pure throughput
-  knob; under ``kernel="numpy"`` worker counts agree with each other, not
-  with the serial engine).  A dead worker process surfaces as a sticky
+  engine (``workers`` is a pure throughput knob).  A dead worker process
+  surfaces as a sticky
   :class:`~repro.exceptions.WorkerFailure`.
 * :func:`write_checkpoint` / :func:`load_checkpoint` — incremental
   per-shard checkpoint directories (JSON manifest + digest-verified segment
@@ -60,10 +59,7 @@ journals and sends to the shard's worker, where ``extend_batch`` groups
 them per key.  Every optimal sampler applies a key's run through its
 ``process_batch`` batched path — bit-identical to per-record appends,
 drawing once per reservoir acceptance and taking bucket-merge coins 64 to
-a draw (with ``SamplerSpec(kernel="numpy")`` the numpy kernels run
-instead: statistically exact, χ²/KS-gated, not bit-identical, and drawing
-once per ``process_batch`` call, so a numpy fleet's samples depend on how
-records are cut into key runs).
+a draw.
 
 Sharding is by a *stable* hash (:func:`stable_key_hash`), never Python's
 salted ``hash()``, so routing — and therefore every per-key sampler's
@@ -71,25 +67,14 @@ randomness — is reproducible across processes and restarts.
 
 Performance
 -----------
-The apply path has an optional vectorized kernel layer on top of the
-batching above, kept strictly additive to the bit-exact reference:
+The engine has one apply path, the python batched path above.  The
+vectorized numpy kernels (:mod:`repro.core.kernels`) are a standalone
+sampler option (``kernel="numpy"``): they pay off on wide batches (E7), but
+a key's sampler sees a few records per sub-batch, where they ran at about
+half python's speed, cost ~1 KB more per key and drew differently in the
+serial and process engines.  Specs and checkpoints that still name
+``kernel`` load as python (see :meth:`SamplerSpec.from_dict`).
 
-* :mod:`repro.engine.kernels` holds every numpy-facing routine behind one
-  import guard (``HAS_NUMPY``).  ``SamplerSpec(kernel="numpy")`` switches
-  batched ingest from per-acceptance python loops to whole-lane array
-  math.  It pays off on wide batches (E7) but not in a keyed engine, where
-  a key's sampler sees a few records per sub-batch (E11 serial ingest ran
-  at 0.93x python), which is why python is the default.  numpy is the
-  ``[fast]`` optional extra; requesting
-  ``kernel="numpy"`` without it raises
-  :class:`~repro.exceptions.ConfigurationError` at sampler/engine
-  construction, never mid-stream.
-* The contract: ``kernel="python"`` (the default) is the bit-identity
-  reference; ``kernel="numpy"`` is distributionally exact, gated by the
-  χ²+KS suites, and draws from a numpy generator seeded from a stream of
-  its own, which each sampler snapshot carries (``kernel_rng``) so a
-  restored numpy sampler resumes exactly.  Baseline algorithms reject
-  ``kernel="numpy"``.
 * A key's sampler is a few small objects: its random streams are
   :class:`~repro.rng.LaneRng` counters derived from the key's seed, so a
   birth seeds no generator and a checkpoint stores two ints per stream.
@@ -97,9 +82,7 @@ batching above, kept strictly additive to the bit-exact reference:
   read the pools' counters; only ``stats()``, ``memory_words()`` and the
   ``engine.memory.words`` gauge walk every sampler for its words.
 * The timestamp merge cascade (the Lemma 3.4 ``Incr`` step) is factored
-  into :mod:`repro.core._cascade`.  ``transport_report()`` reports the
-  ``kernel``, which also appears in ``stats()`` and as the
-  ``engine.kernel.numpy`` gauge.
+  into :mod:`repro.core._cascade`.
 
 Querying
 --------

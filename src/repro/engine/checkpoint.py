@@ -82,6 +82,14 @@ manifest just before the swap; a reader racing two consecutive saves can
 still observe a missing segment, so serialise loads against saves if that
 window matters.
 
+Every file lands the same way: written to a temp file that is fsynced,
+renamed into place, then the directory is fsynced.  So the segments are
+durable before the manifest names them, and the manifest is durable before
+:func:`write_checkpoint` returns, and before a
+:class:`~repro.engine.ProcessEngine` truncates its write-ahead log: a power
+loss cannot lose the journal while the checkpoint that covers it is still
+only in the page cache.
+
 Sampler state format
 --------------------
 ``format`` is :data:`~repro.core.serialization.STATE_FORMAT`, currently 2:
@@ -221,10 +229,15 @@ class CheckpointResult:
 
 
 def _atomic_write(directory: str, final_path: str, data: bytes) -> None:
+    """Write ``data`` to ``final_path`` so that it survives power loss: the
+    temp file is fsynced before the rename and the directory after it, so
+    once this returns the new name and its bytes are both on disk."""
     descriptor, temp_path = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp_path, final_path)
     except BaseException:
         try:
@@ -232,6 +245,11 @@ def _atomic_write(directory: str, final_path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+    directory_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
 
 
 def _read_manifest(path: str) -> Optional[Dict[str, Any]]:

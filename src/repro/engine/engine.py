@@ -48,7 +48,6 @@ from ..exceptions import (
 from ..obs import get_registry
 from ..streams.element import StreamElement
 from .hashing import stable_key_bytes, stable_key_hash
-from .kernels import resolve_kernel
 from .pool import KeyedSamplerPool
 from .querycache import QueryCache
 from .spec import SamplerSpec
@@ -466,13 +465,6 @@ class ShardedEngine:
         self._m_chunks_grouped = self._obs.counter("engine.ingest.chunks.grouped")
         self._m_chunks_partitioned = self._obs.counter("engine.ingest.chunks.partitioned")
         self._m_chunk_seconds = self._obs.histogram("engine.ingest.chunk.seconds")
-        # The batched-ingest kernel the pools run (kernel="numpy" without
-        # numpy fails at engine construction instead of at first ingest).
-        # Exposed through stats()/transport_report() and mirrored as a 0/1
-        # gauge so /metrics shows which kernel produced the apply-path
-        # numbers.
-        self._kernel = resolve_kernel(spec.kernel)
-        self._obs.gauge("engine.kernel.numpy").set(1.0 if self._kernel == "numpy" else 0.0)
         self._query_cache = query_cache
         self._pools = self._create_pools()
         # Eviction-free in-process pools take the grouped loop; pools with an
@@ -1204,7 +1196,6 @@ class ShardedEngine:
             keys, arrivals, memory, evictions, lru, ttl = _sum_rows(partials)
             value = {
                 "shards": self._shards,
-                "kernel": self._kernel,
                 "keys": keys,
                 "arrivals": arrivals,
                 "memory_words": memory,

@@ -25,12 +25,7 @@ batches are applied sequentially, in dispatch order, by one worker, so every
 key sees its records in exactly the order a serial engine would have applied
 them — and because per-key sampler seeds are key-derived (not order-derived),
 ``workers=1``, ``workers=8`` and the serial engine all produce bit-identical
-sampler states under ``kernel="python"``.  Under ``kernel="numpy"`` every
-worker count still produces the same state, but not the serial engine's:
-the numpy kernels draw once per ``process_batch`` call, and an eviction-free
-serial engine feeds a key its run from a whole ingest call where workers
-feed it from :data:`~repro.engine.transport.SUB_BATCH`-record shard
-sub-batches.  Workers are orthogonal to shard *state*: a checkpoint
+sampler states.  Workers are orthogonal to shard *state*: a checkpoint
 written by an engine with 4 workers loads into a serial engine, or into one
 with 2 workers.
 
@@ -434,9 +429,7 @@ class ProcessEngine(ShardedEngine):
     *inside* the owning worker and only the results travel back, so the
     pools are never pickled on the hot path.  Because shard ownership,
     per-shard ordering and per-key seeding are identical to the serial
-    engine, process ingest under ``kernel="python"`` is bit-identical to it
-    (under ``kernel="numpy"`` it is identical across worker counts only; see
-    the module docstring).
+    engine, process ingest is bit-identical to it.
 
     Every sub-batch crosses to its worker as one columnar payload
     (:func:`~repro.engine.transport.encode_batch`): the queue pickles a
@@ -880,9 +873,7 @@ class ProcessEngine(ShardedEngine):
         breaks the worker-side stages down per worker (in worker order, each
         entry carrying ``worker``/``decode_seconds``/``apply_seconds``/
         ``batches``/``records``), so a straggler hiding inside a healthy
-        fleet-wide sum is visible directly.  ``kernel`` is the
-        batched-ingest kernel running in the workers: it says which
-        apply-path implementation produced ``apply_seconds``.
+        fleet-wide sum is visible directly.
 
         All of these numbers live and die with the engine instance: they
         are not checkpointed, and ``close()`` discards them.
@@ -899,7 +890,6 @@ class ProcessEngine(ShardedEngine):
                 apply_seconds += partial["apply_seconds"]
                 workers.append({"worker": index, **partial})
             return {
-                "kernel": self._kernel,
                 "batches": self._m_dispatched_batches.value,
                 "records": self._m_dispatched_records.value,
                 "encoded_bytes": self._m_encoded_bytes.value,

@@ -17,7 +17,6 @@ from ..core.facade import sliding_window_sampler
 from ..core.tracking import CandidateObserver
 from ..exceptions import ConfigurationError
 from ..rng import RngLike
-from .kernels import KERNELS
 
 __all__ = ["SamplerSpec"]
 
@@ -26,9 +25,11 @@ __all__ = ["SamplerSpec"]
 class SamplerSpec:
     """A recipe for one per-key sliding-window sampler.
 
-    Parameters mirror :func:`~repro.core.facade.sliding_window_sampler`;
-    ``options`` carries any extra keyword arguments for the concrete sampler
-    (e.g. ``allow_partial``).  Structural validation happens eagerly so a
+    Parameters mirror :func:`~repro.core.facade.sliding_window_sampler`,
+    except ``kernel``: every per-key sampler runs the python batched path,
+    the one that is bit-identical across executors.  ``options`` carries any
+    extra keyword arguments for the concrete sampler (e.g.
+    ``allow_partial``).  Structural validation happens eagerly so a
     misconfigured engine fails at construction, not at first ingest.
     """
 
@@ -38,14 +39,6 @@ class SamplerSpec:
     t0: Optional[float] = None
     replacement: bool = True
     algorithm: str = "optimal"
-    #: Batched-ingest kernel: ``"python"`` (the bit-identity reference: every
-    #: batched path draws once per reservoir acceptance and takes merge
-    #: coins 64 to a draw, bit-identical to per-element ingest) or
-    #: ``"numpy"`` (the vectorized kernels of :mod:`repro.engine.kernels`,
-    #: optimal algorithm only: distributionally exact, not bit-identical;
-    #: requires the optional ``[fast]`` extra, and a sampler or engine built
-    #: from the spec fails loudly without it).
-    kernel: str = "python"
     #: Normalised to a sorted tuple of ``(name, value)`` pairs so the frozen
     #: spec stays hashable (usable in sets / as dict keys); accepts a mapping.
     options: Any = field(default_factory=tuple)
@@ -65,17 +58,9 @@ class SamplerSpec:
         else:
             if self.t0 is None or self.t0 <= 0:
                 raise ConfigurationError("timestamp windows require a positive window span t0")
-        object.__setattr__(self, "kernel", str(self.kernel).lower())
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be 'python' or 'numpy', got {self.kernel!r}"
-            )
-        if self.kernel == "numpy" and self.algorithm != "optimal":
-            raise ConfigurationError(
-                f"kernel='numpy' requires algorithm='optimal';"
-                f" the {self.algorithm!r} baseline does not support it"
-            )
         object.__setattr__(self, "options", tuple(sorted(dict(self.options).items())))
+        if "kernel" in dict(self.options):
+            raise ConfigurationError("engine samplers run the python kernel; 'kernel' is not an option")
 
     @property
     def is_timestamp(self) -> bool:
@@ -101,7 +86,6 @@ class SamplerSpec:
             algorithm=self.algorithm,
             rng=rng,
             observer=observer,
-            kernel=self.kernel,
             **dict(self.options),
         )
 
@@ -114,7 +98,6 @@ class SamplerSpec:
             "t0": self.t0,
             "replacement": self.replacement,
             "algorithm": self.algorithm,
-            "kernel": self.kernel,
             "options": dict(self.options),
         }
 
@@ -122,19 +105,15 @@ class SamplerSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "SamplerSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Specs written while a separate ``fast`` flag existed carry a
-        ``fast`` key: their samplers ran the numpy kernels only with
-        ``fast`` true and ``kernel="numpy"`` (keyed pools ran the old
-        ``kernel=auto`` as python), so they load as ``"numpy"`` then and as
-        ``"python"`` otherwise.  Specs without a ``kernel`` key load as
-        ``"python"``.
+        Specs written while engines had an apply-path switch carry a
+        ``kernel`` key (and older ones a ``fast`` key).  Both are ignored:
+        every engine spec runs the python path.  A numpy sampler's snapshot
+        is a python snapshot plus ``kernel_rng``, which python samplers
+        ignore, so such a checkpoint keeps its retained samples exactly and
+        only later coins differ.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(f"spec snapshot must be a mapping, got {type(data).__name__}")
-        kernel = data.get("kernel", "python")
-        if "fast" in data:
-            numpy_ran = bool(data["fast"]) and str(kernel).lower() == "numpy"
-            kernel = "numpy" if numpy_ran else "python"
         return cls(
             window=data.get("window", "sequence"),
             k=int(data.get("k", 1)),
@@ -142,7 +121,6 @@ class SamplerSpec:
             t0=data.get("t0"),
             replacement=bool(data.get("replacement", True)),
             algorithm=data.get("algorithm", "optimal"),
-            kernel=kernel,
             options=dict(data.get("options", {})),
         )
 
@@ -150,5 +128,4 @@ class SamplerSpec:
         """A one-line human-readable summary (used by the CLI)."""
         window = f"n={self.n}" if self.window == "sequence" else f"t0={self.t0}"
         mode = "WR" if self.replacement else "WoR"
-        suffix = "" if self.kernel == "python" else f", kernel={self.kernel}"
-        return f"{self.window} window ({window}), k={self.k} {mode}, algorithm={self.algorithm}{suffix}"
+        return f"{self.window} window ({window}), k={self.k} {mode}, algorithm={self.algorithm}"

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import stat
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import (
     ProcessEngine,
     SamplerSpec,
     ShardedEngine,
+    WriteAheadLog,
     load_checkpoint,
     write_checkpoint,
 )
@@ -496,6 +498,72 @@ class TestCrashRecovery:
         write_checkpoint(engine, path)
         with pytest.raises(ConfigurationError, match="workers=N"):
             load_checkpoint(path, supervise=True, wal_dir=tmp_path / "wal")
+
+
+def record_durability_calls(monkeypatch):
+    """Record, in call order, every ``os.fsync`` (of a file or a directory),
+    ``os.replace`` (by target name) and ``WriteAheadLog.truncate`` made in
+    this process from now on."""
+    events = []
+    fsync, replace, truncate = os.fsync, os.replace, WriteAheadLog.truncate
+
+    def recording_fsync(fd):
+        events.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        fsync(fd)
+
+    def recording_replace(source, target, *args, **kwargs):
+        replace(source, target, *args, **kwargs)
+        events.append(("replace", os.path.basename(target)))
+
+    def recording_truncate(self, *args, **kwargs):
+        events.append(("truncate", None))
+        truncate(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(WriteAheadLog, "truncate", recording_truncate)
+    return events
+
+
+def assert_each_replace_is_durable(events):
+    """Every rename sits between the fsync of the file it renames and the
+    fsync of its directory, so its bytes and its name both reach the disk."""
+    renames = [index for index, event in enumerate(events) if event[0] == "replace"]
+    assert renames, events
+    for index in renames:
+        assert events[index - 1 : index + 2] == [
+            ("fsync", "file"), events[index], ("fsync", "dir")
+        ], events
+
+
+class TestDurableCommit:
+    """A checkpoint survives power loss once written: each file is fsynced
+    before its rename and its directory after, and the write-ahead log is
+    truncated only after the manifest is durable."""
+
+    def test_segments_and_manifest_are_fsynced_around_each_rename(self, monkeypatch, tmp_path):
+        engine = make_engine()
+        engine.ingest([(f"key-{index}", index) for index in range(100)])
+        events = record_durability_calls(monkeypatch)
+        write_checkpoint(engine, tmp_path / "engine.ckpt")
+        assert_each_replace_is_durable(events)
+        renamed = [target for kind, target in events if kind == "replace"]
+        assert renamed[-1] == "MANIFEST.json"
+        assert len(renamed) == engine.shards + 1
+
+    def test_journal_is_truncated_after_the_manifest_is_durable(self, monkeypatch, tmp_path):
+        spec = SamplerSpec(window="sequence", n=40, k=4)
+        with ProcessEngine(spec, shards=2, seed=3, workers=2, wal_dir=str(tmp_path / "wal")) as engine:
+            engine.ingest([(f"key-{index % 9}", index) for index in range(500)])
+            engine.flush()
+            # Workers write their segments in their own processes; this
+            # process writes the manifest and truncates the journal.
+            events = record_durability_calls(monkeypatch)
+            write_checkpoint(engine, tmp_path / "engine.ckpt")
+        assert_each_replace_is_durable(events)
+        manifest = events.index(("replace", "MANIFEST.json"))
+        assert events.count(("truncate", None)) == 1
+        assert events.index(("truncate", None)) > manifest + 1
 
 
 #: (loader kwargs, expected engine class) — the serial/process axis of the

@@ -1,17 +1,20 @@
-"""The vectorized apply-path kernel layer (``repro.engine.kernels``).
+"""The vectorized sampler kernel layer (``repro.core.kernels``).
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
-1. **Kernel selection.**  ``kernel`` is the one apply-path switch:
-   ``"python"`` never calls into the kernels, ``"numpy"`` runs them and on
-   a numpy-free host raises
-   :class:`~repro.exceptions.ConfigurationError` loudly — at sampler and
-   engine construction alike.  Specs written with the removed ``fast``
-   flag load as the kernel their samplers actually ran.
-2. **Exact resume.**  A numpy sampler's snapshot carries its numpy
-   generator, so a restored sampler, or an engine restored from a
-   checkpoint, continues draw for draw like one that was never stopped.
-3. **Distributional exactness.**  The numpy kernels are free to use
+1. **Kernel selection.**  ``kernel`` is the one apply-path switch of a
+   standalone sampler: ``"python"`` never calls into the kernels,
+   ``"numpy"`` runs them and on a numpy-free host raises
+   :class:`~repro.exceptions.ConfigurationError` loudly at construction.
+2. **One apply path in the engine.**  Engines always run python: a
+   :class:`~repro.engine.SamplerSpec` has no ``kernel`` field, the kernels
+   live in :mod:`repro.core` (which never imports :mod:`repro.engine`), and
+   ``import repro`` plus a whole ingest loads no numpy.  Specs and
+   checkpoints written while engines ran numpy load as python.
+3. **Exact resume.**  A numpy sampler's snapshot carries its numpy
+   generator, so a restored sampler continues draw for draw like one that
+   was never stopped.
+4. **Distributional exactness.**  The numpy kernels are free to use
    different exact sampling laws than the python path, so every
    vectorized family is gated by χ² + KS suites (marked ``slow``), plus
    structural canonicality checks on the covering decompositions.
@@ -20,10 +23,20 @@ Every numpy-dependent test skips cleanly on a numpy-free host (the tier-1
 CI lane); the selection/validation tests run everywhere.
 """
 
+import ast
+import copy
+import dataclasses
+import hashlib
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro.core
 from repro.analysis import assess_uniformity, ks_uniformity
 from repro.core import (
     SequenceSamplerWOR,
@@ -31,18 +44,16 @@ from repro.core import (
     TimestampSamplerWOR,
     TimestampSamplerWR,
 )
+from repro.core import kernels as kernels_module
 from repro.core.facade import sliding_window_sampler
+from repro.core.kernels import HAS_NUMPY, resolve_kernel
 from repro.engine import (
     ProcessEngine,
-    RestartPolicy,
     SamplerSpec,
     ShardedEngine,
-    chaos,
     load_checkpoint,
     write_checkpoint,
 )
-from repro.engine import kernels as kernels_module
-from repro.engine.kernels import HAS_NUMPY, resolve_kernel
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
 
@@ -71,77 +82,174 @@ class TestKernelResolution:
         with pytest.raises(ConfigurationError):
             SequenceSamplerWR(n=8, k=1, rng=0, kernel="numpy")
 
-    def test_engine_construction_fails_loudly_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "HAS_NUMPY", False)
-        spec = SamplerSpec(window="sequence", n=8, k=1, kernel="numpy")
-        with pytest.raises(ConfigurationError):
-            ShardedEngine(spec, shards=2)
-
 
 class TestSpecAndFacadeValidation:
-    def test_default_is_python(self):
-        spec = SamplerSpec(window="sequence", n=16, k=2)
-        assert spec.kernel == "python"
-
-    def test_kernel_name_normalised(self):
-        spec = SamplerSpec(window="sequence", n=16, k=2, kernel="NumPy")
-        assert spec.kernel == "numpy"
-
-    @pytest.mark.parametrize("name", ["fortran", "auto"])
-    def test_bad_kernel_rejected(self, name):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            SamplerSpec(window="sequence", n=16, k=2, kernel=name)
-
-    def test_numpy_kernel_rejected_for_baselines(self):
-        with pytest.raises(ConfigurationError, match="optimal"):
-            SamplerSpec(window="sequence", n=16, k=2, algorithm="chain", kernel="numpy")
-
     def test_facade_rejects_numpy_kernel_for_baselines(self):
         with pytest.raises(ConfigurationError, match="optimal"):
             sliding_window_sampler("sequence", n=16, k=2, algorithm="chain", kernel="numpy")
 
-    def test_spec_round_trips_kernel(self):
-        spec = SamplerSpec(window="timestamp", t0=8.0, k=2, kernel="numpy")
-        clone = SamplerSpec.from_dict(spec.to_dict())
-        assert clone == spec
-        assert "kernel=numpy" in spec.describe()
-
-    def test_legacy_snapshots_load_as_python(self):
-        payload = SamplerSpec(window="sequence", n=16, k=2).to_dict()
-        del payload["kernel"]
-        assert "fast" not in payload
-        assert SamplerSpec.from_dict(payload).kernel == "python"
-
-    @pytest.mark.parametrize(
-        "fast, kernel, loaded",
-        [
-            (True, "numpy", "numpy"),
-            (False, "numpy", "python"),
-            (True, "python", "python"),
-            (True, "auto", "python"),
-            (False, "auto", "python"),
-        ],
-    )
-    def test_specs_with_a_fast_key_load_as_the_kernel_that_ran(self, fast, kernel, loaded):
-        # Specs written while a separate fast flag existed: the numpy
-        # kernels ran only for fast with kernel numpy (keyed pools ran auto
-        # as python), and the loaded spec names that kernel.
-        payload = SamplerSpec(window="sequence", n=16, k=2).to_dict()
-        payload.update(fast=fast, kernel=kernel)
-        assert SamplerSpec.from_dict(payload).kernel == loaded
-
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_engine_restores_a_snapshot_whose_specs_carry_fast(self, fast):
+    def test_engine_spec_has_no_kernel(self):
+        assert len(dataclasses.fields(SamplerSpec)) == 7
+        with pytest.raises(TypeError):
+            SamplerSpec(window="sequence", n=16, k=2, kernel="numpy")
+        with pytest.raises(ConfigurationError, match="kernel"):
+            SamplerSpec(window="sequence", n=16, k=2, options={"kernel": "numpy"})
         spec = SamplerSpec(window="sequence", n=16, k=2)
-        engine = ShardedEngine(spec, shards=2, seed=3)
+        assert "kernel" not in spec.to_dict()
+        assert spec.build(rng=1).kernel == "python"
+
+    def test_engine_reports_no_kernel(self):
+        registry = MetricsRegistry()
+        spec = SamplerSpec(window="sequence", n=16, k=2)
+        engine = ShardedEngine(spec, shards=2, registry=registry)
         engine.ingest([(f"key-{value % 5}", value) for value in range(100)])
+        assert "kernel" not in engine.stats()
+        assert "engine.kernel.numpy" not in engine.metrics_snapshot()["gauges"]
+
+
+class TestLayering:
+    """The kernels are sampler code: :mod:`repro.core` reaches no engine
+    module, and the engine never pays for numpy."""
+
+    def test_core_never_imports_the_engine(self):
+        core_dir = os.path.dirname(repro.core.__file__)
+        offenders = []
+        for name in sorted(os.listdir(core_dir)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(core_dir, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # Resolve relative imports against the repro.core package.
+                    base = ["repro", "core"][: max(0, 3 - node.level)] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(target.split(".")[:2] == ["repro", "engine"] for target in targets):
+                    offenders.append((name, node.lineno))
+        assert offenders == []
+
+    def test_an_engine_run_loads_no_numpy(self):
+        src_dir = os.path.dirname(os.path.dirname(repro.core.__file__))
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "for spec in (repro.SamplerSpec(window='sequence', n=16, k=3),\n"
+            "             repro.SamplerSpec(window='timestamp', t0=8.0, k=3)):\n"
+            "    engine = repro.ShardedEngine(spec, shards=2, seed=1)\n"
+            "    engine.ingest([(f'key-{i % 7}', i, float(i)) for i in range(500)])\n"
+            "    assert engine.sample('key-0')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+#: Spec keys an engine wrote while it had an apply-path switch: ``kernel``
+#: (while ``SamplerSpec`` had that field), ``fast`` (before it), or both.
+LEGACY_SPEC_KEYS = [
+    pytest.param({"fast": False}, id="fast-false"),
+    pytest.param({"fast": True}, id="fast-true"),
+    pytest.param({"kernel": "python"}, id="kernel-python"),
+    pytest.param({"kernel": "numpy"}, id="kernel-numpy"),
+    pytest.param({"kernel": "python", "fast": False}, id="kernel-python-fast-false"),
+    pytest.param({"kernel": "numpy", "fast": True}, id="kernel-numpy-fast-true"),
+]
+
+
+def numpy_kernel_rng():
+    """A real ``kernel_rng`` snapshot field, from a standalone numpy sampler
+    that has drawn."""
+    sampler = SequenceSamplerWR(n=16, k=2, rng=9, kernel="numpy")
+    sampler.process_batch(list(range(40)))
+    return sampler.state_dict()["kernel_rng"]
+
+
+def as_legacy_pool(pool_state, spec_keys, kernel_rng):
+    """Rewrite one pool snapshot in place as a numpy-era engine wrote it:
+    ``spec_keys`` in its spec and, unless ``None``, ``kernel_rng`` in every
+    sampler state."""
+    pool_state["spec"].update(spec_keys)
+    if kernel_rng is not None:
+        for entry in pool_state["entries"]:
+            entry["sampler"]["kernel_rng"] = copy.deepcopy(kernel_rng)
+
+
+class TestLegacyNumpySnapshots:
+    """Specs and checkpoints written while engines could run numpy load as
+    python, with ``kernel``/``fast`` ignored.  A numpy sampler's snapshot is
+    a python snapshot plus ``kernel_rng``, which python samplers ignore, so
+    the retained samples carry over exactly and only later coins differ."""
+
+    @pytest.mark.parametrize("spec_keys", LEGACY_SPEC_KEYS)
+    def test_spec_dicts_naming_a_kernel_load_as_python(self, spec_keys):
+        spec = SamplerSpec(window="sequence", n=16, k=2)
+        payload = spec.to_dict()
+        payload.update(spec_keys)
+        assert SamplerSpec.from_dict(payload) == spec
+
+    @pytest.mark.parametrize("with_kernel_rng", [False, pytest.param(True, marks=needs_numpy)])
+    @pytest.mark.parametrize("spec_keys", LEGACY_SPEC_KEYS)
+    def test_engine_restores_a_legacy_snapshot_as_python(self, spec_keys, with_kernel_rng):
+        spec = SamplerSpec(window="sequence", n=16, k=2)
+        records = [(f"key-{value % 5}", value) for value in range(200)]
+        engine = ShardedEngine(spec, shards=2, seed=3)
+        engine.ingest(records[:100])
         state = engine.state_dict()
-        state["spec"]["fast"] = fast
-        for pool_state in state["pools"]:
-            pool_state["spec"]["fast"] = fast
+        legacy = copy.deepcopy(state)
+        legacy["spec"].update(spec_keys)
+        kernel_rng = numpy_kernel_rng() if with_kernel_rng else None
+        for pool_state in legacy["pools"]:
+            as_legacy_pool(pool_state, spec_keys, kernel_rng)
         restored = ShardedEngine(spec, shards=2, seed=3)
-        restored.load_state_dict(state)
-        assert restored.state_dict() == engine.state_dict()
+        restored.load_state_dict(legacy)
+        reference = ShardedEngine(spec, shards=2, seed=3)
+        reference.load_state_dict(state)
+        assert restored.state_dict() == reference.state_dict()
+        restored.ingest(records[100:])
+        reference.ingest(records[100:])
+        assert restored.state_dict() == reference.state_dict()
+
+    @needs_numpy
+    def test_checkpoint_whose_manifest_names_numpy_loads_as_python(self, tmp_path):
+        spec = SamplerSpec(window="timestamp", t0=20.0, k=3, replacement=False)
+        records = [(f"key-{value % 7}", value, value * 0.5) for value in range(600)]
+        engine = ShardedEngine(spec, shards=3, seed=5)
+        engine.ingest(records[:300])
+        path = tmp_path / "engine.ckpt"
+        write_checkpoint(engine, path)
+        reference = load_checkpoint(path)
+        # Rewrite the directory as a kernel="numpy" engine left it: the
+        # manifest's and every segment's spec name numpy, and every sampler
+        # state carries a kernel_rng (segment digests recomputed).
+        kernel_rng = numpy_kernel_rng()
+        manifest_path = path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["engine"]["spec"]["kernel"] = "numpy"
+        for entry in manifest["segments"]:
+            segment = path / entry["file"]
+            envelope = pickle.loads(segment.read_bytes())
+            as_legacy_pool(envelope["pool"], {"kernel": "numpy"}, kernel_rng)
+            data = pickle.dumps(envelope, pickle.HIGHEST_PROTOCOL)
+            segment.write_bytes(data)
+            entry["sha256"] = hashlib.sha256(data).hexdigest()
+            entry["bytes"] = len(data)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        restored = load_checkpoint(path)
+        assert restored.spec == spec
+        assert restored.state_dict() == reference.state_dict()
+        restored.ingest(records[300:])
+        reference.ingest(records[300:])
+        assert restored.state_dict() == reference.state_dict()
 
 
 RESUME_CASES = [
@@ -183,52 +291,6 @@ class TestNumpyResume:
             snapshot["kernel_rng"] = bad
             with pytest.raises(ConfigurationError, match="kernel rng"):
                 SequenceSamplerWR(n=8, k=2, rng=1, kernel="numpy").load_state_dict(snapshot)
-
-    @pytest.mark.parametrize("route", ["checkpoint", "state_dict"])
-    def test_restored_engine_continues_exactly(self, route, tmp_path):
-        spec = SamplerSpec(window="sequence", n=64, k=4, kernel="numpy")
-        records = [(f"key-{value % 23}", value) for value in range(4000)]
-        uninterrupted = ShardedEngine(spec, shards=2, seed=7)
-        stopped = ShardedEngine(spec, shards=2, seed=7)
-        uninterrupted.ingest(records[:2000])
-        stopped.ingest(records[:2000])
-        assert "kernel_rng" in stopped.sampler_for("key-0").state_dict()
-        if route == "checkpoint":
-            write_checkpoint(stopped, tmp_path / "engine.ckpt")
-            restored = load_checkpoint(tmp_path / "engine.ckpt")
-        else:
-            restored = ShardedEngine(spec, shards=2, seed=7)
-            restored.load_state_dict(stopped.state_dict())
-        uninterrupted.ingest(records[2000:])
-        restored.ingest(records[2000:])
-        assert restored.state_dict() == uninterrupted.state_dict()
-
-    def test_supervised_recovery_is_exact(self, tmp_path, sizing):
-        # A worker killed after a checkpoint is restored from it and replays
-        # the journal: the numpy draws must continue, not restart.
-        spec = SamplerSpec(window="sequence", n=40, k=4, replacement=False, kernel="numpy")
-        policy = RestartPolicy(max_restarts=5, backoff_base=0.01, backoff_cap=0.05)
-        records = [(f"key-{value % 37}", value) for value in range(4000)]
-        sizing(sub_batch=64)
-
-        def run(name, crash):
-            with ProcessEngine(
-                spec, shards=8, seed=1, workers=2, supervise=True,
-                wal_dir=str(tmp_path / name / "wal"), restart_policy=policy,
-            ) as engine:
-                engine.ingest(records[:2000])
-                assert "kernel_rng" in engine.sampler_for("key-0").state_dict()
-                write_checkpoint(engine, tmp_path / name / "ckpt")
-                if crash:
-                    with chaos.kill_at_batch(engine, 3, worker=0):
-                        engine.ingest(records[2000:])
-                    chaos.wait_until_healthy(engine)
-                    assert engine.liveness()["restarts"] >= 1
-                else:
-                    engine.ingest(records[2000:])
-                return engine.state_dict()
-
-        assert run("crashed", True) == run("clean", False)
 
 
 @needs_numpy
@@ -273,63 +335,6 @@ class TestKernelStructuralInvariants:
             drawn = sampler.sample()
             assert len({element.index for element in drawn}) == 5
             assert all(element.index >= sampler.total_arrivals - 30 for element in drawn)
-
-
-@needs_numpy
-class TestEngineKernelReporting:
-    def test_numpy_engine_reports_numpy_and_runs_the_kernels(self):
-        records = [(f"key-{value % 5}", value) for value in range(400)]
-        engines = {}
-        for kernel in ("python", "numpy"):
-            registry = MetricsRegistry()
-            spec = SamplerSpec(window="sequence", n=16, k=3, kernel=kernel)
-            engine = ShardedEngine(spec, shards=2, seed=1, registry=registry)
-            engine.ingest(records)
-            assert engine.stats()["kernel"] == kernel
-            assert engine.sampler_for("key-0").kernel == kernel
-            gauge = engine.metrics_snapshot()["gauges"]["engine.kernel.numpy"]
-            assert gauge == (1.0 if kernel == "numpy" else 0.0)
-            engines[kernel] = engine
-        # The kernels drew the state, not the python lanes.
-        payloads = lambda engine: [
-            entry["sampler"]["payload"]
-            for pool_state in engine.state_dict()["pools"]
-            for entry in pool_state["entries"]
-        ]
-        assert payloads(engines["numpy"]) != payloads(engines["python"])
-
-    def test_parallel_stats_and_gauge(self):
-        registry = MetricsRegistry()
-        spec = SamplerSpec(window="sequence", n=16, k=1, kernel="numpy")
-        engine = ProcessEngine(spec, shards=2, workers=2, registry=registry)
-        try:
-            engine.ingest([(f"key-{value % 5}", value) for value in range(200)])
-            engine.flush()
-            assert engine.stats()["kernel"] == "numpy"
-            snapshot = engine.metrics_snapshot()
-            assert snapshot["gauges"]["engine.kernel.numpy"] == 1.0
-        finally:
-            engine.close()
-
-
-@needs_numpy
-class TestNumpyWorkerCounts:
-    """What ``kernel="numpy"`` promises across executors: the kernels draw
-    once per ``process_batch`` call, so a key's samples depend on how its
-    records are cut into runs.  The router cuts per-shard sub-batches the
-    same way whoever owns the shard, so every worker count agrees; the
-    serial engine's grouped loop feeds whole-call runs and need not."""
-
-    def test_worker_count_does_not_change_a_numpy_fleet(self):
-        source = random.Random(23)
-        records = [(f"key-{source.randrange(23)}", value) for value in range(20_000)]
-        spec = SamplerSpec(window="sequence", n=64, k=4, kernel="numpy")
-        states = []
-        for workers in (1, 2, 4):
-            with ProcessEngine(spec, shards=4, seed=1, workers=workers) as engine:
-                engine.ingest(records)
-                states.append(engine.state_dict())
-        assert states[0] == states[1] == states[2]
 
 
 class TestWorkerBackedChunkMetrics:

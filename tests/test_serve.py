@@ -178,7 +178,7 @@ class TestHttpSurface:
 TS_SPEC = SamplerSpec(window="timestamp", t0=10.0, k=2, replacement=False)
 
 STATS_KEYS = {
-    "tenant", "pending_records", "shards", "kernel", "keys", "arrivals",
+    "tenant", "pending_records", "shards", "keys", "arrivals",
     "memory_words", "evictions", "degraded",
 }
 SAMPLE_KEYS = {"tenant", "key", "sample", "expired"}

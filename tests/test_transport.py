@@ -168,7 +168,7 @@ class TestProcessEngineTransport:
             engine.ingest(self.records())
             report = engine.transport_report()
         assert set(report) == {
-            "kernel", "batches", "records", "encoded_bytes", "encode_seconds",
+            "batches", "records", "encoded_bytes", "encode_seconds",
             "dispatch_seconds", "decode_seconds", "apply_seconds", "workers",
         }
         assert report["records"] == 8000
