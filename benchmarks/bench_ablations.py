@@ -86,7 +86,7 @@ def test_a2_covering_decomposition_growth(benchmark):
             for index in range(size):
                 coverage.advance_time(float(index))
                 coverage.observe(index, index, float(index))
-            buckets = coverage.decomposition.bucket_count + (1 if coverage.straddler else 0)
+            buckets = coverage.bucket_count + (1 if coverage.straddler else 0)
             words = coverage.memory_words()
             table.add_row(size, buckets, words, round(words / math.log2(size), 1))
         return table

@@ -45,9 +45,9 @@ def _run_start(buckets: List[BucketStructure], index: int) -> int:
 
     The walk merges exactly where ``⌊log(b+2-a)⌋`` steps — where ``b+2-a`` is
     a power of two — and in a canonical decomposition those positions always
-    form a stride-2 run (pinned exhaustively against the reference walk in
-    ``tests/test_covering_decomposition.py``).  The caller has already probed
-    that the run is non-empty.
+    form a stride-2 run (pinned exhaustively against the reference walk by
+    the covering tests' ``TestMergeRunGeometry``).  The caller has already
+    probed that the run is non-empty.
     """
     first = len(buckets) - 3
     while first >= 2:

@@ -20,8 +20,9 @@ batches and observer-carrying automata all run it; with an observer the
 cascade merges through :meth:`BucketStructure.merge`, which reports the
 discarded samples, and each lane builds its own singletons.
 
-:class:`WindowCoverage` implements the Lemma 3.5 maintenance automaton on top:
-at any time it holds either
+:class:`WindowCoverage` is the Lemma 3.5 maintenance automaton.  It *is* a
+covering decomposition ``ζ(z, N(t))`` (a subclass, not a wrapper) plus an
+optional straddling bucket and a clock; at any time it holds either
 
 1. ``ζ(l(t), N(t))`` — a decomposition starting exactly at the earliest active
    element, or
@@ -30,7 +31,9 @@ at any time it holds either
    ``ζ(z, N(t))``, with the key invariant ``z - y <= N(t) + 1 - z`` needed by
    the implicit-event generation of §3.3.
 
-Both states use ``O(log n(t))`` memory words.
+An expiry transition keeps the automaton and replaces its bucket list with
+the suffix after the straddler.  Both states use ``O(log n(t))`` memory
+words.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def estimate_active_count(coverage: "WindowCoverage", now: float) -> int:
         coverage.advance_time(now)
     if coverage.is_empty:
         return 0
-    count = coverage.decomposition.covered_width
+    count = coverage.covered_width
     if coverage.straddler is not None:
         count += coverage.straddler.width // 2
     return count
@@ -120,20 +123,6 @@ class CoveringDecomposition:
         self._observer = observer
         self._buckets: List[BucketStructure] = []
 
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_buckets(
-        cls,
-        buckets: List[BucketStructure],
-        rng: Any,
-        observer: Optional[CandidateObserver] = None,
-    ) -> "CoveringDecomposition":
-        """Wrap an existing (already canonical) suffix of bucket structures."""
-        decomposition = cls(rng, observer)
-        decomposition._buckets = list(buckets)
-        return decomposition
-
     # -- geometry --------------------------------------------------------------
 
     @property
@@ -180,8 +169,8 @@ class CoveringDecomposition:
         ``⌊log(b+2-a)⌋`` steps — where ``b+2-a`` is a power of two — and in a
         canonical decomposition those positions form a stride-2 run ending
         at the third-from-last bucket (pinned exhaustively against the walk
-        in tests/test_covering_decomposition.py).  So one O(1) probe of that
-        bucket decides whether the arrival merges at all; if it does,
+        by the covering tests' ``TestMergeRunGeometry``).  So one O(1) probe
+        of that bucket decides whether the arrival merges at all; if it does,
         :func:`~repro.core._cascade.merge_cascade` merges the run in place,
         taking the walk's coins in the walk's order.  Then the singleton
         ``BS(b+1, b+2)`` is appended.  With an observer the singleton is
@@ -267,9 +256,9 @@ class CoveringDecomposition:
     def state_dict(self, memo: Optional[Dict[int, Any]] = None) -> Dict[str, Any]:
         """Snapshot: the bucket structures, oldest first.
 
-        The generator is owned by the enclosing :class:`WindowCoverage` (or
-        sampler) and is serialised there, not here.  ``memo`` encodes a
-        structure shared with other lanes once (:mod:`.serialization`).
+        The generator is owned by the enclosing sampler and is serialised
+        there, not here.  ``memo`` encodes a structure shared with other
+        lanes once (:mod:`.serialization`).
         """
         return {"buckets": [bucket.state_dict(memo) for bucket in self._buckets]}
 
@@ -291,19 +280,23 @@ class CoveringDecomposition:
         return len(self._buckets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CoveringDecomposition({self.boundaries() if self._buckets else []})"
+        return f"{type(self).__name__}({self.boundaries() if self._buckets else []})"
 
 
-class WindowCoverage:
+class WindowCoverage(CoveringDecomposition):
     """The Lemma 3.5 maintenance automaton for one independent sample.
 
-    Feeds arriving elements into a covering decomposition and tracks window
-    expiry, keeping either ``ζ(l(t), N(t))`` (case 1) or a straddling bucket
-    plus ``ζ(z_t, N(t))`` (case 2).  Exposes the raw material needed by the
-    §3.3 sampling rule: the straddler (if any) and the suffix decomposition.
+    The automaton *is* the covering decomposition ``ζ(z, N(t))`` of its
+    non-expired suffix, plus a straddling bucket (``None`` in case 1) and a
+    clock.  Feeding an arrival runs the inherited ``Incr``; moving the clock
+    applies the expiry transitions, keeping either ``ζ(l(t), N(t))`` (case 1)
+    or a straddling bucket plus ``ζ(z_t, N(t))`` (case 2).  The geometry
+    (:attr:`covered_start`, :attr:`covered_width`, :meth:`boundaries`, ...)
+    is the suffix's; the straddler is exposed separately, as the §3.3
+    sampling rule needs it.
     """
 
-    __slots__ = ("_t0", "_rng", "_observer", "_straddler", "_decomposition", "_now")
+    __slots__ = ("_t0", "_straddler", "_now")
 
     def __init__(
         self,
@@ -313,11 +306,9 @@ class WindowCoverage:
     ) -> None:
         if t0 <= 0:
             raise ValueError("window span t0 must be positive")
+        super().__init__(ensure_rng(rng), observer)
         self._t0 = float(t0)
-        self._rng = ensure_rng(rng)
-        self._observer = observer
         self._straddler: Optional[BucketStructure] = None
-        self._decomposition = CoveringDecomposition(self._rng, observer)
         self._now = float("-inf")
 
     # -- state inspection -----------------------------------------------------------
@@ -341,18 +332,9 @@ class WindowCoverage:
         return self._straddler
 
     @property
-    def decomposition(self) -> CoveringDecomposition:
-        return self._decomposition
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether no stored element is active (after the last refresh)."""
-        return self._decomposition.is_empty
-
-    @property
     def case(self) -> int:
         """1 or 2, matching Lemma 3.5's two states (0 when empty)."""
-        if self._decomposition.is_empty:
+        if not self._buckets:
             return 0
         return 2 if self._straddler is not None else 1
 
@@ -385,7 +367,7 @@ class WindowCoverage:
             # Lemma 4.1: skip already-expired (delayed) elements; they can only
             # occur while no active element is stored.
             return
-        self._decomposition.incr(value, index, timestamp)
+        self.incr(value, index, timestamp)
 
     def observe_batch(
         self,
@@ -413,7 +395,7 @@ class WindowCoverage:
           expiry scan only when the threshold is actually crossed (one scan
           per transition, not one per arrival);
         * **the one** ``Incr`` — the O(1) probe and in-place cascade of
-          :meth:`CoveringDecomposition.incr`, inlined;
+          :meth:`~CoveringDecomposition.incr`, inlined;
         * attribute lookups are hoisted out of the loop.
 
         The generator is consumed exactly as :meth:`observe` consumes it,
@@ -423,7 +405,7 @@ class WindowCoverage:
         t0 = self._t0
         now = self._now
         rng = self._rng
-        buckets = self._decomposition._buckets
+        buckets = self._buckets
         # Cached expiry threshold: no Lemma 3.5 transition can fire while
         # ``now - front_first_ts < t0`` (the exact per-element comparison, so
         # float rounding matches the reference path bit for bit).
@@ -439,7 +421,7 @@ class WindowCoverage:
                 # then re-cache the bucket list and threshold.
                 self._now = now
                 self._refresh()
-                buckets = self._decomposition._buckets
+                buckets = self._buckets
                 front_ts = buckets[0].first_timestamp if buckets else math.inf
             if now - ts >= t0:
                 # Lemma 4.1: a delayed element already expired on arrival is
@@ -460,7 +442,7 @@ class WindowCoverage:
     # -- the Lemma 3.5 transitions ----------------------------------------------------------
 
     def _refresh(self) -> None:
-        buckets = self._decomposition._buckets
+        buckets = self._buckets
         if not buckets:
             return
         if self._expired(buckets[-1].first_timestamp):
@@ -469,28 +451,29 @@ class WindowCoverage:
             if self._straddler is not None:
                 self._straddler.discard(self._observer)
                 self._straddler = None
-            self._decomposition.discard_all()
+            self.discard_all()
             return
         if not buckets[0].first_expired(self._now, self._t0):
             # Cases 2(a)/3(a): nothing expired at the front; state unchanged.
             return
         # Cases 2(c)/3(c): the front of the decomposition expired but the
-        # newest element is active — re-anchor on the straddling bucket.
-        straddler, discarded, suffix = self._decomposition.split_at_straddler(self._now, self._t0)
+        # newest element is active — re-anchor on the straddling bucket and
+        # keep the suffix after it (a fresh list: the slice).
+        straddler, discarded, suffix = self.split_at_straddler(self._now, self._t0)
         if self._straddler is not None:
             self._straddler.discard(self._observer)
         for bucket in discarded:
             bucket.discard(self._observer)
         self._straddler = straddler
-        self._decomposition = CoveringDecomposition.from_buckets(suffix, self._rng, self._observer)
+        self._buckets = suffix
         self._check_invariant()
 
     def _check_invariant(self) -> None:
         """Case-2 invariant ``z - y <= N + 1 - z`` (needed by Lemma 3.8)."""
-        if self._straddler is None or self._decomposition.is_empty:
+        if self._straddler is None or not self._buckets:
             return
         alpha = self._straddler.width
-        beta = self._decomposition.covered_end + 1 - self._decomposition.covered_start
+        beta = self.covered_width
         if alpha > beta:  # pragma: no cover - would indicate a logic error
             raise AssertionError(
                 f"covering invariant violated: straddler width {alpha} > suffix width {beta}"
@@ -508,16 +491,15 @@ class WindowCoverage:
         """
         from .implicit_events import combine_straddler_and_suffix
 
-        if self._decomposition.is_empty:
+        if not self._buckets:
             raise EmptyWindowError("no active element in the window")
         chooser = rng if rng is not None else self._rng
         if self._straddler is None:
-            return self._decomposition.draw_uniform(chooser)
-        suffix_width = self._decomposition.covered_width
+            return self.draw_uniform(chooser)
         return combine_straddler_and_suffix(
             self._straddler,
-            suffix_width,
-            lambda: self._decomposition.draw_uniform(chooser),
+            self.covered_width,
+            lambda: self.draw_uniform(chooser),
             now=self._now,
             t0=self._t0,
             rng=chooser,
@@ -533,7 +515,7 @@ class WindowCoverage:
         return {
             "now": self._now,
             "straddler": None if straddler is None else straddler.state_dict(memo),
-            "decomposition": self._decomposition.state_dict(memo),
+            "decomposition": super().state_dict(memo),
         }
 
     def load_state_dict(
@@ -546,13 +528,12 @@ class WindowCoverage:
             if state["straddler"] is None
             else BucketStructure.from_state_dict(state["straddler"], memo)
         )
-        self._decomposition = CoveringDecomposition(self._rng, self._observer)
-        self._decomposition.load_state_dict(state["decomposition"], memo)
+        super().load_state_dict(state["decomposition"], memo)
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
         if self._straddler is not None:
             yield from self._straddler.iter_candidates()
-        yield from self._decomposition.iter_candidates()
+        yield from super().iter_candidates()
 
     def memory_words(self) -> int:
         meter = MemoryMeter(WORD_MODEL)
@@ -560,5 +541,5 @@ class WindowCoverage:
         meter.add_timestamps()  # the clock
         if self._straddler is not None:
             meter.add_words(self._straddler.memory_words())
-        meter.add_words(self._decomposition.memory_words())
+        meter.add_words(super().memory_words())
         return meter.total

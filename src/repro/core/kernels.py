@@ -128,24 +128,20 @@ def seq_wr_process_batch(sampler: Any, values: Sequence[Any], timestamps: Option
 
     All ``2k`` uniforms are drawn in a single generator call.
     """
-    from .reservoir import SingleReservoir
     from .tracking import SampleCandidate
 
     n = sampler._n
     start = sampler._arrivals
     gen = sampler._np_gen
-    lanes = sampler._lanes
-    draws = gen.random((len(lanes), 2))
+    partials = sampler._partials
+    draws = gen.random((len(partials), 2))
+    pb_old = (start - 1) // n if start else 0
     pb_new = (start + count - 1) // n
     tail_start = pb_new * n - start  # batch position where the final bucket begins
     if tail_start < 0:
         tail_start = 0
     tail_len = count - tail_start
-    for lane_at, lane in enumerate(lanes):
-        partial = lane.partial
-        if lane.partial_bucket is None:
-            lane.partial_bucket = start // n
-        pb_old = lane.partial_bucket
+    for lane_at, partial in enumerate(partials):
         u0 = draws[lane_at, 0]
         if pb_new == pb_old:
             # No roll-over: one reservoir transition for the whole batch.
@@ -195,23 +191,21 @@ def seq_wr_process_batch(sampler: Any, values: Sequence[Any], timestamps: Option
                 index=index,
                 timestamp=_element_timestamp(timestamps, position, index),
             )
-        lane.active_sample = active
-        lane.active_bucket = last_completed
-        fresh = SingleReservoir(rng=lane.rng, observer=None)
+        sampler._actives[lane_at] = active
+        # The reservoir restarts on the tail bucket, holding one uniform
+        # draw of it.
         offset = int(draws[lane_at, 1] * tail_len)
         if offset >= tail_len:
             offset = tail_len - 1
         position = tail_start + offset
         index = start + position
-        fresh._candidate = SampleCandidate(
+        partial._candidate = SampleCandidate(
             value=values[position],
             index=index,
             timestamp=_element_timestamp(timestamps, position, index),
         )
-        fresh._count = tail_len
-        fresh.redraw_next()
-        lane.partial = fresh
-        lane.partial_bucket = pb_new
+        partial._count = tail_len
+        partial.redraw_next()
     sampler._arrivals = start + count
 
 
@@ -295,9 +289,7 @@ def seq_wor_process_batch(sampler: Any, values: Sequence[Any], timestamps: Optio
     k = sampler._k
     start = sampler._arrivals
     gen = sampler._np_gen
-    if sampler._partial_bucket is None:
-        sampler._partial_bucket = start // n
-    pb_old = sampler._partial_bucket
+    pb_old = (start - 1) // n if start else 0
     pb_new = (start + count - 1) // n
     partial = sampler._partial
     if pb_new == pb_old:
@@ -317,12 +309,10 @@ def seq_wor_process_batch(sampler: Any, values: Sequence[Any], timestamps: Optio
         base = last_completed * n - start
         _wor_extend(fresh, start, base, base + n, values, timestamps, gen)
         sampler._active_slots = list(fresh._slots)
-    sampler._active_bucket = last_completed
     tail_start = pb_new * n - start
     fresh = ReservoirWithoutReplacement(k, rng=sampler._reservoir_rng, observer=None)
     _wor_extend(fresh, start, tail_start, count, values, timestamps, gen)
     sampler._partial = fresh
-    sampler._partial_bucket = pb_new
     sampler._arrivals = start + count
 
 
@@ -456,7 +446,7 @@ def coverage_observe_batch(
     t0 = coverage._t0
     now = coverage._now
     position = 0
-    buckets = coverage._decomposition._buckets
+    buckets = coverage._buckets
     while position < total:
         if not buckets:
             # Lemma 4.1: while nothing active is stored, delayed elements
@@ -503,5 +493,5 @@ def coverage_observe_batch(
             now = max(now, float(clocks[position]))
             coverage._now = now
             coverage._refresh()
-            buckets = coverage._decomposition._buckets
+            buckets = coverage._buckets
     coverage._now = now

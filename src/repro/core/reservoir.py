@@ -97,6 +97,24 @@ class SingleReservoir:
         """The currently retained candidate (``None`` before the first offer)."""
         return self._candidate
 
+    @property
+    def rng(self) -> Any:
+        """The generator the acceptances draw from (owned and snapshotted by
+        the enclosing sampler)."""
+        return self._rng
+
+    def restart(self) -> Optional[SampleCandidate]:
+        """Start over on a new bucket and hand back the retained candidate.
+
+        Unlike :meth:`reset` no discard is reported: the caller keeps the
+        candidate (§2.1's roll-over makes it the active bucket's sample).
+        """
+        candidate = self._candidate
+        self._candidate = None
+        self._count = 0
+        self._next = 1
+        return candidate
+
     def offer(self, value: Any, index: int, timestamp: float = 0.0) -> None:
         """Offer one element to the reservoir."""
         count = self._count + 1
@@ -182,11 +200,9 @@ class SingleReservoir:
 
     def reset(self) -> None:
         """Forget everything (used when a bucket is discarded)."""
-        if self._candidate is not None and self._observer is not None:
-            self._observer.on_discard(self._candidate)
-        self._candidate = None
-        self._count = 0
-        self._next = 1
+        candidate = self.restart()
+        if candidate is not None and self._observer is not None:
+            self._observer.on_discard(candidate)
 
     def state_dict(self) -> Dict[str, Any]:
         """Snapshot: offer count, retained candidate, next acceptance.  The

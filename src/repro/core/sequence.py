@@ -17,11 +17,18 @@ Implements Section 2 of the paper — the *equivalent-width partition* method:
 
 Both samplers use a deterministic Θ(k) words — the paper's optimal bound —
 and never fail: a valid sample is available whenever the window is non-empty.
+
+Neither sampler stores a bucket id.  Arrival ``i`` belongs to bucket
+``i // n``, so after ``a`` arrivals the partial bucket is ``(a - 1) // n`` and
+the active bucket the one before it, and the partial bucket rolls over on
+arrival ``i > 0`` with ``i % n == 0``.  The k lanes of the with-replacement
+sampler are two lists, not k objects: lane ``i`` is its active sample and its
+reservoir over the partial bucket, which draws from stream ``i``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError, EmptyWindowError
 from ..memory import MemoryMeter, WORD_MODEL
@@ -41,78 +48,14 @@ from .tracking import CandidateObserver, SampleCandidate
 __all__ = ["SequenceSamplerWR", "SequenceSamplerWOR"]
 
 
-class _SingleSampleLane:
-    """The state of one independent single-sample scheme of §2.1.
-
-    Holds at most two candidates: the final sample of the most recent full
-    bucket (``active_sample``) and the running reservoir over the bucket
-    currently being filled (``partial``).
-    """
-
-    __slots__ = ("rng", "observer", "active_sample", "active_bucket", "partial", "partial_bucket")
-
-    def __init__(self, rng: LaneRng, observer: Optional[CandidateObserver]) -> None:
-        self.rng = rng
-        self.observer = observer
-        self.active_sample: Optional[SampleCandidate] = None
-        self.active_bucket: Optional[int] = None
-        self.partial = SingleReservoir(rng=rng, observer=observer)
-        self.partial_bucket: Optional[int] = None
-
-    def roll_over(self, new_bucket: int) -> None:
-        """The partial bucket completed; it becomes the active bucket."""
-        if self.active_sample is not None and self.observer is not None:
-            self.observer.on_discard(self.active_sample)
-        self.active_sample = self.partial.candidate
-        self.active_bucket = self.partial_bucket
-        # A fresh reservoir for the new bucket.  The observer must NOT see the
-        # retained active candidate as discarded, so we do not reset().
-        self.partial = SingleReservoir(rng=self.rng, observer=self.observer)
-        self.partial_bucket = new_bucket
-
-    def offer(self, value: Any, index: int, timestamp: float, bucket: int) -> None:
-        if self.partial_bucket is None:
-            self.partial_bucket = bucket
-        elif bucket != self.partial_bucket:
-            self.roll_over(bucket)
-        self.partial.offer(value, index, timestamp)
-
-    def iter_candidates(self) -> Iterator[SampleCandidate]:
-        if self.active_sample is not None:
-            yield self.active_sample
-        yield from self.partial.iter_candidates()
-
-    def memory_words(self) -> int:
-        meter = MemoryMeter(WORD_MODEL)
-        if self.active_sample is not None:
-            meter.add_elements().add_indexes().add_timestamps()
-        meter.add_counters()  # active bucket id
-        meter.add_words(self.partial.memory_words())
-        meter.add_counters()  # partial bucket id
-        return meter.total
-
-    def state_dict(self) -> Dict[str, Any]:
-        # The lane's generator is also its partial reservoir's generator.
-        return {
-            "rng": self.rng.get_state(),
-            "active_sample": encode_optional_candidate(self.active_sample),
-            "active_bucket": self.active_bucket,
-            "partial": self.partial.state_dict(),
-            "partial_bucket": self.partial_bucket,
-        }
-
-    def load_state_dict(self, state: Dict[str, Any], seed: int, stream: int) -> None:
-        require_state_fields(
-            state,
-            ("rng", "active_sample", "active_bucket", "partial", "partial_bucket"),
-            "_SingleSampleLane",
-        )
-        load_stream(self.rng, seed, stream, state["rng"])
-        self.active_sample = decode_optional_candidate(state["active_sample"])
-        self.active_bucket = None if state["active_bucket"] is None else int(state["active_bucket"])
-        self.partial = SingleReservoir(rng=self.rng, observer=self.observer)
-        self.partial.load_state_dict(state["partial"])
-        self.partial_bucket = None if state["partial_bucket"] is None else int(state["partial_bucket"])
+def _bucket_ids(arrivals: int, n: int) -> Tuple[Optional[int], Optional[int]]:
+    """The ``(active, partial)`` bucket ids after ``arrivals`` arrivals, each
+    ``None`` while its bucket does not exist.  The samplers store neither;
+    their snapshots still carry both."""
+    if not arrivals:
+        return None, None
+    partial = (arrivals - 1) // n
+    return (partial - 1 if partial else None), partial
 
 
 class SequenceSamplerWR(SequenceWindowSampler):
@@ -128,7 +71,7 @@ class SequenceSamplerWR(SequenceWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
-    __slots__ = ("_seed", "_lanes", "_np_gen")
+    __slots__ = ("_seed", "_actives", "_partials", "_np_gen")
 
     def __init__(
         self,
@@ -143,7 +86,10 @@ class SequenceSamplerWR(SequenceWindowSampler):
         # nothing (the window sample is a lookup), so there is no query
         # stream.
         self._seed = seed = sampler_seed(rng)
-        self._lanes = [_SingleSampleLane(LaneRng(seed, lane), observer) for lane in range(self._k)]
+        # Lane i: the final sample of the last full bucket (None before one
+        # exists) and the reservoir over the bucket being filled.
+        self._actives: List[Optional[SampleCandidate]] = [None] * self._k
+        self._partials = [SingleReservoir(LaneRng(seed, lane), observer) for lane in range(self._k)]
         self._np_gen = init_sampler_kernel(kernel, seed)
 
     # -- ingestion ----------------------------------------------------------
@@ -151,9 +97,11 @@ class SequenceSamplerWR(SequenceWindowSampler):
     def append(self, value: Any, timestamp: Optional[float] = None) -> None:
         index = self._arrivals
         ts = float(timestamp) if timestamp is not None else float(index)
-        bucket = index // self._n
-        for lane in self._lanes:
-            lane.offer(value, index, ts, bucket)
+        roll = index > 0 and index % self._n == 0
+        for lane, partial in enumerate(self._partials):
+            if roll:
+                self._roll_over(lane)
+            partial.offer(value, index, ts)
         self._arrivals += 1
         self._notify_arrival(value, index, ts)
 
@@ -190,82 +138,98 @@ class SequenceSamplerWR(SequenceWindowSampler):
             return count
         n = self._n
         start = self._arrivals
-        for lane in self._lanes:
+        for lane, partial in enumerate(self._partials):
             position = 0
             while position < count:
                 index = start + position
-                bucket = index // n
-                if lane.partial_bucket is None:
-                    lane.partial_bucket = bucket
-                elif bucket != lane.partial_bucket:
-                    lane.roll_over(bucket)
+                if index and not index % n:
+                    self._roll_over(lane)
                 segment_end = min(count, position + n - index % n)
-                lane.partial.offer_slice(values, start, position, segment_end, timestamps)
+                partial.offer_slice(values, start, position, segment_end, timestamps)
                 position = segment_end
         self._arrivals = start + count
         return count
 
+    def _roll_over(self, lane: int) -> None:
+        """Lane ``lane``'s partial bucket completed: its sample becomes the
+        active one, and the reservoir restarts on the new bucket.  The
+        observer hears the old active sample's discard before the new
+        bucket's first selection."""
+        active = self._actives[lane]
+        if active is not None and self._observer is not None:
+            self._observer.on_discard(active)
+        self._actives[lane] = self._partials[lane].restart()
+
     # -- sampling -----------------------------------------------------------
 
     def sample_candidates(self) -> List[SampleCandidate]:
-        if self._arrivals == 0:
-            raise EmptyWindowError("no element has arrived yet")
-        return [self._sample_lane(lane) for lane in self._lanes]
-
-    def _sample_lane(self, lane: _SingleSampleLane) -> SampleCandidate:
         arrivals = self._arrivals
-        window_start = max(0, arrivals - self._n)
-        in_partial = arrivals % self._n
-        if in_partial == 0 or arrivals <= self._n:
-            # The window coincides with the bucket currently held by the
-            # partial reservoir (either the bucket just completed, or the very
-            # first — still filling — bucket).
-            candidate = lane.partial.candidate
-            if candidate is None:  # pragma: no cover - defensive; cannot happen
-                raise EmptyWindowError("internal error: empty partial reservoir")
-            return candidate
-        active = lane.active_sample
-        if active is not None and active.index >= window_start:
-            return active
-        candidate = lane.partial.candidate
-        if candidate is None:  # pragma: no cover - defensive; cannot happen
-            raise EmptyWindowError("internal error: empty partial reservoir")
-        return candidate
+        if arrivals == 0:
+            raise EmptyWindowError("no element has arrived yet")
+        if arrivals % self._n == 0 or arrivals <= self._n:
+            # The window coincides with the bucket the partial reservoirs
+            # hold (the bucket just completed, or the first, still filling).
+            return [partial.candidate for partial in self._partials]
+        window_start = arrivals - self._n
+        return [
+            active if active is not None and active.index >= window_start else partial.candidate
+            for active, partial in zip(self._actives, self._partials)
+        ]
 
     # -- introspection --------------------------------------------------------
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
-        for lane in self._lanes:
-            yield from lane.iter_candidates()
+        for active, partial in zip(self._actives, self._partials):
+            if active is not None:
+                yield active
+            yield from partial.iter_candidates()
 
     def memory_words(self) -> int:
         meter = MemoryMeter(WORD_MODEL)
         meter.add_constants(2)  # n and k
         meter.add_counters()  # arrival counter
-        for lane in self._lanes:
-            meter.add_words(lane.memory_words())
+        for active, partial in zip(self._actives, self._partials):
+            if active is not None:
+                meter.add_elements().add_indexes().add_timestamps()
+            meter.add_words(partial.memory_words())
         return meter.total
 
     # -- checkpointing --------------------------------------------------------
 
     def _encode_state(self) -> Dict[str, Any]:
+        active_bucket, partial_bucket = _bucket_ids(self._arrivals, self._n)
         return {
             "n": self._n,
             "seed": self._seed,
-            "lanes": [lane.state_dict() for lane in self._lanes],
+            "lanes": [
+                {
+                    # The lane's generator is its reservoir's generator.
+                    "rng": partial.rng.get_state(),
+                    "active_sample": encode_optional_candidate(active),
+                    "active_bucket": active_bucket,
+                    "partial": partial.state_dict(),
+                    "partial_bucket": partial_bucket,
+                }
+                for active, partial in zip(self._actives, self._partials)
+            ],
         }
 
     def _decode_state(self, payload: Dict[str, Any]) -> None:
         require_state_fields(payload, ("n", "seed", "lanes"), type(self).__name__)
         if int(payload["n"]) != self._n:
             raise ConfigurationError(f"snapshot has n={payload['n']}, sampler has n={self._n}")
-        if len(payload["lanes"]) != len(self._lanes):
+        if len(payload["lanes"]) != self._k:
             raise ConfigurationError(
-                f"snapshot has {len(payload['lanes'])} lanes, sampler has {len(self._lanes)}"
+                f"snapshot has {len(payload['lanes'])} lanes, sampler has {self._k}"
             )
         seed = int(payload["seed"])
-        for stream, (lane, lane_state) in enumerate(zip(self._lanes, payload["lanes"])):
-            lane.load_state_dict(lane_state, seed, stream)
+        for stream, (partial, lane_state) in enumerate(zip(self._partials, payload["lanes"])):
+            require_state_fields(
+                lane_state, ("rng", "active_sample", "partial"), f"{type(self).__name__} lane"
+            )
+            load_stream(partial.rng, seed, stream, lane_state["rng"])
+            self._actives[stream] = decode_optional_candidate(lane_state["active_sample"])
+            partial.load_state_dict(lane_state["partial"])
         self._seed = seed
 
 
@@ -289,7 +253,7 @@ class SequenceSamplerWOR(SequenceWindowSampler):
 
     __slots__ = (
         "_seed", "_allow_partial", "_reservoir_rng", "_query_rng", "_np_gen",
-        "_active_slots", "_active_bucket", "_partial", "_partial_bucket",
+        "_active_slots", "_partial",
     )
 
     def __init__(
@@ -308,20 +272,15 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         self._query_rng = LaneRng(seed, QUERY_STREAM)
         self._np_gen = init_sampler_kernel(kernel, seed)
         self._active_slots: List[SampleCandidate] = []
-        self._active_bucket: Optional[int] = None
         self._partial = ReservoirWithoutReplacement(self._k, rng=self._reservoir_rng, observer=observer)
-        self._partial_bucket: Optional[int] = None
 
     # -- ingestion -------------------------------------------------------------
 
     def append(self, value: Any, timestamp: Optional[float] = None) -> None:
         index = self._arrivals
         ts = float(timestamp) if timestamp is not None else float(index)
-        bucket = index // self._n
-        if self._partial_bucket is None:
-            self._partial_bucket = bucket
-        elif bucket != self._partial_bucket:
-            self._roll_over(bucket)
+        if index and not index % self._n:
+            self._roll_over()
         self._partial.offer(value, index, ts)
         self._arrivals += 1
         self._notify_arrival(value, index, ts)
@@ -359,27 +318,22 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         position = 0
         while position < count:
             index = start + position
-            bucket = index // n
-            if self._partial_bucket is None:
-                self._partial_bucket = bucket
-            elif bucket != self._partial_bucket:
-                self._roll_over(bucket)
+            if index and not index % n:
+                self._roll_over()
             segment_end = min(count, position + n - index % n)
             self._partial.offer_slice(values, start, position, segment_end, timestamps)
             position = segment_end
         self._arrivals = start + count
         return count
 
-    def _roll_over(self, new_bucket: int) -> None:
+    def _roll_over(self) -> None:
         if self._observer is not None:
             for candidate in self._active_slots:
                 self._observer.on_discard(candidate)
         self._active_slots = self._partial.sample()
-        self._active_bucket = self._partial_bucket
         self._partial = ReservoirWithoutReplacement(
             self._k, rng=self._reservoir_rng, observer=self._observer
         )
-        self._partial_bucket = new_bucket
 
     # -- sampling ---------------------------------------------------------------
 
@@ -421,19 +375,19 @@ class SequenceSamplerWOR(SequenceWindowSampler):
         meter.add_counters()  # arrival counter
         held = len(self._active_slots)
         meter.add_elements(held).add_indexes(held).add_timestamps(held)
-        meter.add_counters(2)  # bucket ids
         meter.add_words(self._partial.memory_words())
         return meter.total
 
     # -- checkpointing --------------------------------------------------------------
 
     def _encode_state(self) -> Dict[str, Any]:
+        active_bucket, partial_bucket = _bucket_ids(self._arrivals, self._n)
         return {
             "n": self._n,
             "active_slots": [encode_candidate(candidate) for candidate in self._active_slots],
-            "active_bucket": self._active_bucket,
+            "active_bucket": active_bucket,
             "partial": self._partial.state_dict(),
-            "partial_bucket": self._partial_bucket,
+            "partial_bucket": partial_bucket,
             "seed": self._seed,
             "rng": self._reservoir_rng.get_state(),
             "query_rng": self._query_rng.get_state(),
@@ -442,15 +396,12 @@ class SequenceSamplerWOR(SequenceWindowSampler):
     def _decode_state(self, payload: Dict[str, Any]) -> None:
         require_state_fields(
             payload,
-            ("n", "active_slots", "active_bucket", "partial", "partial_bucket", "seed", "rng", "query_rng"),
+            ("n", "active_slots", "partial", "seed", "rng", "query_rng"),
             type(self).__name__,
         )
         if int(payload["n"]) != self._n:
             raise ConfigurationError(f"snapshot has n={payload['n']}, sampler has n={self._n}")
         self._active_slots = [decode_candidate(encoded) for encoded in payload["active_slots"]]
-        self._active_bucket = (
-            None if payload["active_bucket"] is None else int(payload["active_bucket"])
-        )
         seed = int(payload["seed"])
         load_stream(self._reservoir_rng, seed, 0, payload["rng"])
         load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
@@ -459,6 +410,3 @@ class SequenceSamplerWOR(SequenceWindowSampler):
             self._k, rng=self._reservoir_rng, observer=self._observer
         )
         self._partial.load_state_dict(payload["partial"])
-        self._partial_bucket = (
-            None if payload["partial_bucket"] is None else int(payload["partial_bucket"])
-        )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 import time
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -377,24 +378,42 @@ def _copy_query_result(value: Any) -> Any:
     return value
 
 
+def _finite_timestamp(timestamp: Any) -> float:
+    """An explicit record timestamp as a finite float, on every window.
+
+    The slow path of both ingest loops for anything but a finite float: a
+    number converts, and anything else, NaN and ±inf included, raises
+    ``ConfigurationError`` before the record is buffered.
+    """
+    try:
+        stamped = float(timestamp)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"record timestamp must be a number, got {timestamp!r}"
+        ) from None
+    except OverflowError:
+        # An int too large for a float; its repr may be refused as well.
+        raise ConfigurationError(
+            "record timestamp must be a number within a float's range"
+        ) from None
+    if not math.isfinite(stamped):
+        raise ConfigurationError(f"record timestamp must be finite, got {timestamp!r}")
+    return stamped
+
+
 def _stamp_timestamp(timestamp: Any, now: float) -> float:
     """Apply the global clock contract to one clocked record's timestamp.
 
     A missing timestamp means "now" (zero before any timestamped record);
-    an explicit one must be numeric and globally non-decreasing.  The slow
-    path of both ingest loops, which accept a float at or past the clock
-    inline — one contract, one implementation.
+    an explicit one must be a finite number and globally non-decreasing.
+    The slow path of both ingest loops, which accept a finite float at or
+    past the clock inline — one contract, one implementation.
     """
     if timestamp is None:
         # "Now" must be the engine's clock, not the key-local sampler's
         # (a fresh key's sampler has seen no time).
         return now if now != float("-inf") else 0.0
-    try:
-        timestamp = float(timestamp)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"record timestamp must be a number, got {timestamp!r}"
-        ) from None
+    timestamp = _finite_timestamp(timestamp)
     if timestamp < now:
         raise StreamOrderError(
             f"batch timestamps must be globally non-decreasing: {timestamp} < {now}"
@@ -542,9 +561,12 @@ class ShardedEngine:
         safely advance any key's sampler to that clock.  A missing timestamp
         means "now": the record is stamped with the engine's clock (zero
         before any timestamped record).  Sequence-window specs treat
-        timestamps as inert metadata and skip the contract.  An out-of-order
-        or malformed record raises mid-batch; everything before it has been
-        ingested and the clock reflects exactly the ingested prefix.
+        timestamps as inert metadata with no clock or order, but on every
+        window a timestamp is ``None`` or a finite number: anything else
+        (a string, NaN, ±inf) raises ``ConfigurationError``.  An
+        out-of-order or malformed record raises mid-batch; everything
+        before it has been ingested and the clock reflects exactly the
+        ingested prefix.
 
         Two loops run the batch, and the pools' policy picks one:
 
@@ -576,6 +598,7 @@ class ShardedEngine:
         count = 0
         clocked = self._spec.is_timestamp
         now = self._now
+        inf = math.inf
         shard_count = self._shards
         route = stable_key_hash
         # NOTE: the inlined record-unpack + clock-stamp block below is
@@ -607,11 +630,18 @@ class ShardedEngine:
                 else:
                     key, value, timestamp = _unpack_record(record)
                 if clocked:
-                    if type(timestamp) is float and timestamp >= now:
+                    # Inline: a finite float at or past the clock.  NaN fails
+                    # every comparison; -inf passes ``now <=`` while the
+                    # clock is unset, hence the lower bound.
+                    if type(timestamp) is float and now <= timestamp < inf and timestamp > -inf:
                         now = timestamp
                     else:
                         timestamp = _stamp_timestamp(timestamp, now)
                         now = timestamp
+                elif timestamp is not None and not (
+                    type(timestamp) is float and -inf < timestamp < inf
+                ):
+                    timestamp = _finite_timestamp(timestamp)
                 group = get_group(key)
                 if group is None:
                     shard = route(key, salt=_ROUTE_SALT) % shard_count
@@ -674,6 +704,7 @@ class ShardedEngine:
         count = 0
         clocked = self._spec.is_timestamp
         now = self._now
+        inf = math.inf
         shard_count = self._shards
         route = stable_key_hash
         limit = _SUB_BATCH
@@ -706,11 +737,18 @@ class ShardedEngine:
                 else:
                     key, value, timestamp = _unpack_record(record)
                 if clocked:
-                    if type(timestamp) is float and timestamp >= now:
+                    # Inline: a finite float at or past the clock.  NaN fails
+                    # every comparison; -inf passes ``now <=`` while the
+                    # clock is unset, hence the lower bound.
+                    if type(timestamp) is float and now <= timestamp < inf and timestamp > -inf:
                         now = timestamp
                     else:
                         timestamp = _stamp_timestamp(timestamp, now)
                         now = timestamp
+                elif timestamp is not None and not (
+                    type(timestamp) is float and -inf < timestamp < inf
+                ):
+                    timestamp = _finite_timestamp(timestamp)
                 shard = shard_memo.get(key, -1)
                 if shard < 0:
                     if len(shard_memo) >= _SHARD_MEMO_KEYS:

@@ -393,6 +393,64 @@ class TestClockContract:
             assert process.state_dict() == serial.state_dict()
 
 
+#: The coordinator loops a record can meet: the serial engine's grouped
+#: loop, its router (an LRU budget), and the router in front of a worker.
+ENGINE_FORMS = {
+    "serial-grouped": lambda spec: ShardedEngine(spec, shards=2, seed=1),
+    "serial-routed": lambda spec: ShardedEngine(spec, shards=2, seed=1, max_keys_per_shard=64),
+    "process": lambda spec: ProcessEngine(spec, shards=2, workers=1, seed=1),
+}
+
+
+def _closing(engine):
+    close = getattr(engine, "close", None)
+    if close is not None:
+        close()
+
+
+class TestTimestampValidation:
+    """A record's timestamp is ``None`` or a finite number on every window,
+    checked by the coordinator before the record is buffered, so a bad one
+    ends the batch after its validated prefix and reaches no sampler."""
+
+    @pytest.mark.parametrize("form", sorted(ENGINE_FORMS))
+    @pytest.mark.parametrize("bad", ["abc", 10**400], ids=["string", "huge-int"])
+    def test_sequence_window_refuses_a_non_numeric_timestamp(self, form, bad):
+        engine = ENGINE_FORMS[form](SEQ_SPEC)
+        try:
+            with pytest.raises(ConfigurationError, match="must be a number"):
+                engine.ingest([("a", 1, 1.0), ("b", 2, bad)])
+            assert engine.total_arrivals == 1  # the prefix landed
+            assert engine.key_count == 1  # and "b" was never born
+            # The fleet still ingests and answers.
+            engine.ingest([("b", 3, 2.0), ("a", 4)])
+            assert engine.total_arrivals == 3
+            assert [element.value for element in engine.sample("b")] == [3, 3, 3, 3]
+        finally:
+            _closing(engine)
+
+    @pytest.mark.parametrize("form", sorted(ENGINE_FORMS))
+    @pytest.mark.parametrize("spec", [SEQ_SPEC, TS_SPEC], ids=["sequence", "timestamp"])
+    def test_non_finite_timestamps_are_refused(self, form, spec):
+        engine = ENGINE_FORMS[form](spec)
+        try:
+            # -inf must be refused while the clock is still unset, too.
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                engine.ingest([("a", 1, float("-inf"))])
+            assert engine.now == float("-inf") and engine.total_arrivals == 0
+            engine.ingest([("a", 1, 5.0)])
+            clock = engine.now
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    engine.ingest([("b", 2, bad)])
+                assert engine.now == clock  # the clock did not move
+            assert engine.total_arrivals == 1 and engine.key_count == 1
+            engine.ingest([("b", 3, 6.0)])
+            assert {element.value for element in engine.sample("b")} == {3}
+        finally:
+            _closing(engine)
+
+
 class TestBackpressureAndBarrier:
     @pytest.mark.parametrize("fleet", FLEETS)
     def test_tiny_queues_lose_nothing(self, fleet, fleet_options):

@@ -310,7 +310,7 @@ class TestKernelStructuralInvariants:
                 sampler.process_batch(values, [float(value) for value in values])
                 fed += chunk
                 for coverage in sampler._coverages:
-                    assert coverage._decomposition.is_canonical()
+                    assert coverage.is_canonical()
             assert sampler.sample()[0].index >= max(0, total - 61)
 
     def test_kernel_and_python_agree_on_structure(self):
@@ -324,7 +324,7 @@ class TestKernelStructuralInvariants:
             sampler.process_batch(list(range(150, 300)), stamps[150:])
         boundaries = lambda sampler: [
             (bucket.start, bucket.end)
-            for bucket in sampler._coverages[0]._decomposition._buckets
+            for bucket in sampler._coverages[0]._buckets
         ]
         assert boundaries(kernelled) == boundaries(reference)
 

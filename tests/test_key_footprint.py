@@ -10,6 +10,13 @@ and ~19–20 KB pickled, 2.6–19x over these budgets.  The timestamp budgets
 assume one singleton per arrival shared by the k lanes (and encoded once in
 a snapshot): with a copy per lane, ts-WR took 4.2 KB resident and 1.4 KB
 pickled, ts-WOR 3.9 KB and 1.0 KB.
+
+The resident budgets are the measurement plus 5%, rounded up to 16 B, and
+they assume one object per lane: a seq-WR lane is its reservoir (no wrapper
+holding two bucket ids), and a timestamp lane is its covering automaton (no
+separate decomposition object).  Measured on CPython 3.11: seq-WR 1,318 B,
+ts-WR 1,910 B, ts-WOR 2,678 B resident, and 495, 644 and 650 B pickled.
+With a wrapper per lane they took 1,542, 2,134 and 2,902 B resident.
 """
 
 import gc
@@ -24,11 +31,10 @@ KEYS = 2_000
 RECORDS = 3
 
 CASES = [
-    pytest.param(SamplerSpec(window="sequence", n=256, k=4), 3 * 1024, 1024, id="seq-wr"),
-    # Measured 2.1 KB / 644 B (ts-WR) and 2.9 KB / 650 B (ts-WOR).
-    pytest.param(SamplerSpec(window="timestamp", t0=4.0, k=4), 2560, 768, id="ts-wr"),
+    pytest.param(SamplerSpec(window="sequence", n=256, k=4), 1392, 1024, id="seq-wr"),
+    pytest.param(SamplerSpec(window="timestamp", t0=4.0, k=4), 2016, 768, id="ts-wr"),
     pytest.param(
-        SamplerSpec(window="timestamp", t0=4.0, k=4, replacement=False), 3584, 768, id="ts-wor"
+        SamplerSpec(window="timestamp", t0=4.0, k=4, replacement=False), 2816, 768, id="ts-wor"
     ),
 ]
 

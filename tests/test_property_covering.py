@@ -55,9 +55,9 @@ def test_window_coverage_invariants_on_arbitrary_arrival_gaps(gaps, t0, seed):
         coverage.advance_time(now)
         coverage.observe(index, index, now)
         assert not coverage.is_empty  # the element just added is active
-        assert coverage.decomposition.covered_end == index
+        assert coverage.covered_end == index
         if coverage.case == 2:
-            assert coverage.straddler.width <= coverage.decomposition.covered_width
+            assert coverage.straddler.width <= coverage.covered_width
         candidate = coverage.draw_sample(query_rng)
         assert now - candidate.timestamp < t0
         assert candidate.index <= index

@@ -135,6 +135,26 @@ class TestHttpSurface:
             status, stats, _ = http_get(port, "/v1/default/stats")
             assert stats["arrivals"] == 2
 
+    def test_bad_timestamps_are_400_and_the_tenant_keeps_serving(self):
+        # A sequence window keeps no clock, yet a timestamp must still be
+        # null or a finite number; Python's json parses NaN and Infinity.
+        with ServeThread(serve_config()) as server:
+            port = server.http_port
+            bad = '["a", 1, 1.0]\n["b", 2, "abc"]\n'
+            status, body, _ = http_post(port, "/v1/default/ingest", bad)
+            assert status == 400 and "must be a number" in body["error"]
+            for literal in ("NaN", "Infinity", "-Infinity"):
+                line = '{"key": "c", "value": 1, "timestamp": %s}\n' % literal
+                status, body, _ = http_post(port, "/v1/default/ingest", line)
+                assert status == 400 and "must be finite" in body["error"]
+            huge = '{"key": "c", "value": 1, "timestamp": 1%s}\n' % ("0" * 400)
+            status, body, _ = http_post(port, "/v1/default/ingest", huge)
+            assert status == 400 and "must be a number" in body["error"]
+            status, stats, _ = http_get(port, "/v1/default/stats")
+            assert stats["keys"] == 1 and stats["arrivals"] == 1  # the prefix
+            status, reply, _ = http_post(port, "/v1/default/ingest", '["b", 2, 2.0]\n')
+            assert status == 200 and reply["ingested"] == 1
+
     def test_nested_keys_round_trip(self):
         with ServeThread(serve_config()) as server:
             port = server.http_port

@@ -80,7 +80,7 @@ def geometry(sampler):
         (
             coverage.now,
             None if coverage.straddler is None else (coverage.straddler.start, coverage.straddler.end),
-            coverage.decomposition.boundaries(),
+            coverage.boundaries(),
             coverage.rng.get_state(),
         )
         for coverage in sampler._coverages
@@ -101,7 +101,7 @@ def test_observer_and_observer_free_take_the_same_incr(family, seed):
     # (a merge's losing side, or expiry): what is still selected is what
     # the lanes retain, two records per bucket.
     retained = sum(
-        2 * (len(coverage.decomposition) + (coverage.straddler is not None))
+        2 * (len(coverage) + (coverage.straddler is not None))
         for coverage in watched._coverages
     )
     assert observer.discarded > 0
@@ -114,7 +114,7 @@ def test_observer_free_lanes_share_each_arrival(family):
     sampler.process_batch(list(range(30)), [float(t) for t in range(30)])
     sampler.append(30, 30.0)
     for first in (31, 33):
-        newest = [coverage.decomposition._buckets[-1] for coverage in sampler._coverages]
+        newest = [coverage._buckets[-1] for coverage in sampler._coverages]
         if family is TimestampSamplerWR:
             # Every lane's newest bucket is the newest arrival's singleton.
             assert all(bucket is newest[0] for bucket in newest)
@@ -133,7 +133,7 @@ def test_observer_lanes_keep_their_own_candidates(family):
     sampler = family(t0=50.0, k=4, rng=3, observer=CountingObserver())
     for step in range(12):
         sampler.append(step, float(step))
-    newest = [coverage.decomposition._buckets[-1] for coverage in sampler._coverages]
+    newest = [coverage._buckets[-1] for coverage in sampler._coverages]
     candidates = [id(c) for bucket in newest for c in (bucket.r_sample, bucket.q_sample)]
     assert len(set(candidates)) == len(candidates)
     if family is TimestampSamplerWOR:
@@ -150,7 +150,7 @@ def test_one_record_snapshot_is_small_and_restores_shared():
     restored = TimestampSamplerWR(t0=4.0, k=8, rng=99)
     restored.load_state_dict(pickle.loads(payload))
     assert restored.state_dict() == sampler.state_dict()
-    buckets = [coverage.decomposition._buckets[-1] for coverage in restored._coverages]
+    buckets = [coverage._buckets[-1] for coverage in restored._coverages]
     assert all(bucket is buckets[0] for bucket in buckets)
     assert buckets[0].r_sample is buckets[0].q_sample
 

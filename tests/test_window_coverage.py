@@ -32,8 +32,8 @@ class TestBasicStates:
         feed_constant_rate(coverage, 20)
         assert coverage.case == 1
         assert coverage.straddler is None
-        assert coverage.decomposition.covered_start == 0
-        assert coverage.decomposition.covered_end == 19
+        assert coverage.covered_start == 0
+        assert coverage.covered_end == 19
 
     def test_case_2_after_partial_expiry(self):
         coverage = WindowCoverage(10.0, random.Random(2))
@@ -43,7 +43,7 @@ class TestBasicStates:
         assert straddler is not None
         # Straddler's first element is expired; the suffix starts with an active one.
         assert coverage.now - straddler.first_timestamp >= 10.0
-        suffix_start_ts = coverage.decomposition.buckets[0].first_timestamp
+        suffix_start_ts = coverage.buckets[0].first_timestamp
         assert coverage.now - suffix_start_ts < 10.0
 
     def test_invariant_straddler_not_wider_than_suffix(self):
@@ -53,7 +53,7 @@ class TestBasicStates:
             coverage.observe(index, index, float(index))
             if coverage.case == 2:
                 alpha = coverage.straddler.width
-                beta = coverage.decomposition.covered_width
+                beta = coverage.covered_width
                 assert alpha <= beta
 
     def test_total_expiry_empties_the_state(self):
@@ -71,7 +71,7 @@ class TestBasicStates:
         coverage.advance_time(1_000.0)
         coverage.observe("fresh", 10, 1_000.0)
         assert coverage.case == 1
-        assert coverage.decomposition.covered_start == 10
+        assert coverage.covered_start == 10
 
     def test_clock_cannot_go_backwards(self):
         coverage = WindowCoverage(5.0, random.Random(6))
@@ -87,7 +87,7 @@ class TestBasicStates:
         assert coverage.is_empty
         coverage.observe("fresh", 1, 99.0)
         assert not coverage.is_empty
-        assert coverage.decomposition.covered_start == 1
+        assert coverage.covered_start == 1
 
 
 class TestCoverageTracksTheWindow:
@@ -100,13 +100,13 @@ class TestCoverageTracksTheWindow:
             coverage.observe(index, index, timestamp)
             earliest_active = max(0, index - 12)
             if coverage.case == 1:
-                assert coverage.decomposition.covered_start <= earliest_active
+                assert coverage.covered_start <= earliest_active
             else:
                 assert coverage.straddler.start < earliest_active or (
                     coverage.straddler.start <= earliest_active
                 )
-                assert coverage.decomposition.covered_start >= earliest_active
-            assert coverage.decomposition.covered_end == index
+                assert coverage.covered_start >= earliest_active
+            assert coverage.covered_end == index
 
     def test_memory_is_logarithmic_in_window(self):
         import math
@@ -129,7 +129,7 @@ class TestCoverageTracksTheWindow:
             coverage.advance_time(10.0)
             coverage.observe(index, index, 10.0)
         assert coverage.case == 1
-        assert coverage.decomposition.covered_start == 100
+        assert coverage.covered_start == 100
 
     def test_draw_sample_always_active(self):
         coverage = WindowCoverage(9.0, random.Random(11))
