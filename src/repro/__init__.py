@@ -119,14 +119,17 @@ kept only as the reference semantics:
   generator draw, and window expiry pays one cached-threshold comparison
   per element with a full Lemma 3.5 scan only at actual transitions, which
   takes ``boz-ts-wr``/``boz-ts-wor`` ingest from ~1x to 4–5x over the
-  append loop while staying bit-identical.
+  append loop while staying bit-identical.  ``boz-ts-wr``'s k automata
+  share one bucket geometry, so an arrival runs one probe, one expiry
+  check and one cascade walk for all k lanes, each lane still drawing its
+  own coins.
 * **Per-key state.**  Every random stream of an optimal sampler is a
   :class:`~repro.rng.LaneRng` — splitmix64 used as a counter-based
   generator — derived from the sampler's one 64-bit seed and a stream id,
   so a stream costs a counter and a coin cursor instead of a ~2.5 KB
   Mersenne-Twister state, and a key's birth seeds nothing.  A sequence-WR
   key with k=4 and 3 records holds ~1.6 KB resident (tracemalloc) and
-  pickles to ~0.5 KB; a timestamp-WR key ~4.3 KB and ~1.4 KB (they were
+  pickles to ~0.5 KB; a timestamp-WR key ~1.4 KB and ~0.6 KB (they were
   16–21 KB and 19–20 KB).  Candidates are ``__slots__`` records whose
   observer ``state`` dict exists only once an observer writes to it.
 * **Engines** group each ingest batch per key in a single pass (hashing

@@ -1,10 +1,13 @@
 """The ``Incr`` merge cascade (Lemma 3.4) as a compile-friendly module.
 
-This is the one ``Incr`` of the covering decomposition: per-element appends,
-batches and observer-carrying samplers all extend their bucket lists through
-:func:`merge_cascade` (called from :meth:`~repro.core.covering.
+This is the one ``Incr`` of a single covering decomposition: per-element
+appends, batches and observer-carrying automata all extend their bucket lists
+through :func:`merge_cascade` (called from :meth:`~repro.core.covering.
 CoveringDecomposition.incr` and :meth:`~repro.core.covering.WindowCoverage.
-observe_batch`).  It is factored out so it can optionally be compiled
+observe_batch`, so by ts-WOR and the standalone automata).  ts-WR's k lanes
+share one geometry and run the same walk once for all of them
+(:func:`~repro.core.shared_coverage.merge_run`).  It is factored out so it
+can optionally be compiled
 with `mypyc <https://mypyc.readthedocs.io/>`_ — the module deliberately
 sticks to the mypyc-supported subset (plain functions, no dynamic attribute
 tricks, fully annotated signatures) so that

@@ -19,9 +19,12 @@ of a merge (R first, then Q; a set bit keeps the left sample) are the next
 two bits of the generator's coin stream, ``getrandbits(2)``.
 
 A bucket structure is never mutated after construction: ``Incr`` replaces
-merged buckets with new ones.  That is what lets the observer-free samplers
-build each arrival's singleton once and append the same object to all ``k``
-covering automata (:func:`build_singletons`).
+merged buckets with new ones.  That is what lets the observer-free ts-WOR
+sampler build each arrival's singleton once and hand the same object to all
+``k`` of its delayed covering automata (:func:`build_singletons`).  ts-WR
+keeps no bucket structures: its k lanes share one geometry and store their
+samples as columns of a flat list (:mod:`repro.core.shared_coverage`), and
+it builds a structure only as a read-time view of its straddler.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from .tracking import CandidateObserver, SampleCandidate
 
 __all__ = ["BucketStructure", "SINGLETON_CHUNK", "build_singletons"]
 
-#: Arrivals whose shared singletons the samplers build at a time.  Lanes
-#: consume a chunk lane-major (each lane draws only from its own stream, so
-#: the order across lanes is free), and a long batch never holds all of its
-#: singletons at once.
+#: Arrivals whose shared singletons ts-WOR builds at a time.  Its delayed
+#: copies consume a chunk copy-major (each draws only from its own stream,
+#: so the order across copies is free), and a long batch never holds all of
+#: its singletons at once.
 SINGLETON_CHUNK = 256
 
 
@@ -79,11 +82,11 @@ class BucketStructure:
         R and Q samples are necessarily that element.
 
         Who shares what: without an observer, R and Q are one candidate
-        record, and the samplers go further with :func:`build_singletons` —
-        one singleton per arrival, appended to every lane.  With an
+        record, and ts-WOR goes further with :func:`build_singletons` — one
+        singleton per arrival, handed to every delayed copy.  With an
         observer, R and Q are two records (the observer keeps separate
         scratch state on each, and is told of both selections), and each
-        lane builds its own singleton through this constructor.
+        copy builds its own singleton through this constructor.
         """
         r_candidate = SampleCandidate(value, index, timestamp)
         if observer is None:
@@ -280,9 +283,9 @@ def build_singletons(
     position ``p`` has value ``values[p]``, timestamp ``stamps[p]`` (a float)
     and stream index ``base_index + p``.
 
-    Each singleton's R and Q are one candidate record, and the caller
-    appends the same singleton to every lane, so an arrival costs one
-    structure and one record whatever ``k`` is.  Built inline, without
+    Each singleton's R and Q are one candidate record, and ts-WOR hands the
+    same singleton to every delayed copy, so an arrival costs one structure
+    and one record whatever ``k`` is.  Built inline, without
     :meth:`BucketStructure.singleton`'s validation: this runs once per
     arrival, the hottest allocation of the timestamp samplers.
     """

@@ -33,7 +33,9 @@ optional straddling bucket and a clock; at any time it holds either
 
 An expiry transition keeps the automaton and replaces its bucket list with
 the suffix after the straddler.  Both states use ``O(log n(t))`` memory
-words.
+words.  ts-WOR runs one automaton per delayed copy; ts-WR's k copies share
+one geometry, so it runs them as one
+:class:`~repro.core.shared_coverage.SharedCoverage`.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ class WindowCoverage(CoveringDecomposition):
         delayed feeds of §4, and only while the coverage is empty) is skipped,
         exactly as prescribed by Lemma 4.1.  The element's singleton is this
         lane's own (:meth:`BucketStructure.singleton`); the observer-free
-        samplers share one per arrival through :meth:`observe_batch`.
+        ts-WOR shares one per arrival through :meth:`observe_batch`.
         """
         if timestamp > self._now:
             self._now = float(timestamp)

@@ -15,14 +15,17 @@ Python loops with closed-form whole-batch draws:
   bucket reservoir is drawn in one step: a hypergeometric split decides how
   many of the new arrivals displace held slots, then positions are chosen
   without replacement.
-* **timestamp WR/WoR** (:func:`coverage_observe_batch`) — the covering
-  decomposition's merge cascade is purely structural, so extending
-  ``ζ(a, b)`` by a whole run of arrivals is done by *rebuilding* the canonical
-  boundaries (Definition 3.1) and drawing each rebuilt bucket's R/Q samples
-  width-weighted over its constituents — O(log) work per expiry run instead
-  of a Python cascade per element.  Expiry runs are located with
-  ``searchsorted`` over the (sorted) clock track plus an exact-predicate
-  fixup, so Lemma 3.5 transitions fire at exactly the reference positions.
+* **timestamp WR/WoR** (:func:`shared_coverage_observe_batch`,
+  :func:`coverage_observe_batch`) — the covering decomposition's merge
+  cascade is purely structural, so extending ``ζ(a, b)`` by a whole run of
+  arrivals is done by *rebuilding* the canonical boundaries (Definition 3.1)
+  and drawing each rebuilt bucket's R/Q samples width-weighted over its
+  constituents — O(log) work per expiry run instead of a Python cascade per
+  element.  ts-WR's k lanes share one geometry, so a run is rebuilt once
+  and all lanes' picks come from one generator call.  Expiry runs are
+  located with ``searchsorted`` over the (sorted) clock track plus an
+  exact-predicate fixup, so Lemma 3.5 transitions fire at exactly the
+  reference positions.
 
 All of these are *distributionally* exact (gated by χ²+KS suites) but
 consume a separate numpy generator, so they are not bit-identical to the
@@ -65,6 +68,7 @@ __all__ = [
     "seq_wr_process_batch",
     "seq_wor_process_batch",
     "coverage_observe_batch",
+    "shared_coverage_observe_batch",
 ]
 
 
@@ -324,6 +328,23 @@ def as_float_array(stamps: Sequence[float]) -> Any:
     return _np.asarray(stamps, dtype=_np.float64)
 
 
+def _next_transition(clocks: Any, position: int, front_ts: float, t0: float) -> int:
+    """Where the next Lemma 3.5 expiry transition fires: the first
+    ``j >= position`` with ``clocks[j] - front_ts >= t0`` (``len(clocks)`` if
+    none), found by one ``searchsorted`` over the sorted clock track and then
+    moved by the reference's exact predicate, so float rounding matches the
+    per-element path."""
+    total = len(clocks)
+    run_end = int(_np.searchsorted(clocks, front_ts + t0, side="left"))
+    if run_end < position:
+        run_end = position
+    while run_end > position and float(clocks[run_end - 1]) - front_ts >= t0:
+        run_end -= 1
+    while run_end < total and float(clocks[run_end]) - front_ts < t0:
+        run_end += 1
+    return run_end
+
+
 def _extend_canonical(
     buckets: List[Any],
     new_base: int,
@@ -464,15 +485,7 @@ def coverage_observe_batch(
             front_ts = float(stamps[position])
         else:
             front_ts = buckets[0].first_timestamp
-        # Find where the next expiry transition fires: the first j with
-        # clocks[j] - front_ts >= t0 (the reference's exact predicate).
-        run_end = int(_np.searchsorted(clocks, front_ts + t0, side="left"))
-        if run_end < position:
-            run_end = position
-        while run_end > position and float(clocks[run_end - 1]) - front_ts >= t0:
-            run_end -= 1
-        while run_end < total and float(clocks[run_end]) - front_ts < t0:
-            run_end += 1
+        run_end = _next_transition(clocks, position, front_ts, t0)
         if run_end > position:
             _extend_canonical(
                 buckets,
@@ -495,3 +508,104 @@ def coverage_observe_batch(
             coverage._refresh()
             buckets = coverage._buckets
     coverage._now = now
+
+
+def _extend_shared(
+    flat: List[Any],
+    new_base: int,
+    new_count: int,
+    values: Sequence[Any],
+    base_index: int,
+    stamps: Sequence[float],
+    lanes: int,
+    gen: Any,
+) -> None:
+    """:func:`_extend_canonical` on a :class:`~repro.core.shared_coverage.
+    SharedCoverage` row list: the canonical boundaries and the reuse walk are
+    computed once for all lanes, and every widened bucket's 2k picks (each
+    lane's R, then each lane's Q) for the whole run come from one
+    ``gen.integers`` call.  A pick resolves to the sample the covering
+    constituent holds in the same column, or to a fresh candidate.
+    """
+    from .covering import canonical_boundaries
+    from .tracking import SampleCandidate
+
+    tail = 2 * lanes
+    width = 4 + tail
+    old_len = len(flat)
+    rows: List[Any] = []
+    widened = []
+    old = 0
+    for bucket_start, bucket_end in canonical_boundaries(
+        flat[0] if flat else new_base, new_base + new_count - 1
+    ):
+        if old < old_len and flat[old] == bucket_start and flat[old + 1] == bucket_end:
+            rows += flat[old : old + width]
+            old += width
+            continue
+        constituents = []
+        while old < old_len and flat[old] < bucket_end:
+            constituents.append(old)
+            old += width
+        if constituents:
+            rows += (bucket_start, bucket_end, flat[constituents[0] + 2], flat[constituents[0] + 3])
+        else:
+            position = bucket_start - base_index
+            rows += (bucket_start, bucket_end, values[position], stamps[position])
+        if bucket_end - bucket_start == 1:
+            # A fresh singleton: every lane's R and Q is the element.
+            rows += [SampleCandidate(rows[-2], bucket_start, rows[-1])] * tail
+            continue
+        widened.append((len(rows), bucket_start, bucket_end, constituents))
+        rows += [None] * tail
+    if widened:
+        spans = _np.array([end - start for _, start, end, _ in widened])
+        picks = gen.integers(0, spans[:, None], size=(len(widened), tail)).tolist()
+        for (at, bucket_start, _, constituents), row in zip(widened, picks):
+            for column, pick in enumerate(row):
+                element = bucket_start + pick
+                for old in constituents:
+                    if element < flat[old + 1]:
+                        rows[at + column] = flat[old + 4 + column]
+                        break
+                else:
+                    position = element - base_index
+                    rows[at + column] = SampleCandidate(
+                        values[position], element, stamps[position]
+                    )
+    flat[:] = rows
+
+
+def shared_coverage_observe_batch(
+    coverage: Any, values: Sequence[Any], base_index: int, stamps: Sequence[float], gen: Any
+) -> None:
+    """Vectorized :meth:`SharedCoverage.observe_batch` (ts-WR's numpy kernel).
+
+    ``values[p]`` is element ``base_index + p`` at timestamp ``stamps[p]``
+    (floats, non-decreasing from the clock).  As in
+    :func:`coverage_observe_batch`, the batch is cut into runs between
+    Lemma 3.5 expiry transitions (:func:`_next_transition`); each run is
+    applied by :func:`_extend_shared`, and each transition by the reference
+    refresh.  The clock is the arrivals' own timestamps, so no arrival is
+    expired on arrival.
+    """
+    total = len(stamps)
+    track = as_float_array(stamps)
+    lanes = len(coverage.rngs)
+    t0 = coverage._t0
+    flat = coverage._flat
+    position = 0
+    while position < total:
+        run_end = _next_transition(track, position, flat[3] if flat else stamps[position], t0)
+        if run_end > position:
+            _extend_shared(
+                flat, base_index + position, run_end - position, values, base_index,
+                stamps, lanes, gen,
+            )
+            position = run_end
+        if position < total:
+            # Transition: advance the clock to the triggering element and run
+            # the reference Lemma 3.5 refresh (in place), then continue with
+            # that element still pending.
+            coverage.advance_time(max(coverage.now, stamps[position]))
+    coverage.advance_time(max(coverage.now, stamps[-1]))

@@ -25,13 +25,17 @@ Format 1 held a 625-int Mersenne-Twister vector per stream; format 2 holds
 counters.  A format-1 snapshot is refused, never converted: its streams
 cannot be continued by the counter generator.
 
-**Shared candidates.**  The observer-free timestamp samplers append one
-singleton bucket per arrival to all ``k`` lanes, so one candidate record (and
-one bucket structure) is reachable from many places in a sampler.  Their
-``state_dict`` threads a *memo* — a plain dict created for that one call,
-mapping ``id(object)`` to its encoded dict — through every encoder, so each
-distinct object is encoded once and every further reference reuses the same
-dict; pickle then writes a short memo reference instead of a repeated dict.
+**Shared candidates.**  The observer-free timestamp samplers keep one
+candidate record per arrival however many lanes read it: ts-WR puts the
+record in all 2k sample slots of the arrival's bucket row, and ts-WOR hands
+one singleton bucket to all ``k`` delayed copies.  So one record (and, in
+ts-WOR, one bucket structure) is reachable from many places in a sampler.
+Their ``state_dict`` threads a *memo* — a plain dict created for that one
+call, mapping ``id(object)`` to its encoded dict — through every encoder, so
+each distinct object is encoded once and every further reference reuses the
+same dict; pickle then writes a short memo reference instead of a repeated
+dict.  ts-WR writes one bucket dict per lane, as k separate automata would,
+except for a width-1 row holding one record, whose dict every lane shares.
 ``load_state_dict`` threads a memo mapping ``id(encoded dict)`` back to one
 decoded object, so a restored sampler shares again.  The memo is scoped to
 the call (no module state: tenants snapshot on separate threads), and the

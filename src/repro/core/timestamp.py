@@ -1,8 +1,11 @@
 """Optimal sampling with replacement from timestamp-based windows (§3, Theorem 3.9).
 
-Each of the ``k`` independent samples is maintained by one
-:class:`~repro.core.covering.WindowCoverage` automaton (Lemma 3.5).  At query
-time the window sample is produced from the automaton's state:
+Each of the ``k`` independent samples is maintained by a Lemma 3.5 automaton.
+The k automata share one covering geometry — bucket boundaries and expiry
+transitions depend only on arrival indexes and timestamps — so the sampler
+holds them as one :class:`~repro.core.shared_coverage.SharedCoverage`: each
+bucket's geometry once, and each lane's ``R`` and ``Q`` samples beside it.
+At query time lane ``i``'s sample is produced from its samples:
 
 * **case 1** — the covering decomposition starts exactly at the earliest
   active element: pick a bucket with probability proportional to its width and
@@ -15,10 +18,9 @@ The memory footprint is Θ(k · log n(t)) words and is a deterministic function
 of the arrival pattern — never of the algorithm's coin flips — which is the
 paper's improvement over priority sampling.
 
-Without an observer, an arrival costs one singleton bucket and one candidate
-record whatever ``k`` is: the k automata are fed the same singleton object
-(:func:`~repro.core.bucket_structure.build_singletons`), which is safe
-because bucket structures are never mutated after construction.
+Without an observer, an arrival costs one geometry row and one candidate
+record whatever ``k`` is: the record fills all 2k sample slots of its
+singleton row.  With an observer each lane gets its own two records.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from .base import (
     coerce_batch_timestamps,
     init_sampler_kernel,
 )
-from .bucket_structure import SINGLETON_CHUNK, build_singletons
-from .covering import WindowCoverage, estimate_active_count
 from .serialization import load_stream, require_state_fields
+from .shared_coverage import SharedCoverage
 from .tracking import CandidateObserver, SampleCandidate
 
 __all__ = ["TimestampSamplerWR"]
@@ -55,7 +56,7 @@ class TimestampSamplerWR(TimestampWindowSampler):
     with_replacement = True
     deterministic_memory = True
 
-    __slots__ = ("_seed", "_coverages", "_query_rng", "_np_gen", "_now")
+    __slots__ = ("_seed", "_coverage", "_query_rng", "_np_gen")
 
     def __init__(
         self,
@@ -67,48 +68,43 @@ class TimestampSamplerWR(TimestampWindowSampler):
     ) -> None:
         super().__init__(t0, k, observer)
         self._seed = seed = sampler_seed(rng)
-        self._coverages = [
-            WindowCoverage(self._t0, LaneRng(seed, lane), observer) for lane in range(self._k)
-        ]
+        self._coverage = SharedCoverage(
+            self._t0, [LaneRng(seed, lane) for lane in range(self._k)], observer
+        )
         self._query_rng = LaneRng(seed, QUERY_STREAM)
         self._np_gen = init_sampler_kernel(kernel, seed)
-        self._now = float("-inf")
 
     # -- clock -----------------------------------------------------------------
 
     @property
     def now(self) -> float:
-        return self._now
+        return self._coverage.now
 
     def advance_time(self, now: float) -> None:
-        if now < self._now:
-            raise StreamOrderError(f"clock moved backwards: {now} < {self._now}")
-        self._now = float(now)
-        for coverage in self._coverages:
-            coverage.advance_time(self._now)
+        if now < self._coverage.now:
+            raise StreamOrderError(f"clock moved backwards: {now} < {self._coverage.now}")
+        self._coverage.advance_time(now)
 
     # -- ingestion ----------------------------------------------------------------
 
     def append(self, value: Any, timestamp: Optional[float] = None) -> None:
         """Process one arrival.  Without an observer this is the batched path
-        for one element (one singleton shared by the k lanes), so ``append``
-        and :meth:`process_batch` are the same code; with one, each lane
-        observes the element through its own singleton and the observer
+        for one element, so ``append`` and :meth:`process_batch` are the same
+        code; with one, each lane gets its own records and the observer
         hears of the arrival."""
         index = self._arrivals
+        now = self._coverage.now
         if timestamp is None:
-            ts = self._now if self._now != float("-inf") else 0.0
+            ts = now if now != float("-inf") else 0.0
         else:
             ts = float(timestamp)
-        if ts < self._now:
-            raise StreamOrderError(f"timestamps must be non-decreasing: {ts} < {self._now}")
-        self._now = ts
+        if ts < now:
+            raise StreamOrderError(f"timestamps must be non-decreasing: {ts} < {now}")
         if self._observer is None:
-            self._observe_shared((value,), index, (ts,))
+            self._coverage.observe_batch((value,), (ts,), index)
             self._arrivals = index + 1
             return
-        for coverage in self._coverages:
-            coverage.observe(value, index, ts)
+        self._coverage.observe(value, index, ts)
         self._arrivals = index + 1
         self._notify_arrival(value, index, ts)
 
@@ -118,12 +114,12 @@ class TimestampSamplerWR(TimestampWindowSampler):
         timestamps: Optional[Sequence[Optional[float]]] = None,
     ) -> int:
         """Batched :meth:`append`: timestamps are validated up front, then
-        each chunk of :data:`~repro.core.bucket_structure.SINGLETON_CHUNK`
-        arrivals gets its singletons built once and fed to every lane
-        through :meth:`~repro.core.covering.WindowCoverage.observe_batch` (each
-        covering automaton owns an independent generator, so this is
-        bit-identical to the ``append`` loop).  ``kernel="numpy"`` runs
-        :func:`repro.core.kernels.coverage_observe_batch` instead.
+        the shared automaton takes the whole batch
+        (:meth:`~repro.core.shared_coverage.SharedCoverage.observe_batch`;
+        each lane owns an independent generator and draws from it as the
+        ``append`` loop would, so this is bit-identical to that loop).
+        ``kernel="numpy"`` runs :func:`repro.core.kernels.
+        shared_coverage_observe_batch` instead.
 
         Unlike per-element appends, an out-of-order timestamp raises
         *before* any element is applied.  Observer-carrying samplers fall
@@ -135,89 +131,80 @@ class TimestampSamplerWR(TimestampWindowSampler):
             return 0
         if self._observer is not None:
             return super().process_batch(values, timestamps)
-        stamps = coerce_batch_timestamps(count, timestamps, self._now)
+        stamps = coerce_batch_timestamps(count, timestamps, self._coverage.now)
         start = self._arrivals
         if self._np_gen is not None:
             # Vectorized kernel: per expiry run, the covering decomposition
-            # is rebuilt structurally instead of cascading per element (see
-            # repro.core.kernels.coverage_observe_batch).
-            from .kernels import as_float_array, coverage_observe_batch
+            # is rebuilt structurally instead of cascading per element.
+            from .kernels import shared_coverage_observe_batch
 
-            stamp_array = as_float_array(stamps)
-            for coverage in self._coverages:
-                coverage_observe_batch(
-                    coverage, values, 0, start, stamp_array, stamp_array, self._np_gen
-                )
+            shared_coverage_observe_batch(self._coverage, values, start, stamps, self._np_gen)
         else:
-            self._observe_shared(values, start, stamps)
-        self._now = stamps[-1]
+            self._coverage.observe_batch(values, stamps, start)
         self._arrivals = start + count
         return count
-
-    def _observe_shared(self, values: Sequence[Any], start: int, stamps: Sequence[float]) -> None:
-        """Feed arrivals ``start ..`` (float ``stamps``) to every lane, one
-        shared singleton per arrival, chunk by chunk."""
-        count = len(values)
-        coverages = self._coverages
-        for lo in range(0, count, SINGLETON_CHUNK):
-            hi = lo + SINGLETON_CHUNK if lo + SINGLETON_CHUNK < count else count
-            chunk = build_singletons(values, stamps, start, lo, hi)
-            for coverage in coverages:
-                coverage.observe_batch(chunk)
 
     # -- sampling -------------------------------------------------------------------
 
     def sample_candidates(self) -> List[SampleCandidate]:
-        return [self._sample_coverage(coverage) for coverage in self._coverages]
-
-    def _sample_coverage(self, coverage: WindowCoverage) -> SampleCandidate:
-        if self._now != float("-inf"):
-            coverage.advance_time(self._now)
+        coverage = self._coverage
+        if coverage.now != float("-inf"):
+            coverage.advance_time(coverage.now)
         if coverage.is_empty:
             raise EmptyWindowError("no active element in the window")
-        return coverage.draw_sample(self._query_rng)
+        query_rng = self._query_rng
+        return [coverage.draw_sample(lane, query_rng) for lane in range(self._k)]
 
     @property
     def window_is_empty(self) -> bool:
         """Whether no stored element is currently active."""
         if self._arrivals == 0:
             return True
-        coverage = self._coverages[0]
-        coverage.advance_time(self._now)
+        coverage = self._coverage
+        coverage.advance_time(coverage.now)
         return coverage.is_empty
 
     def active_count_estimate(self) -> int:
-        """Estimated number of currently active elements ``n(t)``
-        (:func:`~repro.core.covering.estimate_active_count` on the first
-        automaton's covering decomposition)."""
-        return estimate_active_count(self._coverages[0], self._now)
+        """Estimated number of currently active elements ``n(t)``.
+
+        Exact in case 1 of Lemma 3.5; in case 2 the straddling bucket holds
+        an unknown number of active elements, so half its width is added (see
+        :func:`~repro.core.covering.estimate_active_count`)."""
+        coverage = self._coverage
+        if coverage.now != float("-inf"):
+            coverage.advance_time(coverage.now)
+        if coverage.is_empty:
+            return 0
+        count = coverage.covered_width
+        straddler = coverage.straddler_bounds
+        if straddler is not None:
+            count += (straddler[1] - straddler[0]) // 2
+        return count
 
     # -- introspection ------------------------------------------------------------------
 
     def iter_candidates(self) -> Iterator[SampleCandidate]:
-        for coverage in self._coverages:
-            yield from coverage.iter_candidates()
+        return self._coverage.iter_candidates()
 
     def memory_words(self) -> int:
         meter = MemoryMeter(WORD_MODEL)
         meter.add_constants(2)  # t0 and k
         meter.add_counters()  # arrival counter
         meter.add_timestamps()  # the clock
-        for coverage in self._coverages:
-            meter.add_words(coverage.memory_words())
+        meter.add_words(self._coverage.memory_words())
         return meter.total
 
     # -- checkpointing ------------------------------------------------------------------
 
     def _encode_state(self) -> Dict[str, Any]:
         # One memo for the sampler: what the lanes share is encoded once.
-        memo: Dict[int, Any] = {}
+        coverage = self._coverage
         return {
             "t0": self._t0,
-            "now": self._now,
-            "coverages": [coverage.state_dict(memo) for coverage in self._coverages],
+            "now": coverage.now,
+            "coverages": coverage.lane_states({}),
             "seed": self._seed,
-            "rngs": [coverage.rng.get_state() for coverage in self._coverages],
+            "rngs": [rng.get_state() for rng in coverage.rngs],
             "query_rng": self._query_rng.get_state(),
         }
 
@@ -227,19 +214,17 @@ class TimestampSamplerWR(TimestampWindowSampler):
         )
         if float(payload["t0"]) != self._t0:
             raise ConfigurationError(f"snapshot has t0={payload['t0']}, sampler has t0={self._t0}")
-        if len(payload["coverages"]) != len(self._coverages):
+        if len(payload["rngs"]) != self._k:
             raise ConfigurationError(
-                f"snapshot has {len(payload['coverages'])} coverages, sampler has {len(self._coverages)}"
+                f"snapshot has {len(payload['rngs'])} lane streams, sampler has {self._k}"
             )
-        self._now = float(payload["now"])
-        if len(payload["rngs"]) != len(self._coverages):
-            raise ConfigurationError(
-                f"snapshot has {len(payload['rngs'])} lane streams, sampler has {len(self._coverages)}"
-            )
+        coverage = self._coverage
+        try:
+            coverage.load_lane_states(payload["coverages"], float(payload["now"]), {})
+        except (TypeError, ValueError, KeyError, AttributeError) as error:
+            raise ConfigurationError(f"malformed {type(self).__name__} snapshot: {error!r}") from error
         seed = int(payload["seed"])
-        memo: Dict[int, Any] = {}
-        for stream, coverage in enumerate(self._coverages):
-            load_stream(coverage.rng, seed, stream, payload["rngs"][stream])
-            coverage.load_state_dict(payload["coverages"][stream], memo)
+        for stream, rng in enumerate(coverage.rngs):
+            load_stream(rng, seed, stream, payload["rngs"][stream])
         load_stream(self._query_rng, seed, QUERY_STREAM, payload["query_rng"])
         self._seed = seed

@@ -205,19 +205,19 @@ def _hottest_partial(
     Selects by count first: the ``top``-th largest count is a floor no
     answer falls below, so only the keys at or above it are ranked with the
     full ``(count, tiebreak)`` order — the same answer, boundary ties and
-    display order included, without encoding a tiebreak per live key.  The
-    pass over the keys fills two flat lists (the keys themselves and bare
-    counts), not a ``(key, count)`` pair per key, so it leaves nothing new
-    for the cyclic collector to track.
+    display order included, without encoding a tiebreak per live key.  Each
+    pool hands over two flat lists (:meth:`KeyedSamplerPool.arrival_counts`:
+    the keys themselves and bare counts), not a ``(key, count)`` pair per
+    key, so the read leaves nothing new for the cyclic collector to track.
     """
     if top <= 0:
         return []
     keys: List[Any] = []
     counts: List[int] = []
     for pool in pools:
-        for key, sampler in pool.items():
-            keys.append(key)
-            counts.append(sampler.total_arrivals)
+        pool_keys, pool_counts = pool.arrival_counts()
+        keys += pool_keys
+        counts += pool_counts
     # Arrival counts are non-negative, so a floor of 0 keeps every key.
     floor = heapq.nlargest(top, counts)[-1] if top < len(counts) else 0
     pairs = [(key, count) for key, count in zip(keys, counts) if count >= floor]

@@ -167,6 +167,15 @@ class KeyedSamplerPool:
         for key, entry in self._entries.items():
             yield key, entry.sampler
 
+    def arrival_counts(self) -> Tuple[List[Any], List[int]]:
+        """The live keys and their samplers' arrival counts, as two lists in
+        the same order (least recently ingested first), built in one pass
+        over the entries without a ``(key, sampler)`` pair per key.  The
+        counts are read from ``WindowSampler._arrivals`` directly: the
+        ``total_arrivals`` property call would be half the pass's cost."""
+        entries = self._entries
+        return list(entries), [entry.sampler._arrivals for entry in entries.values()]
+
     def entries(
         self,
     ) -> Iterator[Tuple[Any, WindowSampler, Optional[ExponentialHistogramCounter]]]:

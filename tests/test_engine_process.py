@@ -15,9 +15,11 @@ never a hang, an orphan, or silent data loss).
 """
 
 import os
+import random
 import signal
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.exceptions import (
     StreamOrderError,
     WorkerFailure,
 )
+from repro.engine.hashing import stable_key_bytes
 from repro.obs import MetricsRegistry
 from repro.streams.workloads import build_keyed_workload
 
@@ -301,6 +304,30 @@ class TestAggregates:
             assert process.hottest_keys(7) == serial.hottest_keys(7)
             with pytest.raises(ConfigurationError):
                 process.hottest_keys(0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hottest_keys_with_ties_match_a_reference_ranking(self, seed):
+        # Few distinct counts over many keys of two key types, so most ranks
+        # are ties broken by the keys' stable encoding, across workers too.
+        rng = random.Random(seed)
+        keys = [f"key-{i}" for i in range(rng.randint(20, 60))] + list(range(rng.randint(5, 15)))
+        records = [(key, n) for key in keys for n in range(rng.choice([1, 2, 3, 5, 8]))]
+        rng.shuffle(records)
+        counts = Counter(key for key, _ in records)
+        # The top of the (count, encoded key) order, shown hottest first and
+        # ties in ascending key encoding.
+        by_rank = sorted(counts.items(), key=lambda pair: (pair[1], stable_key_bytes(pair[0])))
+        by_rank.reverse()
+        shown = lambda top: sorted(
+            by_rank[:top], key=lambda pair: (-pair[1], stable_key_bytes(pair[0]))
+        )
+        serial = ShardedEngine(SEQ_SPEC, shards=4, seed=seed)
+        serial.ingest(records)
+        with ProcessEngine(SEQ_SPEC, shards=4, seed=seed, workers=2) as process:
+            process.ingest(records)
+            for top in (1, 4, 17, len(keys), len(keys) + 3):
+                assert serial.hottest_keys(top) == shown(top)
+                assert process.hottest_keys(top) == shown(top)
 
     def test_merged_frequent_items_agree_with_serial(self):
         records = keyed_records(5_000, keys=40)

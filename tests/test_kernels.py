@@ -309,8 +309,7 @@ class TestKernelStructuralInvariants:
                 values = list(range(fed, fed + chunk))
                 sampler.process_batch(values, [float(value) for value in values])
                 fed += chunk
-                for coverage in sampler._coverages:
-                    assert coverage.is_canonical()
+                assert sampler._coverage.is_canonical()
             assert sampler.sample()[0].index >= max(0, total - 61)
 
     def test_kernel_and_python_agree_on_structure(self):
@@ -322,10 +321,7 @@ class TestKernelStructuralInvariants:
         for sampler in (kernelled, reference):
             sampler.process_batch(list(range(150)), stamps[:150])
             sampler.process_batch(list(range(150, 300)), stamps[150:])
-        boundaries = lambda sampler: [
-            (bucket.start, bucket.end)
-            for bucket in sampler._coverages[0]._buckets
-        ]
+        boundaries = lambda sampler: sampler._coverage.boundaries()
         assert boundaries(kernelled) == boundaries(reference)
 
     def test_wor_kernel_subsets_are_distinct(self):

@@ -7,16 +7,19 @@ fixed per-sampler overhead — generators, lane objects, candidate records —
 dominates.  While each random stream was a Mersenne Twister (~2.5 KB
 resident, ~3 KB pickled, five per key) the same keys took 16–21 KB resident
 and ~19–20 KB pickled, 2.6–19x over these budgets.  The timestamp budgets
-assume one singleton per arrival shared by the k lanes (and encoded once in
-a snapshot): with a copy per lane, ts-WR took 4.2 KB resident and 1.4 KB
-pickled, ts-WOR 3.9 KB and 1.0 KB.
+assume one candidate record per arrival shared by the k lanes (and encoded
+once in a snapshot): with a copy per lane, ts-WR took 4.2 KB resident and
+1.4 KB pickled, ts-WOR 3.9 KB and 1.0 KB.
 
-The resident budgets are the measurement plus 5%, rounded up to 16 B, and
-they assume one object per lane: a seq-WR lane is its reservoir (no wrapper
-holding two bucket ids), and a timestamp lane is its covering automaton (no
-separate decomposition object).  Measured on CPython 3.11: seq-WR 1,318 B,
-ts-WR 1,910 B, ts-WOR 2,678 B resident, and 495, 644 and 650 B pickled.
-With a wrapper per lane they took 1,542, 2,134 and 2,902 B resident.
+The resident budgets are the measurement plus 5%, rounded up to 16 B.  They
+assume one object per lane: a seq-WR lane is its reservoir (no wrapper
+holding two bucket ids), and a ts-WOR lane is its covering automaton (no
+separate decomposition object).  ts-WR's lanes hold only their generators:
+they are sample columns of one flat bucket list, which stores each bucket's
+geometry once.  Measured on CPython 3.11: seq-WR 1,318 B, ts-WR
+1,398 B, ts-WOR 2,678 B resident, and 495, 644 and 650 B pickled.  With a
+wrapper per lane they took 1,542, 2,134 and 2,902 B resident; with one
+covering automaton and one bucket list per lane, ts-WR took 1,910 B.
 """
 
 import gc
@@ -32,7 +35,7 @@ RECORDS = 3
 
 CASES = [
     pytest.param(SamplerSpec(window="sequence", n=256, k=4), 1392, 1024, id="seq-wr"),
-    pytest.param(SamplerSpec(window="timestamp", t0=4.0, k=4), 2016, 768, id="ts-wr"),
+    pytest.param(SamplerSpec(window="timestamp", t0=4.0, k=4), 1472, 768, id="ts-wr"),
     pytest.param(
         SamplerSpec(window="timestamp", t0=4.0, k=4, replacement=False), 2816, 768, id="ts-wor"
     ),

@@ -248,6 +248,12 @@ class TestCountFirstHottest:
         def items(self):
             return iter(self._entries)
 
+        def arrival_counts(self):
+            return (
+                [key for key, _ in self._entries],
+                [sampler.total_arrivals for _, sampler in self._entries],
+            )
+
     KEY_MAKERS = (
         lambda rng, i: i,
         lambda rng, i: f"k{i}",

@@ -1,11 +1,13 @@
-"""The timestamp samplers' apply path: one ``Incr``, one singleton per arrival.
+"""The timestamp samplers' apply path: one ``Incr``, one record per arrival.
 
 Every caller — ``append``, ``process_batch`` and observer-carrying samplers —
 extends a covering decomposition through the same probe and in-place merge
-cascade.  Without an observer each arrival's singleton bucket (and its one
-candidate record) is built once and shared by the k lanes; with one, each
-lane builds its own, because observers keep state per candidate.  Snapshots
-encode what the lanes share once, and a restored sampler shares again.
+cascade.  ts-WR's k lanes share one geometry (one row per bucket); without
+an observer each arrival's one candidate record fills all 2k sample slots of
+its row.  ts-WOR's delayed copies share each arrival's singleton bucket.
+With an observer each lane gets its own records, because observers keep
+state per candidate.  Snapshots encode what the lanes share once, and a
+restored sampler shares again.
 """
 
 import json
@@ -76,6 +78,14 @@ def drive(samplers, seed, steps=150):
 
 
 def geometry(sampler):
+    if isinstance(sampler, TimestampSamplerWR):
+        coverage = sampler._coverage
+        return (
+            coverage.now,
+            coverage.straddler_bounds,
+            coverage.boundaries(),
+            [rng.get_state() for rng in coverage.rngs],
+        )
     return [
         (
             coverage.now,
@@ -85,6 +95,22 @@ def geometry(sampler):
         )
         for coverage in sampler._coverages
     ]
+
+
+def retained_buckets(sampler):
+    """Buckets each lane retains, the straddler included, summed over lanes."""
+    if isinstance(sampler, TimestampSamplerWR):
+        coverage = sampler._coverage
+        return sampler.k * (coverage.bucket_count + (coverage.straddler_bounds is not None))
+    return sum(
+        len(coverage) + (coverage.straddler is not None) for coverage in sampler._coverages
+    )
+
+
+def newest_row(sampler):
+    """ts-WR's newest bucket row: its geometry and its 2k sample slots."""
+    flat = sampler._coverage._flat
+    return flat[-(4 + 2 * sampler.k) :]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -100,12 +126,8 @@ def test_observer_and_observer_free_take_the_same_incr(family, seed):
     # Every selection is discarded exactly once when its candidate leaves
     # (a merge's losing side, or expiry): what is still selected is what
     # the lanes retain, two records per bucket.
-    retained = sum(
-        2 * (len(coverage) + (coverage.straddler is not None))
-        for coverage in watched._coverages
-    )
     assert observer.discarded > 0
-    assert observer.selected - observer.discarded == retained
+    assert observer.selected - observer.discarded == 2 * retained_buckets(watched)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -114,17 +136,28 @@ def test_observer_free_lanes_share_each_arrival(family):
     sampler.process_batch(list(range(30)), [float(t) for t in range(30)])
     sampler.append(30, 30.0)
     for first in (31, 33):
-        newest = [coverage._buckets[-1] for coverage in sampler._coverages]
         if family is TimestampSamplerWR:
-            # Every lane's newest bucket is the newest arrival's singleton.
-            assert all(bucket is newest[0] for bucket in newest)
+            # One geometry row for the newest arrival, whose one record
+            # fills every lane's R and Q slot.
+            row = newest_row(sampler)
+            assert row[:2] == [first - 1, first]
+            assert all(record is row[4] for record in row[4:])
+            assert row[4].index == first - 1
+            # Every width-1 bucket holds one record, so the sampler keeps at
+            # most one record per arrival, however many lanes read it.
+            flat = sampler._coverage._flat
+            for base in range(0, len(flat), len(row)):
+                if flat[base + 1] - flat[base] == 1:
+                    assert len({id(record) for record in flat[base + 4 : base + len(row)]}) == 1
+            assert len({id(record) for record in sampler.iter_candidates()}) <= first
         else:
+            newest = [coverage._buckets[-1] for coverage in sampler._coverages]
             # Copy i's newest bucket is element (newest - i)'s singleton,
             # the one the auxiliary array holds.
             recent = list(sampler._recent)
             for delay, bucket in enumerate(newest):
                 assert bucket is recent[-1 - delay]
-        assert all(bucket.r_sample is bucket.q_sample for bucket in newest)
+            assert all(bucket.r_sample is bucket.q_sample for bucket in newest)
         sampler.process_batch([first, first + 1], [float(first), float(first + 1)])
 
 
@@ -133,8 +166,13 @@ def test_observer_lanes_keep_their_own_candidates(family):
     sampler = family(t0=50.0, k=4, rng=3, observer=CountingObserver())
     for step in range(12):
         sampler.append(step, float(step))
-    newest = [coverage._buckets[-1] for coverage in sampler._coverages]
-    candidates = [id(c) for bucket in newest for c in (bucket.r_sample, bucket.q_sample)]
+    if family is TimestampSamplerWR:
+        # One geometry row, and 2k records of the arrival in its sample slots.
+        candidates = [id(record) for record in newest_row(sampler)[4:]]
+    else:
+        newest = [coverage._buckets[-1] for coverage in sampler._coverages]
+        candidates = [id(c) for bucket in newest for c in (bucket.r_sample, bucket.q_sample)]
+    assert len(candidates) == 2 * sampler.k
     assert len(set(candidates)) == len(candidates)
     if family is TimestampSamplerWOR:
         held = {id(bucket.r_sample) for bucket in sampler._recent}
@@ -150,9 +188,10 @@ def test_one_record_snapshot_is_small_and_restores_shared():
     restored = TimestampSamplerWR(t0=4.0, k=8, rng=99)
     restored.load_state_dict(pickle.loads(payload))
     assert restored.state_dict() == sampler.state_dict()
-    buckets = [coverage._buckets[-1] for coverage in restored._coverages]
-    assert all(bucket is buckets[0] for bucket in buckets)
-    assert buckets[0].r_sample is buckets[0].q_sample
+    # The one encoded singleton decodes to one record in all 16 slots.
+    row = newest_row(restored)
+    assert len(row) == 4 + 2 * 8
+    assert all(record is row[4] for record in row[4:])
 
 
 def unshared(state):
